@@ -32,13 +32,7 @@ from .experiments import (
     run_single_compare,
     run_trace,
 )
-from .fading import (
-    FastChannel,
-    SlowChannel,
-    rayleigh_gain_samples,
-    sample_fast_symbol,
-    substream,
-)
+from .fading import rayleigh_gain_samples, substream
 from .fast_control import (
     ETA,
     FastDesign,
@@ -48,21 +42,16 @@ from .fast_control import (
     fast_snr_floor,
     feasible_single_fast,
     optimize_single_fast,
-    select_plants_fast,
     stabilizable_fast,
 )
 from .model import (
     DIVERGENCE_GUARD,
-    UNBOUNDED,
     CostReport,
     GainPair,
     NoisePowers,
     PlantCost,
     PlantParams,
-    PlantState,
-    empirical_cost,
     predicted_cost_slow,
-    step_plant,
 )
 from .slow_control import (
     IdenticalActuatorDesign,
@@ -75,20 +64,18 @@ from .slow_control import (
     optimize_identical_actuator,
     optimize_identical_controller,
     optimize_single_slow,
-    select_plants_slow,
+    select_plants,
     snr_floor,
 )
 
 __all__ = [
     "__version__",
     "DIVERGENCE_GUARD",
-    "UNBOUNDED",
     "ETA",
     "SCHEMES",
     "CodingScheme",
     "CostReport",
     "ExperimentSpec",
-    "FastChannel",
     "FastDesign",
     "FastSingleDesign",
     "GainPair",
@@ -97,8 +84,6 @@ __all__ = [
     "NoisePowers",
     "PlantCost",
     "PlantParams",
-    "PlantState",
-    "SlowChannel",
     "SlowDesign",
     "SlowSingleDesign",
     "SnrAllocation",
@@ -107,7 +92,6 @@ __all__ = [
     "allocate_multi_slow",
     "bch_decode",
     "bch_encode",
-    "empirical_cost",
     "estimate_word_success",
     "expected_ac2",
     "fast_snr_floor",
@@ -128,9 +112,7 @@ __all__ = [
     "run_selection_sweep",
     "run_single_compare",
     "run_trace",
-    "sample_fast_symbol",
-    "select_plants_fast",
-    "select_plants_slow",
+    "select_plants",
     "snr_floor",
     "stabilizable_fast",
     "substream",

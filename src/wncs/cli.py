@@ -277,6 +277,9 @@ def parse_config(kind: str, args: argparse.Namespace) -> RunConfig:
     )
     config.plant()  # validates |a| > 1 and sigma_w2 early
     config.spec()
+    shared = (config.g_common, config.k_common)
+    if not all(math.isfinite(v) for v in shared if v is not None):
+        raise ValueError(f"shared gain factors must be finite (got {shared})")
     return config
 
 

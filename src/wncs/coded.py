@@ -206,6 +206,26 @@ def required_success_probability(plant: PlantParams, scheme: CodingScheme) -> fl
     return 1.0 - abs(plant.a) ** (-2 * scheme.latency)
 
 
+def _link_success(
+    sent: np.ndarray, scheme: CodingScheme, noise: NoisePowers, h: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Send (..., k) message bits over the coded link; True where a word arrives intact.
+
+    Encode, zero-pad to whole symbols, modulate at power p0, scale by h, add
+    complex AWGN of power sigma_z2 per real dimension, detect, decode and
+    compare with what was sent.
+    """
+    pad = scheme.latency * scheme.bits_per_symbol - scheme.n
+    coded = bch_encode(sent, scheme)
+    padded = np.concatenate([coded, np.zeros((*sent.shape[:-1], pad), dtype=np.uint8)], axis=-1)
+    tx = qam_modulate(padded, scheme.bits_per_symbol, noise.p0)
+    std = math.sqrt(noise.sigma_z2)
+    rx = h * tx + rng.normal(0.0, std, tx.shape) + 1j * rng.normal(0.0, std, tx.shape)
+    bits = qam_detect(rx, scheme.bits_per_symbol, noise.p0, h)
+    decoded, _ = bch_decode(bits[..., : scheme.n], scheme)
+    return np.all(decoded == sent, axis=-1)
+
+
 def estimate_word_success(
     scheme: CodingScheme,
     noise: NoisePowers,
@@ -215,16 +235,7 @@ def estimate_word_success(
 ) -> float:
     """Monte-Carlo word success rate of one scheme at one channel gain."""
     sent = rng.integers(0, 2, size=(words, scheme.k), dtype=np.uint8)
-    d = scheme.latency
-    pad = d * scheme.bits_per_symbol - scheme.n
-    coded = bch_encode(sent, scheme)
-    padded = np.concatenate([coded, np.zeros((words, pad), dtype=np.uint8)], axis=-1)
-    tx = qam_modulate(padded, scheme.bits_per_symbol, noise.p0)
-    std = math.sqrt(noise.sigma_z2)
-    rx = h * tx + rng.normal(0.0, std, tx.shape) + 1j * rng.normal(0.0, std, tx.shape)
-    bits = qam_detect(rx, scheme.bits_per_symbol, noise.p0, h)
-    decoded, _ = bch_decode(bits[..., : scheme.n], scheme)
-    return float(np.mean(np.all(decoded == sent, axis=-1)))
+    return float(np.mean(_link_success(sent, scheme, noise, h, rng)))
 
 
 def run_coded_control(
@@ -257,21 +268,10 @@ def run_coded_control(
         raise ValueError(f"replicas must be >= 1 (got {replicas})")
     d = scheme.latency
     n_epochs = horizon // d
-    pad = d * scheme.bits_per_symbol - scheme.n
-
     if n_epochs:
         # success flags are payload-independent, so simulate the link first
         sent = rng.integers(0, 2, size=(replicas, n_epochs, scheme.k), dtype=np.uint8)
-        coded = bch_encode(sent, scheme)
-        padded = np.concatenate(
-            [coded, np.zeros((replicas, n_epochs, pad), dtype=np.uint8)], axis=-1
-        )
-        tx = qam_modulate(padded, scheme.bits_per_symbol, noise.p0)
-        std = math.sqrt(noise.sigma_z2)
-        rx = h * tx + rng.normal(0.0, std, tx.shape) + 1j * rng.normal(0.0, std, tx.shape)
-        bits = qam_detect(rx, scheme.bits_per_symbol, noise.p0, h)
-        decoded, _ = bch_decode(bits[..., : scheme.n], scheme)
-        success = np.all(decoded == sent, axis=-1)
+        success = _link_success(sent, scheme, noise, h, rng)
     else:
         success = np.zeros((replicas, 0), dtype=bool)
 

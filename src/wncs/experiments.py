@@ -27,8 +27,9 @@ from .model import (
     NoisePowers,
     PlantParams,
     predicted_cost_slow,
+    require_positive,
 )
-from .slow_control import allocate_multi_slow, optimize_single_slow, snr_floor
+from .slow_control import allocate_multi_slow, optimize_single_slow, select_plants, snr_floor
 
 # substream key vocabulary: kind of recipe, then purpose of the draw
 _KIND_TRACE, _KIND_COMPARE, _KIND_MULTI_SLOW, _KIND_MULTI_FAST, _KIND_SELECT = range(5)
@@ -47,12 +48,11 @@ class ExperimentSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.sigma_z2 <= 0.0:
-            raise ValueError(f"channel noise power must be > 0 (got {self.sigma_z2!r})")
+        require_positive(self.sigma_z2, "channel noise power")
         if not self.powers_w:
             raise ValueError("power grid is empty")
-        if any(p <= 0.0 for p in self.powers_w):
-            raise ValueError("powers must be > 0 watts")
+        for p in self.powers_w:
+            require_positive(p, "grid power (watts)")
         if any(b <= a for a, b in zip(self.powers_w, self.powers_w[1:])):
             raise ValueError("power grid must be strictly increasing")
         if self.horizon < 1:
@@ -135,8 +135,9 @@ def implied_trace_gains(
     budget (all |a_c| >= 1 in particular), in which case the trace falls back
     to the bare x(t+1) = a_c x(t) + w(t) recursion.
     """
-    if h <= 0.0:
-        raise ValueError(f"channel magnitude must be > 0 (got {h!r})")
+    require_positive(h, "channel magnitude")
+    if not math.isfinite(a_c):
+        raise ValueError(f"closed-loop factor must be finite (got {a_c!r})")
     ssr = noise.ssr(plant)
     headroom = (1.0 - a_c * a_c) * noise.gamma0 - (a_c - plant.a) ** 2 / h**2
     if headroom <= 0.0:
@@ -159,6 +160,8 @@ def run_trace(
     x series shows replica 0's trajectory; the j series is the running cost
     averaged across replicas, transient included.
     """
+    if not math.isfinite(x0):
+        raise ValueError(f"initial state must be finite (got {x0!r})")
     p0 = spec.powers_w[0]
     noise = spec.noise_at(p0)
     t_axis = tuple(float(t) for t in range(1, spec.horizon + 1))
@@ -189,7 +192,7 @@ def run_trace(
             predicted[label] = None if abs(a_c) >= 1.0 else spec.plant.sigma_w2 / (1.0 - a_c * a_c)
         else:
             j = predicted_cost_slow(spec.plant, noise, gains, h)
-            predicted[label] = j if isinstance(j, float) else None
+            predicted[label] = j if math.isfinite(j) else None
     meta = {
         "seed": spec.seed,
         "replicas": spec.replicas,
@@ -436,12 +439,9 @@ def run_selection_sweep(
             ],
             axis=1,
         )
-        floors = np.sort((a * a - 1.0) / gains**2, axis=1)
-        cumulative = np.cumsum(floors, axis=1)
-        averages = []
-        for p0 in spec.powers_w:
-            gamma0 = p0 / spec.sigma_z2
-            averages.append(float((cumulative <= gamma0).sum(axis=1).mean()))
+        budgets = [p0 / spec.sigma_z2 for p0 in spec.powers_w]
+        _, counts = select_plants(np.arange(m0), (a * a - 1.0) / gains**2, budgets)
+        averages = [float(c.mean()) for c in counts.T]
         series[f"m{m0}_avg_selected"] = tuple(averages)
         bounded[f"m{m0}_avg_selected"] = tuple([True] * len(spec.powers_w))
     meta = {

@@ -5,7 +5,8 @@ gain h = |H| > 0 for a whole control horizon; coherent reception makes the
 complex phase irrelevant, so only the magnitude is carried around.  A fast
 channel redraws a real Gaussian gain H(t) ~ N(0, sigma_h2) on every symbol;
 the controller is assumed to learn only the sign of H(t) in time to flip its
-own sign (partial CSI), never the magnitude.
+own sign (partial CSI), never the magnitude.  The recipes draw both kinds of
+gain as dense arrays straight from a substream.
 
 All sampling goes through explicit numpy Generators.  ``substream`` derives
 independent generators from one root seed and an integer key path, so adding
@@ -13,10 +14,9 @@ plants, grid points or replicas never perturbs the draws of existing ones.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
+
+from .model import require_positive
 
 
 def substream(root_seed: int, *key: int) -> np.random.Generator:
@@ -31,69 +31,9 @@ def substream(root_seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(root_seed), *map(int, key)]))
 
 
-@dataclass(frozen=True)
-class SlowChannel:
-    """Block-constant channel magnitude ``h`` (> 0).
-
-    ``block_len`` records how many symbols the gain holds for; None means the
-    whole horizon, which is the regime all closed-form designs assume.
-    """
-
-    h: float
-    block_len: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.h <= 0.0:
-            raise ValueError(f"channel magnitude must be > 0 (got {self.h!r})")
-        if self.block_len is not None and self.block_len < 1:
-            raise ValueError(f"block_len must be >= 1 (got {self.block_len!r})")
-
-
-@dataclass
-class FastChannel:
-    """Per-symbol Gaussian channel H(t) ~ N(0, sigma_h2) with its own generator."""
-
-    sigma_h2: float
-    rng: np.random.Generator
-
-    def __post_init__(self) -> None:
-        if self.sigma_h2 <= 0.0:
-            raise ValueError(f"channel variance must be > 0 (got {self.sigma_h2!r})")
-
-    def __repr__(self) -> str:  # rng state is not interesting
-        return f"FastChannel(sigma_h2={self.sigma_h2!r})"
-
-
 def rayleigh_gain_samples(
     mean_power_gain: float, rng: np.random.Generator, size: int
 ) -> np.ndarray:
     """Vector of block gains h = |H|, H complex Gaussian, E[h^2] = mean_power_gain."""
-    if mean_power_gain <= 0.0:
-        raise ValueError(f"mean power gain must be > 0 (got {mean_power_gain!r})")
+    require_positive(mean_power_gain, "mean power gain")
     return rng.rayleigh(scale=np.sqrt(mean_power_gain / 2.0), size=size)
-
-
-def sample_rayleigh_block(mean_power_gain: float, rng: np.random.Generator) -> SlowChannel:
-    """Draw one block gain h = |H| with H complex Gaussian, E[h^2] = mean_power_gain."""
-    return SlowChannel(h=float(rayleigh_gain_samples(mean_power_gain, rng, size=1)[0]))
-
-
-def sample_fast_symbol(channel: FastChannel) -> tuple[float, float]:
-    """One symbol's channel draw: (h, sign visible to the controller).
-
-    The sign convention resolves h == 0 to +1 so the controller always has a
-    well-defined flip.
-    """
-    h = float(channel.rng.normal(0.0, np.sqrt(channel.sigma_h2)))
-    sign = 1.0 if h >= 0.0 else -1.0
-    return h, sign
-
-
-def apply_channel(v, h: float, sigma_z2: float, rng: np.random.Generator):
-    """Receive r = h v + z with z ~ N(0, sigma_z2).  Works on scalars or arrays."""
-    if sigma_z2 < 0.0:
-        raise ValueError(f"noise power must be >= 0 (got {sigma_z2!r})")
-    v = np.asarray(v, dtype=float)
-    z = rng.normal(0.0, np.sqrt(sigma_z2), size=v.shape)
-    out = h * v + z
-    return float(out) if out.ndim == 0 else out

@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import GainPair, NoisePowers, PlantParams
-from .rootfind import bisect_decreasing
-from .slow_control import SnrAllocation
+from .model import GainPair, NoisePowers, PlantParams, require_positive
+from .slow_control import SnrAllocation, _split_slack
 
 #: stabilizability constant for sign-only channel knowledge, 1 - 2/pi
 ETA = 1.0 - 2.0 / math.pi
@@ -35,16 +34,8 @@ _BOUNDARY_RTOL = 1e-12
 
 def mean_channel_magnitude(sigma_h2: float) -> float:
     """E|h| for h ~ N(0, sigma_h2): sqrt(2 sigma_h2 / pi)."""
-    if sigma_h2 <= 0.0:
-        raise ValueError(f"channel power must be > 0 (got {sigma_h2!r})")
+    require_positive(sigma_h2, "channel power")
     return math.sqrt(2.0 * sigma_h2 / math.pi)
-
-
-def partial_csi_control_symbol(
-    x: Union[float, np.ndarray], k: float, h_sign: Union[float, np.ndarray]
-) -> Union[float, np.ndarray]:
-    """Transmitted symbol v = sgn(h) K x (sign pre-compensation)."""
-    return h_sign * k * x
 
 
 def expected_ac2(plant: PlantParams, gain_product: float, sigma_h2: float) -> float:
@@ -56,8 +47,7 @@ def expected_ac2(plant: PlantParams, gain_product: float, sigma_h2: float) -> fl
 
 def expected_ac2_no_csi(plant: PlantParams, gain_product: float, sigma_h2: float) -> float:
     """E[(A + G h K)^2] with no channel knowledge at all; always > A^2."""
-    if sigma_h2 <= 0.0:
-        raise ValueError(f"channel power must be > 0 (got {sigma_h2!r})")
+    require_positive(sigma_h2, "channel power")
     return plant.a**2 + gain_product**2 * sigma_h2
 
 
@@ -68,8 +58,7 @@ def stabilizable_fast(plant: PlantParams) -> bool:
 
 def fast_snr_floor(plant: PlantParams, sigma_h2: float) -> float:
     """Minimum SNR admitting a mean-square stabilizing design; inf if none does."""
-    if sigma_h2 <= 0.0:
-        raise ValueError(f"channel power must be > 0 (got {sigma_h2!r})")
+    require_positive(sigma_h2, "channel power")
     if not stabilizable_fast(plant):
         return math.inf
     return (plant.a**2 - 1.0) / ((1.0 - ETA * plant.a**2) * sigma_h2)
@@ -145,27 +134,6 @@ def optimize_single_fast(
     )
 
 
-def select_plants_fast(
-    channel_powers: Sequence[tuple[int, float]],
-    plant: PlantParams,
-    noise: NoisePowers,
-) -> tuple[int, ...]:
-    """Largest supportable plant set under per-symbol fading.
-
-    Cheapest floors first (i.e. strongest average channels first, ties by id);
-    keeps the longest prefix whose summed floors fit inside gamma0.
-    """
-    ordered = sorted(channel_powers, key=lambda item: (-item[1], item[0]))
-    selected: list[int] = []
-    total = 0.0
-    for pid, s in ordered:
-        total += fast_snr_floor(plant, s)
-        if total > noise.gamma0:
-            break
-        selected.append(pid)
-    return tuple(selected)
-
-
 @dataclass(frozen=True)
 class FastDesign:
     """Jointly optimal per-plant designs under one shared SNR budget."""
@@ -190,16 +158,19 @@ def allocate_multi_fast(
 
     Equalizing marginal costs gives the interior share
 
-        gamma_i = floor_i + (A / (1 - eta A^2)) sqrt(2 / (pi sigma_h2_i lam)),
+        gamma_i(lam) = floor_i + (|A| / (1 - eta A^2)) sqrt(2 / (pi sigma_h2_i lam)),
 
-    with the multiplier lam solving sum gamma_i = gamma0 by bisection.  Every
-    share sits strictly above its floor whenever there is slack, so the
-    allocation is channel-inverting in the average channel power.
+    and sum gamma_i = gamma0 has the closed-form root
+    lam = (2/pi) (A / (1 - eta A^2) / s)^2, s = (gamma0 - sum floors) /
+    sum 1/sqrt(sigma_h2_i): the slack splits in proportion to
+    1/sqrt(sigma_h2_i).  Every share sits strictly above its floor whenever
+    there is slack, so the allocation is channel-inverting in the average
+    channel power.
     """
     if not channel_powers:
         raise ValueError("allocate_multi_fast needs at least one plant")
     ids = tuple(pid for pid, _ in channel_powers)
-    ss = np.array([s for _, s in channel_powers], dtype=float)
+    ss = np.array([require_positive(v, "channel power") for _, v in channel_powers])
     a = plant.a
     if not stabilizable_fast(plant):
         raise ValueError(
@@ -207,33 +178,8 @@ def allocate_multi_fast(
             f"per-symbol fading (a^2 (1 - 2/pi) >= 1)"
         )
     floors = (a * a - 1.0) / ((1.0 - ETA * a * a) * ss)
-    g0 = noise.gamma0
-    if floors.sum() > g0:
-        raise ValueError(
-            f"infeasible: summed stabilizability floors {floors.sum():.6g} "
-            f"exceed the budget gamma0 = {g0:.6g}"
-        )
-
-    if len(ids) == 1:
-        gamma = np.array([g0])
-        multiplier: Optional[float] = None
-    elif g0 - floors.sum() <= _BOUNDARY_RTOL * g0:
-        gamma = floors.copy()
-        multiplier = None
-    else:
-        coeff = a / (1.0 - ETA * a * a)
-
-        def shares(lam: float) -> np.ndarray:
-            raw = floors + coeff * np.sqrt(2.0 / (np.pi * ss * lam))
-            clipped = np.maximum(raw, floors)
-            assert np.array_equal(clipped, raw), "share fell below its floor"
-            return clipped
-
-        def residual(lam: float) -> float:
-            return (shares(lam).sum() - g0) / g0
-
-        multiplier = bisect_decreasing(residual)
-        gamma = shares(multiplier)
+    gamma, s = _split_slack(floors, 1.0 / np.sqrt(ss), noise.gamma0)
+    multiplier = None if s is None else (2.0 / math.pi) * (a / (1.0 - ETA * a * a) / s) ** 2
 
     designs = [
         optimize_single_fast(plant, noise, s, gamma=gam)

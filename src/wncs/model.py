@@ -17,33 +17,20 @@ quadratic cost is the long-run time average of E[x(t)^2] summed over plants.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Union
-
-import numpy as np
+from typing import Optional
 
 #: trajectories whose magnitude passes this guard are truncated and reported
 #: as diverged instead of polluting averages with overflow
 DIVERGENCE_GUARD = 1e12
 
 
-class _UnboundedType:
-    """Tagged value for a provably unbounded average cost.
-
-    Kept distinct from ``float("inf")`` so a report can tell "the closed form
-    says the loop is unstable" apart from "a simulated trajectory overflowed".
-    """
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "UNBOUNDED"
-
-
-UNBOUNDED = _UnboundedType()
-
-#: a predicted cost is either a finite float or the unbounded sentinel
-PredictedCost = Union[float, _UnboundedType]
+def require_positive(value: float, what: str) -> float:
+    """``value`` itself when it is finite and > 0; otherwise ValueError naming ``what``."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{what} must be finite and > 0 (got {value!r})")
+    return value
 
 
 @dataclass(frozen=True)
@@ -54,6 +41,10 @@ class PlantParams:
     sigma_w2: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.a) and math.isfinite(self.sigma_w2)):
+            raise ValueError(
+                f"plant parameters must be finite (got a={self.a!r}, sigma_w2={self.sigma_w2!r})"
+            )
         if abs(self.a) <= 1.0:
             raise ValueError(
                 f"plant gain must satisfy |a| > 1 (got a={self.a!r}); "
@@ -76,10 +67,8 @@ class NoisePowers:
     p0: float
 
     def __post_init__(self) -> None:
-        if self.sigma_z2 <= 0.0:
-            raise ValueError(f"channel noise power must be > 0 (got {self.sigma_z2!r})")
-        if self.p0 <= 0.0:
-            raise ValueError(f"power budget must be > 0 (got {self.p0!r})")
+        require_positive(self.sigma_z2, "channel noise power")
+        require_positive(self.p0, "power budget")
 
     @property
     def gamma0(self) -> float:
@@ -106,19 +95,6 @@ class GainPair:
 
 
 @dataclass(frozen=True)
-class PlantState:
-    """State value ``x`` at discrete time ``t``."""
-
-    x: float
-    t: int
-
-
-def step_plant(plant: PlantParams, state: PlantState, u: float, w: float) -> PlantState:
-    """One step of x(t+1) = a x(t) + u + w.  Pure function, no hidden state."""
-    return PlantState(x=plant.a * state.x + u + w, t=state.t + 1)
-
-
-@dataclass(frozen=True)
 class PlantCost:
     """Per-plant slice of a cost report."""
 
@@ -133,62 +109,26 @@ class CostReport:
 
     ``j_t`` is the realized time-average sum cost; ``per_plant`` carries the
     per-plant breakdown whose costs sum to ``j_t``; ``j_ave_predicted`` is the
-    closed-form steady-state value when the caller knows it (the UNBOUNDED
-    sentinel for provably unstable designs).
+    closed-form steady-state value when the caller knows it (inf for provably
+    unstable designs).
     """
 
     j_t: float
     per_plant: tuple[PlantCost, ...]
     horizon: int
-    j_ave_predicted: Optional[PredictedCost] = None
-
-
-def empirical_cost(
-    trajectories: Mapping[int, Sequence[float]],
-    horizon: Optional[int] = None,
-    burn_in: int = 0,
-) -> CostReport:
-    """Time-average sum of squared states over ``horizon`` steps.
-
-    ``trajectories`` maps plant id -> state sequence x(1..T), either a flat
-    array of length >= T or a (replicas, T) array that is averaged across
-    replicas.  ``burn_in`` drops the first ``burn_in`` entries from the
-    average (default 0: the literal running cost, transient included).
-    """
-    if not trajectories:
-        raise ValueError("empirical_cost needs at least one plant trajectory")
-    arrays = {pid: np.atleast_2d(np.asarray(seq, dtype=float)) for pid, seq in trajectories.items()}
-    if horizon is None:
-        horizon = min(arr.shape[-1] for arr in arrays.values())
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1 (got {horizon})")
-    if not 0 <= burn_in < horizon:
-        raise ValueError(f"burn_in must satisfy 0 <= burn_in < horizon (got {burn_in})")
-    per_plant = []
-    for pid, arr in sorted(arrays.items()):
-        if arr.shape[-1] < horizon:
-            raise ValueError(
-                f"plant {pid}: trajectory length {arr.shape[-1]} < horizon {horizon}"
-            )
-        window = arr[:, burn_in:horizon]
-        cost = float(np.mean(window**2, axis=1).mean())
-        stable = bool(np.all(np.abs(arr[:, :horizon]) <= DIVERGENCE_GUARD))
-        per_plant.append(PlantCost(plant_id=pid, cost=cost, stable=stable))
-    total = float(sum(p.cost for p in per_plant))
-    return CostReport(j_t=total, per_plant=tuple(per_plant), horizon=horizon)
+    j_ave_predicted: Optional[float] = None
 
 
 def predicted_cost_slow(
     plant: PlantParams, noise: NoisePowers, gains: GainPair, h: float
-) -> PredictedCost:
+) -> float:
     """Steady-state cost (g^2 sigma_z2 + sigma_w2)/(1 - A_c^2) of a fixed-gain loop.
 
-    Returns the UNBOUNDED sentinel when |A_c| >= 1: with an unstable closed
-    loop the second moment grows geometrically and no steady state exists.
+    Returns inf when |A_c| >= 1: with an unstable closed loop the second
+    moment grows geometrically and no steady state exists.
     """
-    if h <= 0.0:
-        raise ValueError(f"channel gain magnitude must be > 0 (got {h!r})")
+    require_positive(h, "channel magnitude")
     a_c = plant.a + gains.g * h * gains.k
     if abs(a_c) >= 1.0:
-        return UNBOUNDED
+        return math.inf
     return (gains.g**2 * noise.sigma_z2 + plant.sigma_w2) / (1.0 - a_c**2)

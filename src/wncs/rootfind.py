@@ -1,9 +1,11 @@
-"""Monotone scalar root finding for the SNR allocators.
+"""Monotone scalar root finding for the shared-actuator design.
 
-Every multi-plant allocation in this package reduces to one scalar equation:
-a budget residual that is continuous and strictly decreasing in a positive
-Lagrange multiplier.  Bisection with a deterministic geometric bracket is
-plenty — no derivatives, no library solver state, bit-reproducible.
+The two SNR allocators have closed-form multipliers; the shared-actuator
+design (``optimize_identical_actuator``) does not, and its budget-tight
+regime reduces to one scalar equation: a budget residual that is continuous
+and strictly decreasing in a positive Lagrange multiplier.  Bisection with a
+deterministic geometric bracket is plenty — no derivatives, no library
+solver state, bit-reproducible.
 """
 from __future__ import annotations
 

@@ -24,12 +24,13 @@ total cost itself).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import GainPair, NoisePowers, PlantParams
+from .model import GainPair, NoisePowers, PlantParams, require_positive
 from .rootfind import bisect_decreasing
 
 #: relative slack below which a budget is treated as sitting exactly on a floor
@@ -38,8 +39,7 @@ _BOUNDARY_RTOL = 1e-12
 
 def snr_floor(plant: PlantParams, h: float) -> float:
     """Minimum SNR that admits any stabilizing design: (a^2 - 1)/h^2."""
-    if h <= 0.0:
-        raise ValueError(f"channel magnitude must be > 0 (got {h!r})")
+    require_positive(h, "channel magnitude")
     return (plant.a**2 - 1.0) / h**2
 
 
@@ -114,30 +114,26 @@ def optimize_single_slow(
     )
 
 
-def select_plants_slow(
-    channel_gains: Sequence[tuple[int, float]],
-    plant: PlantParams,
-    noise: NoisePowers,
-) -> tuple[int, ...]:
-    """Largest supportable plant set: best channels first.
+def select_plants(
+    ids: Sequence[int], floors: np.ndarray, budgets: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Largest supportable plant set per budget: cheapest floors first.
 
-    Sorts by gain descending (ties broken by id for determinism) and keeps the
-    longest prefix whose summed stabilizability floors fit inside gamma0.
+    ``floors[..., j]`` is the stabilizability floor (slow or fast) of plant
+    ``ids[j]``.  Plants are ranked by floor, ties by id, and each budget keeps
+    the longest ranked prefix whose summed floors are <= the budget.  Returns
+    the ranking, (..., M) column indices, and the admitted counts, (..., B).
     """
-    ordered = sorted(channel_gains, key=lambda item: (-item[1], item[0]))
-    selected: list[int] = []
-    total = 0.0
-    for pid, h in ordered:
-        total += snr_floor(plant, h)
-        if total > noise.gamma0:
-            break
-        selected.append(pid)
-    return tuple(selected)
+    floors = np.asarray(floors, dtype=float)
+    order = np.lexsort((np.broadcast_to(ids, floors.shape), floors))
+    cumulative = np.cumsum(np.take_along_axis(floors, order, axis=-1), axis=-1)
+    counts = np.stack([(cumulative <= b).sum(axis=-1) for b in budgets], axis=-1)
+    return order, counts
 
 
 @dataclass(frozen=True)
 class SnrAllocation:
-    """Per-plant SNR shares plus the multiplier the allocator solved for.
+    """Per-plant SNR shares plus the Lagrange multiplier that prices the budget.
 
     ``multiplier`` is None when no interior split was needed (single plant, or
     a budget that sits exactly on the summed floors).
@@ -163,6 +159,29 @@ class SlowDesign:
         return float(sum(self.predicted_costs))
 
 
+def _split_slack(
+    floors: np.ndarray, weights: np.ndarray, gamma0: float
+) -> tuple[np.ndarray, Optional[float]]:
+    """Each plant's floor plus its share of the slack gamma0 - sum(floors).
+
+    The slack splits in proportion to ``weights``; returns the shares and the
+    slack per unit weight s.  s is None when nothing is split: one plant takes
+    the whole budget, and a budget on the summed floors pins every share.
+    """
+    slack = gamma0 - floors.sum()
+    if slack < 0.0:
+        raise ValueError(
+            f"infeasible: summed stabilizability floors {floors.sum():.6g} "
+            f"exceed the budget gamma0 = {gamma0:.6g}"
+        )
+    if len(floors) == 1:
+        return np.array([gamma0]), None
+    if slack <= _BOUNDARY_RTOL * gamma0:
+        return floors.copy(), None
+    s = float(slack / weights.sum())
+    return floors + s * weights, s
+
+
 def allocate_multi_slow(
     channel_gains: Sequence[tuple[int, float]],
     plant: PlantParams,
@@ -172,42 +191,20 @@ def allocate_multi_slow(
 
     Equal marginal cost across plants gives the interior share
 
-        gamma_i(lam) = (a^2 - 1)/h_i^2 + (a/h_i) sqrt(sigma_w2/lam),
+        gamma_i(lam) = (a^2 - 1)/h_i^2 + (|a|/h_i) sqrt(sigma_w2/lam),
 
-    with the multiplier lam solving sum gamma_i = gamma0 (bisection).  The
-    share always clears the per-plant floor (a^2-1)/h_i^2, and the split is
+    and sum gamma_i = gamma0 has the closed-form root lam = sigma_w2 (a/s)^2,
+    s = (gamma0 - sum floors) / sum 1/h_i: the slack above the per-plant
+    floors (a^2-1)/h_i^2 splits in proportion to 1/h_i.  The split is
     channel-inverting: larger h_i, smaller gamma_i.
     """
     if not channel_gains:
         raise ValueError("allocate_multi_slow needs at least one plant")
     ids = tuple(pid for pid, _ in channel_gains)
-    hs = np.array([h for _, h in channel_gains], dtype=float)
-    a = plant.a
-    floors = (a * a - 1.0) / hs**2
-    g0 = noise.gamma0
-    if floors.sum() > g0:
-        raise ValueError(
-            f"infeasible: summed stabilizability floors {floors.sum():.6g} "
-            f"exceed the budget gamma0 = {g0:.6g}"
-        )
-
-    if len(ids) == 1:
-        gamma = np.array([g0])
-        multiplier: Optional[float] = None
-    elif g0 - floors.sum() <= _BOUNDARY_RTOL * g0:
-        # no slack: every plant pinned at its floor
-        gamma = floors.copy()
-        multiplier = None
-    else:
-
-        def shares(lam: float) -> np.ndarray:
-            return floors + (a / hs) * np.sqrt(plant.sigma_w2 / lam)
-
-        def residual(lam: float) -> float:
-            return (shares(lam).sum() - g0) / g0
-
-        multiplier = bisect_decreasing(residual)
-        gamma = shares(multiplier)
+    hs = np.array([require_positive(h, "channel magnitude") for _, h in channel_gains])
+    floors = (plant.a * plant.a - 1.0) / hs**2
+    gamma, s = _split_slack(floors, 1.0 / hs, noise.gamma0)
+    multiplier = None if s is None else plant.sigma_w2 * (plant.a / s) ** 2
 
     designs = [
         optimize_single_slow(plant, noise, h, gamma=gam)
@@ -229,15 +226,14 @@ def allocate_multi_slow(
 # ---------------------------------------------------------------------------
 
 
-def _stable_quadratic_root(d: float, c: float, denom_scale: float) -> float:
-    """Numerically stable (d - sqrt(d^2 + c)) / denom_scale for c > 0.
+def _stable_quadratic_root(d: np.ndarray, c: np.ndarray, denom_scale: np.ndarray) -> np.ndarray:
+    """Numerically stable (d - sqrt(d^2 + c)) / denom_scale for c > 0, elementwise.
 
     The naive form cancels catastrophically when d >> c; the conjugate form
     -c / (d + sqrt(d^2 + c)) is exact in that regime.
     """
-    if d >= 0.0:
-        return -c / ((d + np.sqrt(d * d + c)) * denom_scale)
-    return (d - np.sqrt(d * d + c)) / denom_scale
+    t = np.abs(d) + np.sqrt(d * d + c)
+    return np.where(d >= 0.0, -c / (t * denom_scale), -t / denom_scale)
 
 
 @dataclass(frozen=True)
@@ -273,8 +269,7 @@ def optimize_identical_actuator(
     otherwise k~_i follows the budget-tight stationary form, with the
     multiplier solved by bisection on the summed SNR.
     """
-    if g_common <= 0.0:
-        raise ValueError(f"shared actuator factor must be > 0 (got {g_common!r})")
+    require_positive(g_common, "shared actuator factor")
     if not channel_gains:
         raise ValueError("optimize_identical_actuator needs at least one plant")
     ids = tuple(pid for pid, _ in channel_gains)
@@ -304,10 +299,7 @@ def optimize_identical_actuator(
         def products(lam: float) -> np.ndarray:
             d = (1.0 - a * a) * lam + hs**2
             c = 4.0 * a * a * hs**2 * lam
-            return np.array([
-                _stable_quadratic_root(di, ci, 2.0 * a * hi * lam)
-                for di, ci, hi in zip(d, c, hs)
-            ])
+            return _stable_quadratic_root(d, c, 2.0 * a * hs * lam)
 
         def residual(lam: float) -> float:
             return (snr_of(products(lam)).sum() - gamma_tilde) / gamma_tilde
@@ -361,8 +353,8 @@ def optimize_identical_controller(
     k_common: float,
 ) -> IdenticalControllerDesign:
     """Optimal per-plant actuator factors under one shared controller factor K."""
-    if abs(k_common) < 1e-12:
-        raise ValueError(f"shared controller factor is degenerate (got {k_common!r})")
+    if not 1e-12 <= abs(k_common) < math.inf:
+        raise ValueError(f"shared controller factor must be finite and nonzero (got {k_common!r})")
     if not channel_gains:
         raise ValueError("optimize_identical_controller needs at least one plant")
     ids = tuple(pid for pid, _ in channel_gains)
@@ -370,12 +362,9 @@ def optimize_identical_controller(
     a = plant.a
     ssr = noise.ssr(plant)
     k = float(k_common)
-    gs = []
-    for h in hs:
-        e = 1.0 - a * a + h * h * k * k * ssr
-        c = 4.0 * a * a * h * h * k * k * ssr
-        gs.append(_stable_quadratic_root(e, c, 2.0 * a * h * k))
-    g = np.array(gs)
+    e = 1.0 - a * a + hs * hs * k * k * ssr
+    c = 4.0 * a * a * hs * hs * k * k * ssr
+    g = _stable_quadratic_root(e, c, 2.0 * a * hs * k)
     a_c = a + hs * k * g
     if np.any(np.abs(a_c) >= 1.0):
         raise ValueError("shared controller factor yields an unstable closed loop")

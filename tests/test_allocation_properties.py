@@ -1,0 +1,103 @@
+"""Property checks of the closed-form SNR allocators over random instances.
+
+Each instance is a plant, 2-16 distinct channels and a budget above the
+summed stabilizability floors.  Block-fading magnitudes h lie in [1e-3, 0.1]
+and per-symbol channel powers sigma_h2 in [1e-6, 1e-2], both on a log
+lattice so no two plants share a channel.
+"""
+import math
+from typing import Callable, NamedTuple
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wncs.fast_control import ETA, allocate_multi_fast, fast_snr_floor, optimize_single_fast
+from wncs.model import NoisePowers, PlantParams
+from wncs.slow_control import allocate_multi_slow, optimize_single_slow, snr_floor
+
+SIGMA_Z2 = 1e-7
+PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
+
+
+class Regime(NamedTuple):
+    exponents: tuple[int, int]  # channel value = 10^(e/100), e in this range
+    floor: Callable
+    single: Callable
+    share_at: Callable  # gamma_i(lam) as the allocator's docstring states it
+    allocate: Callable
+
+
+REGIMES = {
+    "slow": Regime(
+        (-300, -100),
+        snr_floor,
+        optimize_single_slow,
+        lambda plant, h, lam: snr_floor(plant, h)
+        + abs(plant.a) / h * math.sqrt(plant.sigma_w2 / lam),
+        allocate_multi_slow,
+    ),
+    "fast": Regime(
+        (-600, -200),
+        fast_snr_floor,
+        optimize_single_fast,
+        lambda plant, s, lam: fast_snr_floor(plant, s)
+        + abs(plant.a) / (1.0 - ETA * plant.a**2) * math.sqrt(2.0 / (math.pi * s * lam)),
+        allocate_multi_fast,
+    ),
+}
+
+
+@st.composite
+def instances(draw, regime):
+    lo, hi = REGIMES[regime].exponents
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    plant = PlantParams(
+        a=sign * draw(st.floats(1.01, 1.6)), sigma_w2=10.0 ** draw(st.floats(-3.0, 0.0))
+    )
+    exponents = draw(st.lists(st.integers(lo, hi), min_size=2, max_size=16, unique=True))
+    channels = [(pid, 10.0 ** (e / 100.0)) for pid, e in enumerate(exponents, start=1)]
+    floors = np.array([REGIMES[regime].floor(plant, c) for _, c in channels])
+    gamma0 = floors.sum() * (1.0 + 10.0 ** draw(st.floats(-3.0, 3.0)))
+    noise = NoisePowers(sigma_z2=SIGMA_Z2, p0=gamma0 * SIGMA_Z2)
+    # a random feasible split: each floor plus a random share of the slack
+    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=len(channels),
+                                     max_size=len(channels))))
+    split = floors + (noise.gamma0 - floors.sum()) * weights / weights.sum()
+    return plant, channels, floors, noise, split
+
+
+def check_allocation(regime, instance):
+    rg = REGIMES[regime]
+    plant, channels, floors, noise, split = instance
+    alloc, design = rg.allocate(channels, plant, noise)
+    gamma = np.array(alloc.gamma)
+
+    assert np.all(gamma >= floors)
+    assert abs(math.fsum(gamma) / noise.gamma0 - 1.0) <= 1e-14
+
+    # channel inversion: a stronger channel gets a strictly smaller share
+    values = np.array([c for _, c in channels])
+    stronger = values[:, None] > values[None, :]
+    assert np.all((gamma[:, None] < gamma[None, :])[stronger])
+
+    # no random feasible split beats the closed-form total cost
+    random_total = sum(rg.single(plant, noise, c, gamma=g).j_ave for (_, c), g in zip(channels, split))
+    assert design.total_cost <= random_total * (1.0 + 1e-9)
+
+    # the reported multiplier reproduces every share through gamma_i(lam)
+    lam = alloc.multiplier
+    for (_, c), g in zip(channels, gamma):
+        assert abs(rg.share_at(plant, c, lam) - g) <= 1e-12 * g
+
+
+@PROPERTY_SETTINGS
+@given(instances("slow"))
+def test_slow_allocation_properties(instance):
+    check_allocation("slow", instance)
+
+
+@PROPERTY_SETTINGS
+@given(instances("fast"))
+def test_fast_allocation_properties(instance):
+    check_allocation("fast", instance)

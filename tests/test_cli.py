@@ -212,6 +212,34 @@ def test_usage_errors_exit_1(tmp_path):
     assert run_main(["compare", "--a", "0.9", "--out", str(out)]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["multi-slow", "--a", "nan"],
+        ["multi-slow", "--h", "nan,0.02"],
+        ["multi-slow", "--h", "inf,0.02"],
+        ["multi-slow", "--g-common", "nan"],
+        ["multi-slow", "--k-common", "nan"],
+        ["compare", "--h", "nan"],
+        ["multi-fast", "--sigma-h2", "nan,4e-4"],
+        ["multi-fast", "--sigma-w2", "nan"],
+        ["select-sweep", "--mean-gain", "nan"],
+        ["trace", "--h", "nan"],
+        ["trace", "--a-c", "nan"],
+        ["trace", "--x0", "nan"],
+    ],
+    ids=" ".join,
+)
+def test_non_finite_input_is_a_usage_error(tmp_path, capsys, argv):
+    # refused with a message before any table is written: no traceback, no
+    # all-nan or all-zero CSV with exit 0
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_shared_gain_columns(tmp_path):
     out = tmp_path / "shared.csv"
     code = run_main(

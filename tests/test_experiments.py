@@ -14,7 +14,7 @@ from wncs.experiments import (
     run_single_compare,
     run_trace,
 )
-from wncs.model import NoisePowers, PlantParams
+from wncs.model import DIVERGENCE_GUARD, NoisePowers, PlantParams
 from wncs.slow_control import optimize_single_slow
 
 PLANT = PlantParams(a=1.5, sigma_w2=0.1)
@@ -77,6 +77,17 @@ def test_run_trace_structure_and_series():
     # the divergent factor's running cost keeps climbing
     j101 = np.array(result.series["j_ac1.01"])
     assert j101[-1] > j101[9] > 0.0
+
+
+def test_run_trace_flags_guard_crossings():
+    # a_c = 3 crosses the divergence guard within 60 steps: the state is
+    # clamped there, its cells and the whole running-cost series are flagged
+    spec = make_spec(horizon=60, replicas=4)
+    result = run_trace(spec, a_c_values=(3.0,), h=0.01, x0=5.0)
+    x_ok = result.bounded["x_ac3"]
+    assert x_ok[0] and not x_ok[-1]
+    assert max(abs(x) for x in result.series["x_ac3"]) == DIVERGENCE_GUARD
+    assert not any(result.bounded["j_ac3"])
 
 
 def test_run_trace_deterministic():

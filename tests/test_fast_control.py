@@ -15,10 +15,10 @@ from wncs.fast_control import (
     feasible_single_fast,
     mean_channel_magnitude,
     optimize_single_fast,
-    select_plants_fast,
     stabilizable_fast,
 )
 from wncs.model import NoisePowers, PlantParams
+from wncs.slow_control import select_plants
 
 PLANT = PlantParams(a=1.5, sigma_w2=0.1)
 NOISE = NoisePowers(sigma_z2=1e-7, p0=0.1)  # gamma0 = 1e6
@@ -85,8 +85,9 @@ def test_fast_snr_floor_values():
     assert math.isinf(fast_snr_floor(PlantParams(a=1.7, sigma_w2=0.1), 1e-4))
     assert feasible_single_fast(PLANT, NOISE, 1e-4)
     assert not feasible_single_fast(PLANT, NoisePowers(sigma_z2=1e-7, p0=6e-3), 1e-4)
-    with pytest.raises(ValueError):
-        fast_snr_floor(PLANT, 0.0)
+    for sigma_h2 in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            fast_snr_floor(PLANT, sigma_h2)
 
 
 def test_single_fast_reference_instance():
@@ -143,11 +144,17 @@ def test_single_fast_boundary_budget_degenerates():
 
 
 def test_select_plants_fast_best_channels_first():
+    def selected_ids(plants, plant, noise):
+        ids = [pid for pid, _ in plants]
+        floors = [fast_snr_floor(plant, s) for _, s in plants]
+        order, counts = select_plants(ids, floors, [noise.gamma0])
+        return tuple(ids[i] for i in order[: counts[0]])
+
     plants = [(1, 1e-4), (2, 4e-4), (3, 1e-6)]
-    assert select_plants_fast(plants, PLANT, NOISE) == (2, 1)
+    assert selected_ids(plants, PLANT, NOISE) == (2, 1)
     rich = NoisePowers(sigma_z2=1e-7, p0=1e3)
-    assert select_plants_fast(plants, PLANT, rich) == (2, 1, 3)
-    assert select_plants_fast(plants, PlantParams(a=1.7, sigma_w2=0.1), rich) == ()
+    assert selected_ids(plants, PLANT, rich) == (2, 1, 3)
+    assert selected_ids(plants, PlantParams(a=1.7, sigma_w2=0.1), rich) == ()
 
 
 def test_fast_allocation_reference_instance():

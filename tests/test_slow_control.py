@@ -12,7 +12,7 @@ from wncs.slow_control import (
     optimize_identical_actuator,
     optimize_identical_controller,
     optimize_single_slow,
-    select_plants_slow,
+    select_plants,
     snr_floor,
 )
 
@@ -61,8 +61,9 @@ def test_snr_floor_and_feasibility():
     assert feasible_single(PLANT, boundary, 0.01)
     below = NoisePowers(sigma_z2=1e-7, p0=12499.0 * 1e-7)
     assert not feasible_single(PLANT, below, 0.01)
-    with pytest.raises(ValueError):
-        snr_floor(PLANT, 0.0)
+    for h in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            snr_floor(PLANT, h)
 
 
 def test_single_design_reference_instance():
@@ -130,21 +131,31 @@ def test_single_design_infeasible_budget_raises():
         optimize_single_slow(PLANT, NOISE, 0.01, gamma=12499.0)
 
 
+def selected_ids(plants, plant, noise):
+    """Ids that ``select_plants`` admits at one budget, in admission order."""
+    ids = [pid for pid, _ in plants]
+    order, counts = select_plants(ids, [snr_floor(plant, h) for _, h in plants], [noise.gamma0])
+    return tuple(ids[i] for i in order[: counts[0]])
+
+
 def test_select_plants_best_channels_first():
     plants = [(1, 0.01), (2, 0.02), (3, 0.001)]
-    assert select_plants_slow(plants, PLANT, NOISE) == (2, 1)
+    assert selected_ids(plants, PLANT, NOISE) == (2, 1)
     # all fit with a bigger budget: descending gain order
     rich = NoisePowers(sigma_z2=1e-7, p0=1e3)
-    assert select_plants_slow(plants, PLANT, rich) == (2, 1, 3)
+    assert selected_ids(plants, PLANT, rich) == (2, 1, 3)
     # nothing fits
     poor = NoisePowers(sigma_z2=1e-7, p0=1e-5)
-    assert select_plants_slow(plants, PLANT, poor) == ()
+    assert selected_ids(plants, PLANT, poor) == ()
+    # one call answers a whole budget grid for a batch of realizations
+    floors = [[snr_floor(PLANT, h) for _, h in plants]] * 2
+    _, counts = select_plants([1, 2, 3], floors, [1e-5 / 1e-7, NOISE.gamma0, 1e3 / 1e-7])
+    assert counts.tolist() == [[0, 2, 3], [0, 2, 3]]
 
 
 def test_select_plants_deterministic_on_ties():
     plants = [(5, 0.02), (2, 0.02), (9, 0.02)]
-    selected = select_plants_slow(plants, PLANT, NOISE)
-    assert selected == (2, 5, 9)
+    assert selected_ids(plants, PLANT, NOISE) == (2, 5, 9)
 
 
 def test_allocation_reference_instance():
