@@ -46,12 +46,11 @@ from .fast_control import (
 )
 from .model import (
     DIVERGENCE_GUARD,
-    CostReport,
     GainPair,
     NoisePowers,
-    PlantCost,
     PlantParams,
     predicted_cost_slow,
+    simulate_loop,
 )
 from .slow_control import (
     IdenticalActuatorDesign,
@@ -74,7 +73,6 @@ __all__ = [
     "ETA",
     "SCHEMES",
     "CodingScheme",
-    "CostReport",
     "ExperimentSpec",
     "FastDesign",
     "FastSingleDesign",
@@ -82,7 +80,6 @@ __all__ = [
     "IdenticalActuatorDesign",
     "IdenticalControllerDesign",
     "NoisePowers",
-    "PlantCost",
     "PlantParams",
     "SlowDesign",
     "SlowSingleDesign",
@@ -113,6 +110,7 @@ __all__ = [
     "run_single_compare",
     "run_trace",
     "select_plants",
+    "simulate_loop",
     "snr_floor",
     "stabilizable_fast",
     "substream",

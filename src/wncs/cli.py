@@ -113,6 +113,8 @@ def parse_power_grid(text: str) -> tuple[float, ...]:
         if len(pieces) != 3:
             raise ValueError(f"grid range {body!r} must be start:stop:step")
         start, stop, step = (float(p) for p in pieces)
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise ValueError(f"grid range {body!r} must have finite start, stop and step")
         if step <= 0.0 or stop < start:
             raise ValueError(f"grid range {body!r} must have step > 0 and stop >= start")
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
@@ -127,15 +129,11 @@ def parse_power_grid(text: str) -> tuple[float, ...]:
     return watts
 
 
-def _float_list(text: str) -> tuple[float, ...]:
-    vals = tuple(float(p) for p in str(text).split(",") if p.strip())
+def _number_list(text: str, kind: type) -> tuple:
+    vals = tuple(kind(p) for p in str(text).split(",") if p.strip())
     if not vals:
         raise ValueError(f"empty list {text!r}")
     return vals
-
-
-def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in str(text).split(",") if p.strip())
 
 
 # ---------------------------------------------------------------------------
@@ -241,16 +239,16 @@ def parse_config(kind: str, args: argparse.Namespace) -> RunConfig:
         schemes = tuple(s.strip() for s in schemes.split(",") if s.strip())
     channels = pick("channel_gains", "channels", (0.01, 0.02))
     if isinstance(channels, str):
-        channels = _float_list(channels)
+        channels = _number_list(channels, float)
     sigma_h2 = pick("sigma_h2", "sigma_h2", (1e-4, 4e-4))
     if isinstance(sigma_h2, str):
-        sigma_h2 = _float_list(sigma_h2)
+        sigma_h2 = _number_list(sigma_h2, float)
     a_c = pick("a_c", "a_c", (0.6, 0.9, 1.01))
     if isinstance(a_c, str):
-        a_c = _float_list(a_c)
+        a_c = _number_list(a_c, float)
     m0 = pick("m0", "m0", (2, 5, 10))
     if isinstance(m0, str):
-        m0 = _int_list(m0)
+        m0 = _number_list(m0, int)
     g_common = pick("g_common", "g_common", None)
     k_common = pick("k_common", "k_common", None)
     config = RunConfig(

@@ -11,7 +11,7 @@ the loop is only closed every d steps: at the end of an epoch starting at s
 the actuator applies u = -A^d x(s) if the codeword decoded correctly and
 nothing otherwise.  Decoding succeeds or fails independently of the payload,
 which is what lets the simulation precompute the success flags and then run
-the plant recursion vectorized over replicas.
+the plant recursion, a Markov jump linear system, vectorized over replicas.
 
 The channel uses the same gain h as the analog loop and complex AWGN with
 power sigma_z2 per real dimension.
@@ -21,11 +21,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
-from .model import DIVERGENCE_GUARD, CostReport, NoisePowers, PlantCost, PlantParams
+from .model import NoisePowers, PlantParams, simulate_loop
 
 
 @dataclass(frozen=True)
@@ -246,24 +245,23 @@ def run_coded_control(
     horizon: int,
     rng: np.random.Generator,
     replicas: int = 1,
-    x0: float = 0.0,
-    burn_in: int = 0,
-) -> CostReport:
-    """Simulate the coded loop and report the realized time-average cost.
+) -> tuple[float, bool]:
+    """Simulate the coded loop from x = 0; return its time-average cost and stability.
 
     Epochs start at t = 0, d, 2d, ...; the controller transmits the codeword
     over the epoch and the actuator applies the deadbeat input -A^d x(s) at
-    its last step when decoding succeeded.  Steps past the last whole epoch
-    run open loop.  The plant is reported unstable when any trajectory is
-    clamped at the divergence guard, and also when the measured word-success
-    rate falls below what the deadbeat recursion needs for mean-square
-    stability -- a finite horizon rarely realizes that divergence, but the
-    long-run cost is unbounded all the same.
+    its last step when decoding succeeded.  With N = sum_{j<d-1} A^{d-2-j}
+    w(s+j) the epoch's open-loop noise, that input is -A x(s+d-1) + A N, so
+    the loop is the kernel's x(t+1) = c_t x(t) + n_t with c = 0, n = w + A N
+    at a decoded epoch's last step and c = A, n = w at every other step.
+    Steps past the last whole epoch run open loop.  The loop is unstable
+    when any trajectory is clamped at the divergence guard, and also when
+    the measured word-success rate falls below what the deadbeat recursion
+    needs for mean-square stability -- a finite horizon rarely realizes that
+    divergence, but the long-run cost is unbounded all the same.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1 (got {horizon})")
-    if not 0 <= burn_in < horizon:
-        raise ValueError(f"burn_in must satisfy 0 <= burn_in < horizon (got {burn_in})")
     if replicas < 1:
         raise ValueError(f"replicas must be >= 1 (got {replicas})")
     d = scheme.latency
@@ -275,31 +273,18 @@ def run_coded_control(
     else:
         success = np.zeros((replicas, 0), dtype=bool)
 
-    w = rng.normal(0.0, math.sqrt(plant.sigma_w2), (replicas, horizon))
     a = plant.a
-    deadbeat = a**d
-    x = np.full(replicas, float(x0))
-    x_start = x.copy()
-    states = np.empty((replicas, horizon))
-    diverged = np.zeros(replicas, dtype=bool)
-    for t in range(horizon):
-        if t % d == 0 and t // d < n_epochs:
-            x_start = x.copy()
-        u = np.zeros(replicas)
-        if (t + 1) % d == 0 and (t + 1) // d <= n_epochs:
-            ok = success[:, (t + 1) // d - 1]
-            u[ok] = -deadbeat * x_start[ok]
-        x = a * x + u + w[:, t]
-        over = np.abs(x) > DIVERGENCE_GUARD
-        if over.any():
-            diverged |= over
-            x = np.clip(x, -DIVERGENCE_GUARD, DIVERGENCE_GUARD)
-        states[:, t] = x
+    n = rng.normal(0.0, math.sqrt(plant.sigma_w2), (replicas, horizon))
+    c = np.full((replicas, horizon), a)
+    # (replicas, epochs, d) views of the whole epochs: writes land in c and n
+    epoch_c = c[:, : n_epochs * d].reshape(replicas, n_epochs, d)
+    epoch_n = n[:, : n_epochs * d].reshape(replicas, n_epochs, d)
+    open_loop = epoch_n[..., :-1] @ a ** np.arange(d - 2, -1, -1)
+    np.copyto(epoch_c[..., -1], 0.0, where=success)
+    np.add(epoch_n[..., -1], a * open_loop, out=epoch_n[..., -1], where=success)
+    states, diverged = simulate_loop(c, n)
 
-    window = states[:, burn_in:]
-    cost = float(np.mean(window**2, axis=1).mean())
+    cost = float(np.mean(states**2, axis=1).mean())
     p_hat = float(success.mean()) if success.size else 0.0
     supportable = p_hat > required_success_probability(plant, scheme)
-    stable = supportable and not bool(diverged.any())
-    per_plant = (PlantCost(plant_id=0, cost=cost, stable=stable),)
-    return CostReport(j_t=cost, per_plant=per_plant, horizon=horizon)
+    return cost, supportable and not bool(diverged.any())

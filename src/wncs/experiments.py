@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -27,13 +27,19 @@ from .model import (
     NoisePowers,
     PlantParams,
     predicted_cost_slow,
+    require_magnitude,
     require_positive,
+    simulate_loop,
 )
 from .slow_control import allocate_multi_slow, optimize_single_slow, select_plants, snr_floor
 
 # substream key vocabulary: kind of recipe, then purpose of the draw
 _KIND_TRACE, _KIND_COMPARE, _KIND_MULTI_SLOW, _KIND_MULTI_FAST, _KIND_SELECT = range(5)
 _DRAW_Z, _DRAW_W, _DRAW_H, _DRAW_CODED = range(4)
+
+#: replica-steps drawn and simulated at a time, whatever the replica count;
+#: a block's rows are this over the horizon
+_BLOCK_ELEMENTS = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -89,35 +95,40 @@ class SweepResult:
                 raise ValueError(f"bounded flags for {name!r} do not match the grid")
 
 
-def _simulate_loop(
-    coeff: "float | np.ndarray",
-    noise: np.ndarray,
-    x0: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Run x(t+1) = coeff_t * x(t) + noise_t over a (replicas, T) noise block.
+def _simulated_blocks(
+    spec: ExperimentSpec, key: tuple[int, ...], g: float, a_c: float,
+    fading: Optional[tuple[float, float]] = None, x0: float = 0.0,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The kernel's (states, diverged) for the replicas, one row block at a time.
 
-    ``coeff`` is a scalar closed-loop factor (slow fading) or a (replicas, T)
-    per-symbol factor (fast fading).  States beyond the divergence guard are
-    clamped and flagged; returns (states, diverged-per-replica).
+    The loop is x(t+1) = c_t x(t) + g z(t) + w(t) with c_t = a_c, or with
+    c_t = a_c + gk |h_t| when ``fading`` = (gk, sigma_h2) draws a Gaussian
+    gain h_t per symbol.  z, w and h come from the substreams keyed
+    (seed, *key, purpose).  Consecutive row blocks of a stream equal its
+    dense (replicas, horizon) draw, so the block size changes no result.
     """
-    replicas, horizon = noise.shape
-    per_symbol = not np.isscalar(coeff)
-    x = np.full(replicas, float(x0))
-    states = np.empty((replicas, horizon))
-    diverged = np.zeros(replicas, dtype=bool)
-    for t in range(horizon):
-        c = coeff[:, t] if per_symbol else coeff
-        x = c * x + noise[:, t]
-        over = np.abs(x) > DIVERGENCE_GUARD
-        if over.any():
-            diverged |= over
-            x = np.clip(x, -DIVERGENCE_GUARD, DIVERGENCE_GUARD)
-        states[:, t] = x
-    return states, diverged
+    rows = max(1, _BLOCK_ELEMENTS // spec.horizon)
+    z_rng = substream(spec.seed, *key, _DRAW_Z)
+    w_rng = substream(spec.seed, *key, _DRAW_W)
+    h_rng = None if fading is None else substream(spec.seed, *key, _DRAW_H)
+    for start in range(0, spec.replicas, rows):
+        shape = (min(rows, spec.replicas - start), spec.horizon)
+        z = z_rng.normal(0.0, math.sqrt(spec.sigma_z2), shape)
+        w = w_rng.normal(0.0, math.sqrt(spec.plant.sigma_w2), shape)
+        coeff: "float | np.ndarray" = a_c
+        if fading is not None:
+            product, sigma_h2 = fading
+            coeff = a_c + product * np.abs(h_rng.normal(0.0, math.sqrt(sigma_h2), shape))
+        yield simulate_loop(coeff, g * z + w, x0)
 
 
-def _window_cost(states: np.ndarray, burn_in: int = 0) -> float:
-    return float(np.mean(states[:, burn_in:] ** 2, axis=1).mean())
+def _mean_cost(blocks: Iterator[tuple[np.ndarray, np.ndarray]]) -> tuple[float, bool]:
+    """Time-average cost over every replica, and whether none diverged."""
+    per_replica, ok = [], True
+    for states, diverged in blocks:
+        per_replica.append(np.mean(states**2, axis=1))
+        ok = ok and not bool(diverged.any())
+    return float(np.concatenate(per_replica).mean()), ok
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +146,7 @@ def implied_trace_gains(
     budget (all |a_c| >= 1 in particular), in which case the trace falls back
     to the bare x(t+1) = a_c x(t) + w(t) recursion.
     """
-    require_positive(h, "channel magnitude")
+    require_magnitude(h, "channel magnitude")
     if not math.isfinite(a_c):
         raise ValueError(f"closed-loop factor must be finite (got {a_c!r})")
     ssr = noise.ssr(plant)
@@ -171,20 +182,17 @@ def run_trace(
     predicted: dict[str, Optional[float]] = {}
     for idx, a_c in enumerate(a_c_values):
         gains = implied_trace_gains(spec.plant, noise, h, a_c)
-        z = substream(spec.seed, _KIND_TRACE, idx, _DRAW_Z).normal(
-            0.0, math.sqrt(spec.sigma_z2), (spec.replicas, spec.horizon)
-        )
-        w = substream(spec.seed, _KIND_TRACE, idx, _DRAW_W).normal(
-            0.0, math.sqrt(spec.plant.sigma_w2), (spec.replicas, spec.horizon)
-        )
         g = gains.g if gains is not None else 0.0
-        states, diverged = _simulate_loop(a_c, g * z + w, x0)
+        first, sum_sq, ok = None, np.zeros(spec.horizon), True
+        for states, diverged in _simulated_blocks(spec, (_KIND_TRACE, idx), g, a_c, x0=x0):
+            first = states[0] if first is None else first
+            # rows summed in dense row order: the block size changes no bit
+            sum_sq = np.add.reduce(np.concatenate([sum_sq[None], states**2]), axis=0)
+            ok = ok and not bool(diverged.any())
         label = f"ac{a_c:g}"
-        mean_sq = np.mean(states**2, axis=0)
-        running = np.cumsum(mean_sq) / np.arange(1, spec.horizon + 1)
-        ok = not bool(diverged.any())
-        series[f"x_{label}"] = tuple(map(float, states[0]))
-        bounded[f"x_{label}"] = tuple([not bool(np.abs(s) >= DIVERGENCE_GUARD) for s in states[0]])
+        running = np.cumsum(sum_sq / spec.replicas) / np.arange(1, spec.horizon + 1)
+        series[f"x_{label}"] = tuple(map(float, first))
+        bounded[f"x_{label}"] = tuple([not bool(np.abs(s) >= DIVERGENCE_GUARD) for s in first])
         series[f"j_{label}"] = tuple(map(float, running))
         bounded[f"j_{label}"] = tuple([ok] * spec.horizon)
         gains_used[label] = None if gains is None else (gains.k, gains.g)
@@ -232,38 +240,27 @@ def run_single_compare(
     feasible_points = 0
     for gi, p0 in enumerate(spec.powers_w):
         noise = spec.noise_at(p0)
+        pred, sim, sim_ok = math.inf, math.inf, False
         if noise.gamma0 >= floor:
             feasible_points += 1
             design = optimize_single_slow(spec.plant, noise, h)
-            cols["analog_pred"].append(design.j_ave)
-            flags["analog_pred"].append(math.isfinite(design.j_ave))
-            if design.gains is None:
-                # boundary point: no realizable pair, cost unbounded in the limit
-                cols["analog_sim"].append(math.inf)
-                flags["analog_sim"].append(False)
-            else:
-                z = substream(spec.seed, _KIND_COMPARE, gi, 0, _DRAW_Z).normal(
-                    0.0, math.sqrt(spec.sigma_z2), (spec.replicas, spec.horizon)
-                )
-                w = substream(spec.seed, _KIND_COMPARE, gi, 0, _DRAW_W).normal(
-                    0.0, math.sqrt(spec.plant.sigma_w2), (spec.replicas, spec.horizon)
-                )
-                states, diverged = _simulate_loop(design.a_c, design.gains.g * z + w, 0.0)
-                cols["analog_sim"].append(_window_cost(states))
-                flags["analog_sim"].append(not bool(diverged.any()))
-        else:
-            cols["analog_pred"].append(math.inf)
-            flags["analog_pred"].append(False)
-            cols["analog_sim"].append(math.inf)
-            flags["analog_sim"].append(False)
+            pred = design.j_ave
+            # at a boundary point no pair is realizable: the cost is unbounded in the limit
+            if design.gains is not None:
+                blocks = _simulated_blocks(spec, (_KIND_COMPARE, gi, 0), design.gains.g, design.a_c)
+                sim, sim_ok = _mean_cost(blocks)
+        cols["analog_pred"].append(pred)
+        flags["analog_pred"].append(math.isfinite(pred))
+        cols["analog_sim"].append(sim)
+        flags["analog_sim"].append(sim_ok)
         for si, name in enumerate(schemes):
             rng = substream(spec.seed, _KIND_COMPARE, gi, 1 + si, _DRAW_CODED)
-            report = run_coded_control(
+            cost, stable = run_coded_control(
                 spec.plant, noise, h, SCHEMES[name],
                 horizon=spec.horizon, rng=rng, replicas=spec.replicas,
             )
-            cols[name].append(report.j_t)
-            flags[name].append(report.per_plant[0].stable)
+            cols[name].append(cost)
+            flags[name].append(stable)
     meta = {
         "seed": spec.seed,
         "replicas": spec.replicas,
@@ -345,32 +342,15 @@ def run_multi_sweep(
             push(f"p{pid}_w", gamma_j * spec.sigma_z2, True)
             j_pred = design.predicted_costs[j]
             push(f"j{pid}_pred", j_pred, math.isfinite(j_pred))
-            if gains is None:
-                # boundary share: gains exist only as a limit, nothing to run
-                push(f"k{pid}", math.inf, False)
-                push(f"g{pid}", math.inf, False)
-                push(f"j{pid}_sim", math.inf, False)
-                total_ok = False
-                total_pred += j_pred
-                continue
-            push(f"k{pid}", gains.k, True)
-            push(f"g{pid}", gains.g, True)
-            z = substream(spec.seed, kind, gi, pid, _DRAW_Z).normal(
-                0.0, math.sqrt(spec.sigma_z2), (spec.replicas, spec.horizon)
-            )
-            w = substream(spec.seed, kind, gi, pid, _DRAW_W).normal(
-                0.0, math.sqrt(spec.plant.sigma_w2), (spec.replicas, spec.horizon)
-            )
-            if slow:
-                coeff: "float | np.ndarray" = spec.plant.a + gains.g * ch * gains.k
-            else:
-                h_t = substream(spec.seed, kind, gi, pid, _DRAW_H).normal(
-                    0.0, math.sqrt(ch), (spec.replicas, spec.horizon)
-                )
-                coeff = spec.plant.a + gains.product * np.abs(h_t)
-            states, diverged = _simulate_loop(coeff, gains.g * z + w, 0.0)
-            sim = _window_cost(states)
-            sim_ok = not bool(diverged.any())
+            k, g, sim, sim_ok = math.inf, math.inf, math.inf, False
+            # a boundary share has gains only as a limit: nothing to run
+            if gains is not None:
+                k, g = gains.k, gains.g
+                a_c = spec.plant.a + g * ch * k if slow else spec.plant.a
+                fading = None if slow else (gains.product, ch)
+                sim, sim_ok = _mean_cost(_simulated_blocks(spec, (kind, gi, pid), g, a_c, fading))
+            push(f"k{pid}", k, gains is not None)
+            push(f"g{pid}", g, gains is not None)
             push(f"j{pid}_sim", sim, sim_ok)
             total_pred += j_pred
             total_sim += sim

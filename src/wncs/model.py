@@ -1,4 +1,4 @@
-"""Scalar plant model, loop algebra and cost accounting.
+"""Scalar plant model, loop algebra and the one simulation kernel.
 
 The controlled process is the scalar linear plant
 
@@ -14,12 +14,15 @@ to
 so every design question in this package reduces to placing the closed-loop
 factor A_c and the noise amplification G under a transmit-SNR budget.  The
 quadratic cost is the long-run time average of E[x(t)^2] summed over plants.
+Every simulated loop, analog or coded, is the recursion x(t+1) = c_t x(t) + n_t
+that ``simulate_loop`` steps.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+
+import numpy as np
 
 #: trajectories whose magnitude passes this guard are truncated and reported
 #: as diverged instead of polluting averages with overflow
@@ -33,6 +36,13 @@ def require_positive(value: float, what: str) -> float:
     return value
 
 
+def require_magnitude(value: float, what: str) -> float:
+    """``require_positive``, and also ValueError when ``value`` squared overflows."""
+    if require_positive(value, what) * value == math.inf:
+        raise ValueError(f"{what} is too large: its square overflows (got {value!r})")
+    return value
+
+
 @dataclass(frozen=True)
 class PlantParams:
     """Open-loop plant: gain ``a`` with |a| > 1 and disturbance power ``sigma_w2``."""
@@ -41,9 +51,11 @@ class PlantParams:
     sigma_w2: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.a) and math.isfinite(self.sigma_w2)):
+        # the designs square a: a finite a whose square overflows is refused too
+        if not (math.isfinite(self.a * self.a) and math.isfinite(self.sigma_w2)):
             raise ValueError(
-                f"plant parameters must be finite (got a={self.a!r}, sigma_w2={self.sigma_w2!r})"
+                f"plant parameters and a^2 must be finite "
+                f"(got a={self.a!r}, sigma_w2={self.sigma_w2!r})"
             )
         if abs(self.a) <= 1.0:
             raise ValueError(
@@ -94,31 +106,6 @@ class GainPair:
         return self.g * self.k
 
 
-@dataclass(frozen=True)
-class PlantCost:
-    """Per-plant slice of a cost report."""
-
-    plant_id: int
-    cost: float
-    stable: bool
-
-
-@dataclass(frozen=True)
-class CostReport:
-    """Empirical (and optionally predicted) quadratic cost over a horizon.
-
-    ``j_t`` is the realized time-average sum cost; ``per_plant`` carries the
-    per-plant breakdown whose costs sum to ``j_t``; ``j_ave_predicted`` is the
-    closed-form steady-state value when the caller knows it (inf for provably
-    unstable designs).
-    """
-
-    j_t: float
-    per_plant: tuple[PlantCost, ...]
-    horizon: int
-    j_ave_predicted: Optional[float] = None
-
-
 def predicted_cost_slow(
     plant: PlantParams, noise: NoisePowers, gains: GainPair, h: float
 ) -> float:
@@ -127,8 +114,36 @@ def predicted_cost_slow(
     Returns inf when |A_c| >= 1: with an unstable closed loop the second
     moment grows geometrically and no steady state exists.
     """
-    require_positive(h, "channel magnitude")
+    require_magnitude(h, "channel magnitude")
     a_c = plant.a + gains.g * h * gains.k
     if abs(a_c) >= 1.0:
         return math.inf
     return (gains.g**2 * noise.sigma_z2 + plant.sigma_w2) / (1.0 - a_c**2)
+
+
+def simulate_loop(
+    coeff: "float | np.ndarray", noise: np.ndarray, x0: float = 0.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run x(t+1) = c_t x(t) + n_t over a (replicas, T) noise block, from x0.
+
+    ``coeff`` is one closed-loop factor for every step (slow fading) or a
+    (replicas, T) array of per-step factors (fast fading, the coded loop's
+    epoch resets).  States beyond the divergence guard are clamped and
+    flagged; returns (states, diverged-per-replica).
+    """
+    replicas, horizon = noise.shape
+    per_step = not np.isscalar(coeff)
+    # stepped time-major, so that every step reads and writes contiguous rows
+    coeff_t = coeff.T.copy() if per_step else coeff
+    noise_t = noise.T.copy()
+    x = np.full(replicas, float(x0))
+    states_t = np.empty((horizon, replicas))
+    diverged = np.zeros(replicas, dtype=bool)
+    for t in range(horizon):
+        x = (coeff_t[t] if per_step else coeff_t) * x + noise_t[t]
+        over = np.abs(x) > DIVERGENCE_GUARD
+        if over.any():
+            diverged |= over
+            x = np.clip(x, -DIVERGENCE_GUARD, DIVERGENCE_GUARD)
+        states_t[t] = x
+    return states_t.T.copy(), diverged

@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import GainPair, NoisePowers, PlantParams, require_positive
+from .model import GainPair, NoisePowers, PlantParams, require_magnitude, require_positive
 from .rootfind import bisect_decreasing
 
 #: relative slack below which a budget is treated as sitting exactly on a floor
@@ -39,7 +39,7 @@ _BOUNDARY_RTOL = 1e-12
 
 def snr_floor(plant: PlantParams, h: float) -> float:
     """Minimum SNR that admits any stabilizing design: (a^2 - 1)/h^2."""
-    require_positive(h, "channel magnitude")
+    require_magnitude(h, "channel magnitude")
     return (plant.a**2 - 1.0) / h**2
 
 
@@ -201,7 +201,7 @@ def allocate_multi_slow(
     if not channel_gains:
         raise ValueError("allocate_multi_slow needs at least one plant")
     ids = tuple(pid for pid, _ in channel_gains)
-    hs = np.array([require_positive(h, "channel magnitude") for _, h in channel_gains])
+    hs = np.array([require_magnitude(h, "channel magnitude") for _, h in channel_gains])
     floors = (plant.a * plant.a - 1.0) / hs**2
     gamma, s = _split_slack(floors, 1.0 / hs, noise.gamma0)
     multiplier = None if s is None else plant.sigma_w2 * (plant.a / s) ** 2

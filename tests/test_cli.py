@@ -67,6 +67,10 @@ def test_parse_power_grid_rejects_disorder():
         parse_power_grid("0.1 W, 0.1 W")
     with pytest.raises(ValueError):
         parse_power_grid("")
+    # a non-finite range end or step is refused, naming the range
+    for body in ("0:inf:1", "-inf:0:1", "nan:0:1", "0:10:inf"):
+        with pytest.raises(ValueError, match=f"grid range '{body}' must have finite"):
+            parse_power_grid(f"{body} dBm")
 
 
 def _tiny_result():
@@ -227,12 +231,21 @@ def test_usage_errors_exit_1(tmp_path):
         ["trace", "--h", "nan"],
         ["trace", "--a-c", "nan"],
         ["trace", "--x0", "nan"],
+        ["compare", "--grid", "0:inf:1 dBm"],
+        ["compare", "--grid", "-inf:0:1 dBm"],
+        ["compare", "--grid", "nan:0:1 dBm"],
+        ["compare", "--h", "1e200"],
+        ["compare", "--a", "1e200"],
+        ["multi-slow", "--h", "1e200,0.02"],
+        ["trace", "--h", "1e200"],
+        ["select-sweep", "--m0", ","],
     ],
     ids=" ".join,
 )
 def test_non_finite_input_is_a_usage_error(tmp_path, capsys, argv):
     # refused with a message before any table is written: no traceback, no
-    # all-nan or all-zero CSV with exit 0
+    # all-nan or all-zero CSV with exit 0; a finite value whose square
+    # overflows and an empty list are refused the same way
     out = tmp_path / "x.csv"
     assert main([*argv, "--out", str(out)]) == EXIT_USAGE
     err = capsys.readouterr().err

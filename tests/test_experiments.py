@@ -1,10 +1,12 @@
 """Experiment recipes: traces, comparisons, allocation sweeps, selection."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from wncs import experiments
 from wncs.experiments import (
     ExperimentSpec,
     SweepResult,
@@ -170,6 +172,37 @@ def test_run_multi_sweep_deterministic():
     b = run_multi_sweep(spec, ((1, 0.01), (2, 0.02)), regime="slow")
     assert a.series == b.series
     assert a.bounded == b.bounded
+
+
+def _block_sensitive_results():
+    spec = make_spec(powers_w=(0.1,), horizon=60, replicas=50)
+    trace = run_trace(spec, (0.6, 1.01, 3.0), h=0.01, x0=5.0)
+    compare = run_single_compare(spec, h=0.01, schemes=())
+    slow = run_multi_sweep(spec, ((1, 0.01), (2, 0.02)), regime="slow")
+    fast = run_multi_sweep(spec, ((1, 1e-4), (2, 4e-4)), regime="fast")
+    return [(r.series, r.bounded) for r in (trace, compare, slow, fast)]
+
+
+def test_block_size_changes_no_result(monkeypatch):
+    # 7-row blocks: 50 replicas run as 7 whole blocks plus a 1-row remainder
+    default = _block_sensitive_results()
+    assert experiments._BLOCK_ELEMENTS // 60 >= 50  # one block by default
+    monkeypatch.setattr(experiments, "_BLOCK_ELEMENTS", 7 * 60 + 59)
+    assert _block_sensitive_results() == default
+
+
+def test_fast_sweep_memory_is_bounded_by_the_block():
+    # drawn as dense (replicas, horizon) arrays this point peaks at 459 MB;
+    # in row blocks at about 37 MB
+    spec = make_spec(powers_w=(0.1,), horizon=500, replicas=20000)
+    tracemalloc.start()
+    try:
+        result = run_multi_sweep(spec, ((1, 1e-4),), regime="fast")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.bounded["j1_sim"][0]
+    assert peak < 64 * 2**20
 
 
 def test_run_selection_sweep_monotone_and_bounded():

@@ -4,14 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from wncs.model import (
-    CostReport,
-    GainPair,
-    NoisePowers,
-    PlantCost,
-    PlantParams,
-    predicted_cost_slow,
-)
+from wncs.model import GainPair, NoisePowers, PlantParams, predicted_cost_slow
 
 
 def test_plant_params_requires_unstable_dynamics():
@@ -23,7 +16,8 @@ def test_plant_params_requires_unstable_dynamics():
         PlantParams(a=0.4, sigma_w2=0.1)
     with pytest.raises(ValueError):
         PlantParams(a=1.5, sigma_w2=-1.0)
-    for a, sigma_w2 in [(math.nan, 0.1), (math.inf, 0.1), (-math.inf, 0.1),
+    # a finite gain whose square overflows is refused with the non-finite ones
+    for a, sigma_w2 in [(math.nan, 0.1), (math.inf, 0.1), (-math.inf, 0.1), (1e200, 0.1),
                         (1.5, math.nan), (1.5, math.inf)]:
         with pytest.raises(ValueError, match="finite"):
             PlantParams(a=a, sigma_w2=sigma_w2)
@@ -67,7 +61,7 @@ def test_predicted_cost_slow_unbounded_sentinel():
     # |a_c| = 1 exactly is unbounded too
     gains = GainPair(k=-1.0, g=50.0)  # a_c = 1.5 - 0.5 = 1.0
     assert predicted_cost_slow(plant, noise, gains, h=0.01) == math.inf
-    for h in (0.0, math.nan, math.inf):
+    for h in (0.0, math.nan, math.inf, 1e200):
         with pytest.raises(ValueError):
             predicted_cost_slow(plant, noise, gains, h=h)
 
@@ -92,9 +86,3 @@ def test_predicted_cost_matches_long_simulation():
     pred = predicted_cost_slow(plant, noise, gains, h)
     assert sim == pytest.approx(pred, rel=0.02)
 
-
-def test_cost_report_round_trip_fields():
-    report = CostReport(
-        j_t=1.0, per_plant=(PlantCost(0, 1.0, True),), horizon=10, j_ave_predicted=0.9
-    )
-    assert report.j_ave_predicted == pytest.approx(0.9)
