@@ -26,6 +26,7 @@ from .coded import (
 from .experiments import (
     ExperimentSpec,
     SweepResult,
+    add_shared_gain_series,
     implied_trace_gains,
     run_multi_sweep,
     run_selection_sweep,
@@ -40,7 +41,6 @@ from .fast_control import (
     allocate_multi_fast,
     expected_ac2,
     fast_snr_floor,
-    feasible_single_fast,
     optimize_single_fast,
     stabilizable_fast,
 )
@@ -59,7 +59,6 @@ from .slow_control import (
     SlowSingleDesign,
     SnrAllocation,
     allocate_multi_slow,
-    feasible_single,
     optimize_identical_actuator,
     optimize_identical_controller,
     optimize_single_slow,
@@ -85,6 +84,7 @@ __all__ = [
     "SlowSingleDesign",
     "SnrAllocation",
     "SweepResult",
+    "add_shared_gain_series",
     "allocate_multi_fast",
     "allocate_multi_slow",
     "bch_decode",
@@ -92,8 +92,6 @@ __all__ = [
     "estimate_word_success",
     "expected_ac2",
     "fast_snr_floor",
-    "feasible_single",
-    "feasible_single_fast",
     "implied_trace_gains",
     "optimize_identical_actuator",
     "optimize_identical_controller",

@@ -18,7 +18,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -29,6 +29,7 @@ from .coded import SCHEMES, bch_decode, bch_encode, qam_detect, qam_modulate
 from .experiments import (
     ExperimentSpec,
     SweepResult,
+    add_shared_gain_series,
     run_multi_sweep,
     run_selection_sweep,
     run_single_compare,
@@ -38,16 +39,12 @@ from .fast_control import (
     ETA,
     allocate_multi_fast,
     expected_ac2,
+    fast_snr_floor,
     optimize_single_fast,
     stabilizable_fast,
 )
 from .model import NoisePowers, PlantParams
-from .slow_control import (
-    allocate_multi_slow,
-    optimize_identical_actuator,
-    optimize_identical_controller,
-    optimize_single_slow,
-)
+from .slow_control import allocate_multi_slow, optimize_single_slow, snr_floor
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -81,7 +78,7 @@ def parse_power(text: str) -> float:
     Accepts dBm, W and mW; a bare number is rejected so a config cannot
     silently mix scales.
     """
-    if isinstance(text, (int, float)):
+    if not isinstance(text, str):
         raise ValueError(f"power {text!r} is missing a unit (write e.g. '{text} dBm' or '{text} W')")
     m = _POWER_RE.match(text)
     if not m:
@@ -102,7 +99,7 @@ def parse_power_grid(text: str) -> tuple[float, ...]:
     lattice) or a comma list '1,4,7 <unit>'.  The single trailing unit applies
     to every number.
     """
-    if isinstance(text, (int, float)):
+    if not isinstance(text, str):
         raise ValueError(f"power grid {text!r} is missing a unit")
     parts = text.strip().rsplit(None, 1)
     if len(parts) != 2:
@@ -129,16 +126,77 @@ def parse_power_grid(text: str) -> tuple[float, ...]:
     return watts
 
 
-def _number_list(text: str, kind: type) -> tuple:
-    vals = tuple(kind(p) for p in str(text).split(",") if p.strip())
-    if not vals:
-        raise ValueError(f"empty list {text!r}")
-    return vals
-
-
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
+
+# every parser takes flag text or a YAML value, so both go the same way
+
+
+def _real(value) -> float:
+    number = math.nan if isinstance(value, bool) else float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{value!r} is not a finite number")
+    return number
+
+
+def _integer(value) -> int:
+    if isinstance(value, str):
+        return int(value)
+    if isinstance(value, bool) or int(value) != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
+def _list_of(item: Callable) -> Callable:
+    """A parser of a comma string or a YAML list (a scalar is a one-item list)."""
+
+    def parse(value) -> tuple:
+        if isinstance(value, str):
+            value = [p for p in value.split(",") if p.strip()]
+        elif not isinstance(value, (list, tuple)):
+            value = [value]
+        if not value:
+            raise ValueError("the list is empty")
+        return tuple(item(v) for v in value)
+
+    return parse
+
+
+_GRID_DEFAULTS = {
+    "compare": "0:40:5 dBm",
+    "multi-slow": "0:20:2 dBm",
+    "multi-fast": "8:30:2 dBm",
+    "select-sweep": "0:24:2 dBm",
+}
+
+
+#: every setting: (RunConfig field, flag, config-file key, default, parser).
+#: Flags beat the file, the file beats the default; a callable default takes
+#: the recipe name.  ``trace`` reads its one budget from p0, the rest a grid.
+_SETTINGS = (
+    # the selection recipe defaults to a milder plant, per its usual usage
+    ("a", "a", "a", lambda kind: 1.1 if kind == "select-sweep" else 1.5, _real),
+    ("sigma_w2", "sigma_w2", "sigma_w2", 0.1, _real),
+    ("sigma_z2_w", "sigma_z2", "sigma_z2", "-40 dBm", parse_power),
+    ("powers_w", "p0", "p0", "20 dBm", lambda v: (parse_power(v),)),
+    ("powers_w", "grid", "grid", _GRID_DEFAULTS.get, parse_power_grid),
+    ("horizon", "horizon", "horizon", 500, _integer),
+    ("replicas", "replicas", "replicas", 1000, _integer),
+    ("seed", "seed", "seed", 0, _integer),
+    ("out", "out", "out", "{}.csv".format, str),
+    ("h", "h", "h", 0.01, _real),
+    ("channel_gains", "channel_gains", "channels", (0.01, 0.02), _list_of(_real)),
+    ("sigma_h2", "sigma_h2", "sigma_h2", (1e-4, 4e-4), _list_of(_real)),
+    ("a_c", "a_c", "a_c", (0.6, 0.9, 1.01), _list_of(_real)),
+    ("x0", "x0", "x0", 5.0, _real),
+    ("m0", "m0", "m0", (2, 5, 10), _list_of(_integer)),
+    ("realizations", "realizations", "realizations", 10000, _integer),
+    ("mean_gain", "mean_gain", "mean_gain", 1e-4, _real),
+    ("schemes", "schemes", "schemes", tuple(SCHEMES), _list_of(lambda v: str(v).strip())),
+    ("g_common", "g_common", "g_common", None, _real),
+    ("k_common", "k_common", "k_common", None, _real),
+)
 
 
 @dataclass(frozen=True)
@@ -154,45 +212,27 @@ class RunConfig:
     replicas: int
     seed: int
     out: str
-    h: float = 0.01
-    channel_gains: tuple[float, ...] = (0.01, 0.02)
-    sigma_h2: tuple[float, ...] = (1e-4, 4e-4)
-    a_c: tuple[float, ...] = (0.6, 0.9, 1.01)
-    x0: float = 5.0
-    m0: tuple[int, ...] = (2, 5, 10)
-    realizations: int = 10000
-    mean_gain: float = 1e-4
-    schemes: tuple[str, ...] = tuple(SCHEMES)
-    g_common: Optional[float] = None
-    k_common: Optional[float] = None
-
-    def plant(self) -> PlantParams:
-        return PlantParams(a=self.a, sigma_w2=self.sigma_w2)
+    h: float
+    channel_gains: tuple[float, ...]
+    sigma_h2: tuple[float, ...]
+    a_c: tuple[float, ...]
+    x0: float
+    m0: tuple[int, ...]
+    realizations: int
+    mean_gain: float
+    schemes: tuple[str, ...]
+    g_common: Optional[float]
+    k_common: Optional[float]
 
     def spec(self) -> ExperimentSpec:
         return ExperimentSpec(
-            plant=self.plant(),
+            plant=PlantParams(a=self.a, sigma_w2=self.sigma_w2),
             sigma_z2=self.sigma_z2_w,
             powers_w=self.powers_w,
             horizon=self.horizon,
             replicas=self.replicas,
             seed=self.seed,
         )
-
-
-_GRID_DEFAULTS = {
-    "trace": "20 dBm",  # single budget, not a grid
-    "compare": "0:40:5 dBm",
-    "multi-slow": "0:20:2 dBm",
-    "multi-fast": "8:30:2 dBm",
-    "select-sweep": "0:24:2 dBm",
-}
-
-_CONFIG_KEYS = {
-    "a", "sigma_w2", "sigma_z2", "p0", "grid", "horizon", "replicas", "seed",
-    "out", "h", "channels", "sigma_h2", "a_c", "x0", "m0", "realizations",
-    "mean_gain", "schemes", "g_common", "k_common",
-}
 
 
 def _load_config_file(path: str) -> dict:
@@ -207,7 +247,7 @@ def _load_config_file(path: str) -> dict:
         return {}
     if not isinstance(raw, dict):
         raise ValueError(f"config {path!r} must be a mapping of settings")
-    unknown = sorted(set(raw) - _CONFIG_KEYS)
+    unknown = sorted(set(raw) - {key for _, _, key, _, _ in _SETTINGS})
     if unknown:
         raise ValueError(f"config {path!r} has unknown field(s): {', '.join(unknown)}")
     return raw
@@ -216,68 +256,23 @@ def _load_config_file(path: str) -> dict:
 def parse_config(kind: str, args: argparse.Namespace) -> RunConfig:
     """Merge built-in defaults, the optional config file and explicit flags."""
     file_cfg = _load_config_file(args.config) if args.config else {}
-
-    def pick(flag_name: str, file_key: str, default):
-        flag = getattr(args, flag_name, None)
-        if flag is not None:
-            return flag
-        if file_key in file_cfg:
-            return file_cfg[file_key]
-        return default
-
-    # the selection recipe defaults to a milder plant, per its usual usage
-    default_a = 1.1 if kind == "select-sweep" else 1.5
-    a = float(pick("a", "a", default_a))
-    sigma_w2 = float(pick("sigma_w2", "sigma_w2", 0.1))
-    sigma_z2_w = parse_power(pick("sigma_z2", "sigma_z2", "-40 dBm"))
-    if kind == "trace":
-        powers = (parse_power(pick("p0", "p0", _GRID_DEFAULTS[kind])),)
-    else:
-        powers = parse_power_grid(pick("grid", "grid", _GRID_DEFAULTS[kind]))
-    schemes = pick("schemes", "schemes", tuple(SCHEMES))
-    if isinstance(schemes, str):
-        schemes = tuple(s.strip() for s in schemes.split(",") if s.strip())
-    channels = pick("channel_gains", "channels", (0.01, 0.02))
-    if isinstance(channels, str):
-        channels = _number_list(channels, float)
-    sigma_h2 = pick("sigma_h2", "sigma_h2", (1e-4, 4e-4))
-    if isinstance(sigma_h2, str):
-        sigma_h2 = _number_list(sigma_h2, float)
-    a_c = pick("a_c", "a_c", (0.6, 0.9, 1.01))
-    if isinstance(a_c, str):
-        a_c = _number_list(a_c, float)
-    m0 = pick("m0", "m0", (2, 5, 10))
-    if isinstance(m0, str):
-        m0 = _number_list(m0, int)
-    g_common = pick("g_common", "g_common", None)
-    k_common = pick("k_common", "k_common", None)
-    config = RunConfig(
-        kind=kind,
-        a=a,
-        sigma_w2=sigma_w2,
-        sigma_z2_w=sigma_z2_w,
-        powers_w=tuple(float(p) for p in powers),
-        horizon=int(pick("horizon", "horizon", 500)),
-        replicas=int(pick("replicas", "replicas", 1000)),
-        seed=int(pick("seed", "seed", 0)),
-        out=str(pick("out", "out", f"{kind}.csv")),
-        h=float(pick("h", "h", 0.01)),
-        channel_gains=tuple(float(v) for v in channels),
-        sigma_h2=tuple(float(v) for v in sigma_h2),
-        a_c=tuple(float(v) for v in a_c),
-        x0=float(pick("x0", "x0", 5.0)),
-        m0=tuple(int(v) for v in m0),
-        realizations=int(pick("realizations", "realizations", 10000)),
-        mean_gain=float(pick("mean_gain", "mean_gain", 1e-4)),
-        schemes=tuple(schemes),
-        g_common=None if g_common is None else float(g_common),
-        k_common=None if k_common is None else float(k_common),
-    )
-    config.plant()  # validates |a| > 1 and sigma_w2 early
-    config.spec()
-    shared = (config.g_common, config.k_common)
-    if not all(math.isfinite(v) for v in shared if v is not None):
-        raise ValueError(f"shared gain factors must be finite (got {shared})")
+    skipped = "grid" if kind == "trace" else "p0"
+    fields = {}
+    for field, flag, key, default, parse in _SETTINGS:
+        if key == skipped:
+            continue
+        # a null in the file, like an absent flag, leaves the setting unset
+        value = getattr(args, flag, None)
+        if value is None:
+            value = file_cfg.get(key)
+        if value is None:
+            value = default(kind) if callable(default) else default
+        try:
+            fields[field] = None if value is None else parse(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"setting {key} = {value!r}: {exc}") from exc
+    config = RunConfig(kind=kind, **fields)
+    config.spec()  # validates the plant, noise, grid and run sizes early
     return config
 
 
@@ -305,11 +300,7 @@ def emit_csv(result: SweepResult, path: str, config: Optional[RunConfig] = None)
             ok = result.bounded[name][i]
             cells.append(_fmt(result.series[name][i]) if ok else INF_TOKEN)
         lines.append(",".join(cells))
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as f:
-            f.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise ValueError(f"cannot write {path!r}: {exc}") from exc
+    _write(path, "\n".join(lines) + "\n")
     sidecar = {
         "package_version": __version__,
         "x_name": result.x_name,
@@ -324,11 +315,15 @@ def emit_csv(result: SweepResult, path: str, config: Optional[RunConfig] = None)
         sidecar["config_sha256"] = hashlib.sha256(canonical.encode()).hexdigest()
         sidecar["seed"] = config.seed
         sidecar["replicas"] = config.replicas
+    _write(path + ".meta.json", json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+
+
+def _write(path: str, text: str) -> None:
     try:
-        with open(path + ".meta.json", "w", encoding="utf-8", newline="") as f:
-            f.write(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+        with open(path, "w", encoding="utf-8", newline="") as f:
+            f.write(text)
     except OSError as exc:
-        raise ValueError(f"cannot write {path + '.meta.json'!r}: {exc}") from exc
+        raise ValueError(f"cannot write {path!r}: {exc}") from exc
 
 
 def _finish(result: SweepResult, config: RunConfig) -> int:
@@ -356,71 +351,12 @@ def cmd_compare(config: RunConfig) -> int:
     return _finish(result, config)
 
 
-def _shared_gain_series(config: RunConfig, result: SweepResult) -> SweepResult:
-    """Augment a slow multi sweep with shared-actuator / shared-controller designs."""
-    channels = tuple(enumerate(config.channel_gains, start=1))
-    plant = config.plant()
-    series = dict(result.series)
-    bounded = dict(result.bounded)
-    specs = []
-    if config.g_common is not None:
-        specs.append(("sharedG", config.g_common, True))
-    if config.k_common is not None:
-        specs.append(("sharedK", config.k_common, False))
-    for prefix, value, is_actuator in specs:
-        cols: dict[str, list[float]] = {}
-        flags: dict[str, list[bool]] = {}
-        for pid, _ in channels:
-            gain_name = f"{prefix}_k{pid}" if is_actuator else f"{prefix}_g{pid}"
-            cols[gain_name] = []
-            flags[gain_name] = []
-            cols[f"{prefix}_j{pid}"] = []
-            flags[f"{prefix}_j{pid}"] = []
-        cols[f"{prefix}_j_total"] = []
-        flags[f"{prefix}_j_total"] = []
-
-        for p0 in config.powers_w:
-            noise = NoisePowers(sigma_z2=config.sigma_z2_w, p0=p0)
-            design = None
-            try:
-                if is_actuator:
-                    design = optimize_identical_actuator(channels, plant, noise, value)
-                else:
-                    candidate = optimize_identical_controller(channels, plant, noise, value)
-                    design = candidate if candidate.feasible else None
-            except ValueError:
-                design = None
-            for j, (pid, _) in enumerate(channels):
-                gain_name = f"{prefix}_k{pid}" if is_actuator else f"{prefix}_g{pid}"
-                if design is None:
-                    cols[gain_name].append(math.inf)
-                    flags[gain_name].append(False)
-                    cols[f"{prefix}_j{pid}"].append(math.inf)
-                    flags[f"{prefix}_j{pid}"].append(False)
-                else:
-                    gain = design.k[j] if is_actuator else design.g[j]
-                    cols[gain_name].append(gain)
-                    flags[gain_name].append(True)
-                    cols[f"{prefix}_j{pid}"].append(design.predicted_costs[j])
-                    flags[f"{prefix}_j{pid}"].append(True)
-            cols[f"{prefix}_j_total"].append(math.inf if design is None else design.total_cost)
-            flags[f"{prefix}_j_total"].append(design is not None)
-        for name in cols:
-            series[name] = tuple(cols[name])
-            bounded[name] = tuple(flags[name])
-    meta = dict(result.meta)
-    meta["g_common"] = config.g_common
-    meta["k_common"] = config.k_common
-    return SweepResult(
-        x_name=result.x_name, x=result.x, series=series, bounded=bounded, meta=meta
-    )
-
-
 def cmd_multi_slow(config: RunConfig) -> int:
+    spec = config.spec()
     channels = tuple(enumerate(config.channel_gains, start=1))
-    result = run_multi_sweep(config.spec(), channels, regime="slow")
+    result = run_multi_sweep(spec, channels, regime="slow")
     if config.g_common is not None or config.k_common is not None:
-        result = _shared_gain_series(config, result)
+        result = add_shared_gain_series(result, spec, channels, config.g_common, config.k_common)
     return _finish(result, config)
 
 
@@ -487,16 +423,18 @@ def _check_slow_single_grid() -> tuple[bool, str]:
     return True, f"grid within {worst:.2e} of closed form on 3 instances"
 
 
-def _check_slow_pair_sweep() -> tuple[bool, str]:
-    channels = ((1, 0.01), (2, 0.02))
-    _, design = allocate_multi_slow(channels, _VERIFY_PLANT, _VERIFY_NOISE)
-    floors = [(_VERIFY_PLANT.a**2 - 1.0) / h**2 for _, h in channels]
+def _check_pair_sweep(
+    allocate: Callable, single: Callable, floor: Callable, channels: tuple[float, float]
+) -> tuple[bool, str]:
+    """A two-plant allocation vs a 4000-point sweep of the budget split."""
+    c1, c2 = channels
+    _, design = allocate(((1, c1), (2, c2)), _VERIFY_PLANT, _VERIFY_NOISE)
     g0 = _VERIFY_NOISE.gamma0
     best = math.inf
-    for g1 in np.linspace(floors[0], g0 - floors[1], 4000)[1:-1]:
+    for g1 in np.linspace(floor(_VERIFY_PLANT, c1), g0 - floor(_VERIFY_PLANT, c2), 4000)[1:-1]:
         j = (
-            optimize_single_slow(_VERIFY_PLANT, _VERIFY_NOISE, 0.01, gamma=g1).j_ave
-            + optimize_single_slow(_VERIFY_PLANT, _VERIFY_NOISE, 0.02, gamma=g0 - g1).j_ave
+            single(_VERIFY_PLANT, _VERIFY_NOISE, c1, gamma=g1).j_ave
+            + single(_VERIFY_PLANT, _VERIFY_NOISE, c2, gamma=g0 - g1).j_ave
         )
         best = min(best, j)
     gap = abs(design.total_cost - best) / best
@@ -524,29 +462,6 @@ def _check_fast_single_sweep() -> tuple[bool, str]:
     if gap > 1e-3:
         return False, f"closed form differs from sweep optimum by {gap:.2%}"
     return True, f"single-plant fast optimum within {gap:.2e} of a product sweep"
-
-
-def _check_fast_pair_sweep() -> tuple[bool, str]:
-    channels = ((1, 1e-4), (2, 4e-4))
-    _, design = allocate_multi_fast(channels, _VERIFY_PLANT, _VERIFY_NOISE)
-    floors = [
-        (_VERIFY_PLANT.a**2 - 1.0) / ((1.0 - ETA * _VERIFY_PLANT.a**2) * s)
-        for _, s in channels
-    ]
-    g0 = _VERIFY_NOISE.gamma0
-    best = math.inf
-    for g1 in np.linspace(floors[0], g0 - floors[1], 4000)[1:-1]:
-        j = (
-            optimize_single_fast(_VERIFY_PLANT, _VERIFY_NOISE, 1e-4, gamma=g1).j_ave
-            + optimize_single_fast(_VERIFY_PLANT, _VERIFY_NOISE, 4e-4, gamma=g0 - g1).j_ave
-        )
-        best = min(best, j)
-    gap = abs(design.total_cost - best) / best
-    if design.total_cost > best * (1.0 + 1e-9):
-        return False, f"split sweep beat the allocation ({best} < {design.total_cost})"
-    if gap > 1e-3:
-        return False, f"allocation differs from sweep optimum by {gap:.2%}"
-    return True, f"two-plant fast allocation within {gap:.2e} of a split sweep"
 
 
 def _check_budget_saturation() -> tuple[bool, str]:
@@ -599,30 +514,21 @@ def _check_codecs() -> tuple[bool, str]:
 
 
 def _check_sim_vs_prediction() -> tuple[bool, str]:
-    spec_slow = ExperimentSpec(
-        plant=_VERIFY_PLANT, sigma_z2=1e-7, powers_w=(0.1,),
-        horizon=500, replicas=1000, seed=0,
-    )
+    slow = ExperimentSpec(plant=_VERIFY_PLANT, sigma_z2=1e-7, powers_w=(0.1,), replicas=1000)
     # the fast loop's per-symbol gain makes x^2 heavy-tailed (its fourth moment
     # diverges at these parameters), so the cost estimator converges slowly and
     # needs far more replicas for the same confidence
-    spec_fast = ExperimentSpec(
-        plant=_VERIFY_PLANT, sigma_z2=1e-7, powers_w=(0.1,),
-        horizon=500, replicas=200000, seed=0,
+    fast = replace(slow, replicas=200000)
+    runs = (
+        ("slow single", run_single_compare(slow, 0.01, schemes=()), "analog"),
+        ("slow pair", run_multi_sweep(slow, ((1, 0.01), (2, 0.02)), regime="slow"), "j_total"),
+        ("fast single", run_multi_sweep(fast, ((1, 1e-4),), regime="fast"), "j_total"),
+        ("fast pair", run_multi_sweep(fast, ((1, 1e-4), (2, 4e-4)), regime="fast"), "j_total"),
     )
-    gaps = []
-    compare = run_single_compare(spec_slow, 0.01, schemes=())
-    gaps.append(("slow single",
-                 compare.series["analog_sim"][0] / compare.series["analog_pred"][0] - 1.0))
-    slow2 = run_multi_sweep(spec_slow, ((1, 0.01), (2, 0.02)), regime="slow")
-    gaps.append(("slow pair",
-                 slow2.series["j_total_sim"][0] / slow2.series["j_total_pred"][0] - 1.0))
-    fast1 = run_multi_sweep(spec_fast, ((1, 1e-4),), regime="fast")
-    gaps.append(("fast single",
-                 fast1.series["j_total_sim"][0] / fast1.series["j_total_pred"][0] - 1.0))
-    fast2 = run_multi_sweep(spec_fast, ((1, 1e-4), (2, 4e-4)), regime="fast")
-    gaps.append(("fast pair",
-                 fast2.series["j_total_sim"][0] / fast2.series["j_total_pred"][0] - 1.0))
+    gaps = [
+        (name, r.series[f"{col}_sim"][0] / r.series[f"{col}_pred"][0] - 1.0)
+        for name, r, col in runs
+    ]
     worst = max(abs(g) for _, g in gaps)
     detail = ", ".join(f"{name} {gap:+.2%}" for name, gap in gaps)
     return worst <= 0.02, f"simulated vs predicted cost: {detail}"
@@ -648,9 +554,11 @@ def _check_thresholds() -> tuple[bool, str]:
 def cmd_verify(_config: Optional[RunConfig] = None) -> int:
     checks: list[tuple[str, Callable[[], tuple[bool, str]]]] = [
         ("slow single: closed form vs 2-D grid", _check_slow_single_grid),
-        ("slow pair: allocation vs split sweep", _check_slow_pair_sweep),
+        ("slow pair: allocation vs split sweep", lambda: _check_pair_sweep(
+            allocate_multi_slow, optimize_single_slow, snr_floor, (0.01, 0.02))),
         ("fast single: closed form vs product sweep", _check_fast_single_sweep),
-        ("fast pair: allocation vs split sweep", _check_fast_pair_sweep),
+        ("fast pair: allocation vs split sweep", lambda: _check_pair_sweep(
+            allocate_multi_fast, optimize_single_fast, fast_snr_floor, (1e-4, 4e-4))),
         ("budget saturation", _check_budget_saturation),
         ("fast-fading stabilizability boundary", _check_fast_boundary),
         ("codec and constellation exhaustive checks", _check_codecs),
@@ -692,33 +600,33 @@ def build_parser() -> _Parser:
 
     def common(p: _Parser) -> None:
         p.add_argument("--config", help="YAML file with defaults for any flag")
-        p.add_argument("--a", type=float, help="open-loop plant gain (|a| > 1)")
-        p.add_argument("--sigma-w2", type=float, help="disturbance power, watts")
+        p.add_argument("--a", help="open-loop plant gain (|a| > 1)")
+        p.add_argument("--sigma-w2", help="disturbance power, watts")
         p.add_argument("--sigma-z2", help="actuator noise power, e.g. '-40 dBm'")
-        p.add_argument("--horizon", type=int, help="control symbols per process")
-        p.add_argument("--replicas", type=int, help="Monte-Carlo replicas")
-        p.add_argument("--seed", type=int, help="root seed for all substreams")
+        p.add_argument("--horizon", help="control symbols per process")
+        p.add_argument("--replicas", help="Monte-Carlo replicas")
+        p.add_argument("--seed", help="root seed for all substreams")
         p.add_argument("--out", help="output CSV path")
 
     p = sub.add_parser("trace", help="state and running-cost series at fixed closed-loop factors")
     common(p)
     p.add_argument("--p0", help="transmit power budget, e.g. '20 dBm'")
-    p.add_argument("--h", type=float, help="block channel magnitude")
+    p.add_argument("--h", help="block channel magnitude")
     p.add_argument("--a-c", dest="a_c", help="comma list of closed-loop factors")
-    p.add_argument("--x0", type=float, help="initial plant state")
+    p.add_argument("--x0", help="initial plant state")
 
     p = sub.add_parser("compare", help="analog loop vs coded baselines over a power grid")
     common(p)
     p.add_argument("--grid", help="power grid, e.g. '0:40:5 dBm' or '1,10,100 mW'")
-    p.add_argument("--h", type=float, help="block channel magnitude")
+    p.add_argument("--h", help="block channel magnitude")
     p.add_argument("--schemes", help=f"comma list from: {', '.join(SCHEMES)}")
 
     p = sub.add_parser("multi-slow", help="two-plus-plant allocation sweep, block fading")
     common(p)
     p.add_argument("--grid", help="power grid with unit")
     p.add_argument("--h", dest="channel_gains", help="comma list of per-plant channel magnitudes")
-    p.add_argument("--g-common", type=float, help="also design with one shared actuator factor")
-    p.add_argument("--k-common", type=float, help="also design with one shared controller factor")
+    p.add_argument("--g-common", help="also design with one shared actuator factor")
+    p.add_argument("--k-common", help="also design with one shared controller factor")
 
     p = sub.add_parser("multi-fast", help="two-plus-plant allocation sweep, per-symbol fading")
     common(p)
@@ -729,8 +637,8 @@ def build_parser() -> _Parser:
     common(p)
     p.add_argument("--grid", help="power grid with unit")
     p.add_argument("--m0", help="comma list of candidate plant counts")
-    p.add_argument("--realizations", type=int, help="channel realizations per M0")
-    p.add_argument("--mean-gain", dest="mean_gain", type=float, help="Rayleigh mean power gain")
+    p.add_argument("--realizations", help="channel realizations per M0")
+    p.add_argument("--mean-gain", dest="mean_gain", help="Rayleigh mean power gain")
 
     p = sub.add_parser("verify", help="cross-check closed forms, codecs and simulators")
 
@@ -751,12 +659,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "verify":
         return cmd_verify()
     try:
-        config = parse_config(args.command, args)
-    except ValueError as exc:
-        print(f"wncs {args.command}: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        return _HANDLERS[args.command](config)
+        return _HANDLERS[args.command](parse_config(args.command, args))
     except ValueError as exc:
         print(f"wncs {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

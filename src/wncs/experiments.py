@@ -32,6 +32,7 @@ from .model import (
     simulate_loop,
 )
 from .slow_control import allocate_multi_slow, optimize_single_slow, select_plants, snr_floor
+from .slow_control import optimize_identical_actuator, optimize_identical_controller
 
 # substream key vocabulary: kind of recipe, then purpose of the draw
 _KIND_TRACE, _KIND_COMPARE, _KIND_MULTI_SLOW, _KIND_MULTI_FAST, _KIND_SELECT = range(5)
@@ -310,12 +311,9 @@ def run_multi_sweep(
     allocations: list[Optional[dict]] = []
     feasible_points = 0
 
-    def floor_of(value: float) -> float:
-        if slow:
-            return snr_floor(spec.plant, value)
-        return fast_snr_floor(spec.plant, value)
-
-    floors_total = sum(floor_of(v) for _, v in channels)
+    floor_of = snr_floor if slow else fast_snr_floor
+    allocate = allocate_multi_slow if slow else allocate_multi_fast
+    floors_total = sum(floor_of(spec.plant, v) for _, v in channels)
 
     def push(name: str, value: float, ok: bool) -> None:
         cols[name].append(value)
@@ -329,10 +327,7 @@ def run_multi_sweep(
             allocations.append(None)
             continue
         feasible_points += 1
-        if slow:
-            alloc, design = allocate_multi_slow(channels, spec.plant, noise)
-        else:
-            alloc, design = allocate_multi_fast(channels, spec.plant, noise)
+        alloc, design = allocate(channels, spec.plant, noise)
         total_pred = 0.0
         total_sim = 0.0
         total_ok = True
@@ -381,6 +376,43 @@ def run_multi_sweep(
         bounded={n: tuple(v) for n, v in flags.items()},
         meta=meta,
     )
+
+
+def add_shared_gain_series(
+    result: SweepResult, spec: ExperimentSpec, channels: Sequence[tuple[int, float]],
+    g_common: Optional[float], k_common: Optional[float],
+) -> SweepResult:
+    """A slow ``run_multi_sweep`` table plus the shared-gain designs' columns.
+
+    sharedG_k<id> holds each controller factor under one actuator factor
+    ``g_common``, sharedK_g<id> each actuator factor under one controller
+    factor ``k_common``; both add per-plant and total costs.  A factor of None
+    adds no columns, and a grid point where its design is infeasible is unbounded.
+    """
+    series, bounded = dict(result.series), dict(result.bounded)
+    for prefix, gain, factor, optimize in (
+        ("sharedG", "k", g_common, optimize_identical_actuator),
+        ("sharedK", "g", k_common, optimize_identical_controller),
+    ):
+        if factor is None:
+            continue
+        names = [f"{prefix}_{n}{pid}" for pid, _ in channels for n in (gain, "j")]
+        rows = []
+        for p0 in spec.powers_w:
+            try:
+                design = optimize(channels, spec.plant, spec.noise_at(p0), factor)
+            except ValueError:
+                design = None
+            if design is None or not getattr(design, "feasible", True):
+                rows.append(None)
+                continue
+            pairs = zip(getattr(design, gain), design.predicted_costs)
+            rows.append([value for pair in pairs for value in pair] + [design.total_cost])
+        for i, name in enumerate([*names, f"{prefix}_j_total"]):
+            series[name] = tuple(math.inf if row is None else row[i] for row in rows)
+            bounded[name] = tuple(row is not None for row in rows)
+    meta = {**result.meta, "g_common": g_common, "k_common": k_common}
+    return SweepResult(result.x_name, result.x, series, bounded, meta)
 
 
 # ---------------------------------------------------------------------------

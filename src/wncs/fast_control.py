@@ -24,12 +24,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .model import GainPair, NoisePowers, PlantParams, require_positive
-from .slow_control import SnrAllocation, _split_slack
+from .slow_control import _BOUNDARY_RTOL, SnrAllocation, _split_slack
 
 #: stabilizability constant for sign-only channel knowledge, 1 - 2/pi
 ETA = 1.0 - 2.0 / math.pi
-
-_BOUNDARY_RTOL = 1e-12
 
 
 def mean_channel_magnitude(sigma_h2: float) -> float:
@@ -45,12 +43,6 @@ def expected_ac2(plant: PlantParams, gain_product: float, sigma_h2: float) -> fl
     return sigma_h2 * u * u + 2.0 * b * plant.a * u + plant.a**2
 
 
-def expected_ac2_no_csi(plant: PlantParams, gain_product: float, sigma_h2: float) -> float:
-    """E[(A + G h K)^2] with no channel knowledge at all; always > A^2."""
-    require_positive(sigma_h2, "channel power")
-    return plant.a**2 + gain_product**2 * sigma_h2
-
-
 def stabilizable_fast(plant: PlantParams) -> bool:
     """Whether sign-only knowledge can achieve E[A_c^2] < 1 at any SNR."""
     return plant.a**2 * ETA < 1.0
@@ -62,10 +54,6 @@ def fast_snr_floor(plant: PlantParams, sigma_h2: float) -> float:
     if not stabilizable_fast(plant):
         return math.inf
     return (plant.a**2 - 1.0) / ((1.0 - ETA * plant.a**2) * sigma_h2)
-
-
-def feasible_single_fast(plant: PlantParams, noise: NoisePowers, sigma_h2: float) -> bool:
-    return fast_snr_floor(plant, sigma_h2) <= noise.gamma0
 
 
 @dataclass(frozen=True)

@@ -31,21 +31,18 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .model import GainPair, NoisePowers, PlantParams, require_magnitude, require_positive
-from .rootfind import bisect_decreasing
 
 #: relative slack below which a budget is treated as sitting exactly on a floor
 _BOUNDARY_RTOL = 1e-12
+
+#: relative budget residual at which the shared-actuator multiplier is solved
+_BUDGET_RTOL = 1e-12
 
 
 def snr_floor(plant: PlantParams, h: float) -> float:
     """Minimum SNR that admits any stabilizing design: (a^2 - 1)/h^2."""
     require_magnitude(h, "channel magnitude")
     return (plant.a**2 - 1.0) / h**2
-
-
-def feasible_single(plant: PlantParams, noise: NoisePowers, h: float) -> bool:
-    """Whether the budget clears the stabilizability floor (boundary included)."""
-    return snr_floor(plant, h) <= noise.gamma0
 
 
 @dataclass(frozen=True)
@@ -182,6 +179,16 @@ def _split_slack(
     return floors + s * weights, s
 
 
+def _channel_magnitudes(
+    channel_gains: Sequence[tuple[int, float]], design: str
+) -> tuple[tuple[int, ...], np.ndarray]:
+    """Plant ids and magnitudes of (plant id, |H|) pairs, each a checked magnitude."""
+    if not channel_gains:
+        raise ValueError(f"{design} needs at least one plant")
+    hs = [require_magnitude(h, "channel magnitude") for _, h in channel_gains]
+    return tuple(pid for pid, _ in channel_gains), np.array(hs, dtype=float)
+
+
 def allocate_multi_slow(
     channel_gains: Sequence[tuple[int, float]],
     plant: PlantParams,
@@ -198,10 +205,7 @@ def allocate_multi_slow(
     floors (a^2-1)/h_i^2 splits in proportion to 1/h_i.  The split is
     channel-inverting: larger h_i, smaller gamma_i.
     """
-    if not channel_gains:
-        raise ValueError("allocate_multi_slow needs at least one plant")
-    ids = tuple(pid for pid, _ in channel_gains)
-    hs = np.array([require_magnitude(h, "channel magnitude") for _, h in channel_gains])
+    ids, hs = _channel_magnitudes(channel_gains, "allocate_multi_slow")
     floors = (plant.a * plant.a - 1.0) / hs**2
     gamma, s = _split_slack(floors, 1.0 / hs, noise.gamma0)
     multiplier = None if s is None else plant.sigma_w2 * (plant.a / s) ** 2
@@ -236,6 +240,60 @@ def _stable_quadratic_root(d: np.ndarray, c: np.ndarray, denom_scale: np.ndarray
     return np.where(d >= 0.0, -c / (t * denom_scale), -t / denom_scale)
 
 
+def _budget_products(a: float, hs: np.ndarray, lam: float) -> np.ndarray:
+    """Budget-tight products k~_i(lam): the stabilizing root of each plant's stationarity."""
+    d = (1.0 - a * a) * lam + hs**2
+    c = 4.0 * a * a * hs**2 * lam
+    return _stable_quadratic_root(d, c, 2.0 * a * hs * lam)
+
+
+def _budget_multiplier(a: float, hs: np.ndarray, gamma_tilde: float, uncapped: float) -> float:
+    """The multiplier at which the summed SNR of ``_budget_products`` is gamma~.
+
+    The shares (a^2 - 1 + theta)/h_i^2 that sum to gamma~ lie strictly between
+    each floor and each uncapped SNR a^2/h_i^2, and plant i alone meets its
+    share at lam_i = scale h_i^2.  The summed SNR falls as lam grows, so
+    [min lam_i, max lam_i] brackets the root.  Illinois regula falsi (Dowell &
+    Jarratt, 1971) on log lam shrinks the bracket to a budget residual of
+    _BUDGET_RTOL.
+    """
+    inv_h2 = float((hs**-2).sum())
+    theta = gamma_tilde / inv_h2 - (a * a - 1.0)
+    q = a * a - 1.0 + theta
+    s = math.sqrt(q * theta)
+    b = abs(a)
+    # lam_i = h_i^2 a_c / ((a_c - a)(a a_c - 1)) at the shared closed loop
+    # a_c = (a - sgn(a) s)/(a^2 + theta), free of cancellation; 1 - theta as given
+    scale = (uncapped - gamma_tilde) / inv_h2 * (a * a + theta) ** 2
+    scale /= (b + s) * (b * q + s) * (b * s + theta)
+
+    def residual(lam: float) -> float:
+        k_tilde = _budget_products(a, hs, lam)
+        spent = float((k_tilde**2 / (1.0 - (a + hs * k_tilde) ** 2)).sum())
+        return (spent - gamma_tilde) / gamma_tilde
+
+    lo, hi = scale * float(hs.min()) ** 2, scale * float(hs.max()) ** 2
+    r_lo, r_hi = residual(lo), residual(hi)
+    best = min((abs(r_lo), lo), (abs(r_hi), hi))
+    kept = 0  # the end the last step kept: -1 low, 1 high
+    while best[0] > _BUDGET_RTOL and r_lo > 0.0 > r_hi:
+        lam = math.exp((math.log(lo) * r_hi - math.log(hi) * r_lo) / (r_hi - r_lo))
+        if not lo < lam < hi:  # the bracket is down to adjacent floats
+            break
+        r = residual(lam)
+        best = min(best, (abs(r), lam))
+        # Illinois: an end kept a second time running has its residual halved
+        if r > 0.0:
+            lo, r_lo = lam, r
+            r_hi /= 2.0 if kept == 1 else 1.0
+            kept = 1
+        else:
+            hi, r_hi = lam, r
+            r_lo /= 2.0 if kept == -1 else 1.0
+            kept = -1
+    return best[1]
+
+
 @dataclass(frozen=True)
 class IdenticalActuatorDesign:
     """Per-plant effective products k~_i = K_i G under one shared actuator factor."""
@@ -266,14 +324,11 @@ def optimize_identical_actuator(
     Absorbing G into k~_i = K_i G turns the budget into an effective one,
     gamma~ = G^2 gamma0 / (G^2 + SSR).  If gamma~ covers the unconstrained
     per-plant minima (k~_i = -a/h_i, SNR a^2/h_i^2 each) those are returned;
-    otherwise k~_i follows the budget-tight stationary form, with the
-    multiplier solved by bisection on the summed SNR.
+    otherwise k~_i follows the budget-tight stationary form, whose multiplier
+    solves the summed-SNR equation (``_budget_multiplier``).
     """
     require_positive(g_common, "shared actuator factor")
-    if not channel_gains:
-        raise ValueError("optimize_identical_actuator needs at least one plant")
-    ids = tuple(pid for pid, _ in channel_gains)
-    hs = np.array([h for _, h in channel_gains], dtype=float)
+    ids, hs = _channel_magnitudes(channel_gains, "optimize_identical_actuator")
     a = plant.a
     ssr = noise.ssr(plant)
     gamma_tilde = g_common**2 * noise.gamma0 / (g_common**2 + ssr)
@@ -284,9 +339,6 @@ def optimize_identical_actuator(
             f"the summed floors {floors.sum():.6g}"
         )
 
-    def snr_of(k_tilde: np.ndarray) -> np.ndarray:
-        return k_tilde**2 / (1.0 - (a + hs * k_tilde) ** 2)
-
     unconstrained_snr = float((a * a / hs**2).sum())
     if gamma_tilde >= unconstrained_snr:
         k_tilde = -a / hs
@@ -296,16 +348,8 @@ def optimize_identical_actuator(
         k_tilde = -(a * a - 1.0) / (a * hs)
         regime, multiplier = "budget", None
     else:
-        def products(lam: float) -> np.ndarray:
-            d = (1.0 - a * a) * lam + hs**2
-            c = 4.0 * a * a * hs**2 * lam
-            return _stable_quadratic_root(d, c, 2.0 * a * hs * lam)
-
-        def residual(lam: float) -> float:
-            return (snr_of(products(lam)).sum() - gamma_tilde) / gamma_tilde
-
-        multiplier = bisect_decreasing(residual)
-        k_tilde = products(multiplier)
+        multiplier = _budget_multiplier(a, hs, gamma_tilde, unconstrained_snr)
+        k_tilde = _budget_products(a, hs, multiplier)
         regime = "budget"
 
     a_c = a + hs * k_tilde
@@ -355,10 +399,7 @@ def optimize_identical_controller(
     """Optimal per-plant actuator factors under one shared controller factor K."""
     if not 1e-12 <= abs(k_common) < math.inf:
         raise ValueError(f"shared controller factor must be finite and nonzero (got {k_common!r})")
-    if not channel_gains:
-        raise ValueError("optimize_identical_controller needs at least one plant")
-    ids = tuple(pid for pid, _ in channel_gains)
-    hs = np.array([h for _, h in channel_gains], dtype=float)
+    ids, hs = _channel_magnitudes(channel_gains, "optimize_identical_controller")
     a = plant.a
     ssr = noise.ssr(plant)
     k = float(k_common)

@@ -1,4 +1,4 @@
-"""Property checks of the closed-form SNR allocators over random instances.
+"""Property checks of the SNR allocators and the shared-actuator design.
 
 Each instance is a plant, 2-16 distinct channels and a budget above the
 summed stabilizability floors.  Block-fading magnitudes h lie in [1e-3, 0.1]
@@ -14,7 +14,12 @@ from hypothesis import strategies as st
 
 from wncs.fast_control import ETA, allocate_multi_fast, fast_snr_floor, optimize_single_fast
 from wncs.model import NoisePowers, PlantParams
-from wncs.slow_control import allocate_multi_slow, optimize_single_slow, snr_floor
+from wncs.slow_control import (
+    allocate_multi_slow,
+    optimize_identical_actuator,
+    optimize_single_slow,
+    snr_floor,
+)
 
 SIGMA_Z2 = 1e-7
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
@@ -101,3 +106,98 @@ def test_slow_allocation_properties(instance):
 @given(instances("fast"))
 def test_fast_allocation_properties(instance):
     check_allocation("fast", instance)
+
+
+def bisect_decreasing(residual, start=1.0, rel_tol=1e-12, max_expand=1100, max_iter=400):
+    """Reference root of a decreasing residual on (0, inf).
+
+    A copy of the geometric-bracket bisection the shared-actuator design ran
+    before its bracketed solver, kept as the oracle for that solver.
+    """
+    lo = hi = float(start)
+    r_lo = residual(lo)
+    if r_lo >= 0.0:
+        for _ in range(max_expand):
+            hi *= 2.0
+            if residual(hi) < 0.0:
+                break
+        else:
+            raise RuntimeError("no sign change while expanding up")
+    else:
+        for _ in range(max_expand):
+            lo /= 2.0
+            r_lo = residual(lo)
+            if r_lo >= 0.0:
+                break
+        else:
+            raise RuntimeError("no sign change while expanding down")
+    best_x, best_r = lo, abs(r_lo)
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        if not (lo < mid < hi):
+            break
+        r = residual(mid)
+        if abs(r) < best_r:
+            best_x, best_r = mid, abs(r)
+        if abs(r) <= rel_tol:
+            return mid
+        if r > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return best_x
+
+
+def stationary_products(a, hs, lam):
+    """Budget-tight k~_i(lam), the stabilizing root of
+    a h lam k~^2 - ((1 - a^2) lam + h^2) k~ - a h = 0, in conjugate form."""
+    d = (1.0 - a * a) * lam + hs**2
+    c = 4.0 * a * a * hs**2 * lam
+    t = np.abs(d) + np.sqrt(d * d + c)
+    return np.where(d >= 0.0, -c / (t * 2.0 * a * hs * lam), -t / (2.0 * a * hs * lam))
+
+
+@st.composite
+def shared_instances(draw):
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    plant = PlantParams(
+        a=sign * draw(st.floats(1.01, 1.6)), sigma_w2=10.0 ** draw(st.floats(-3.0, 0.0))
+    )
+    exponents = draw(st.lists(st.integers(*REGIMES["slow"].exponents), min_size=2,
+                              max_size=16, unique=True))
+    hs = np.array([10.0 ** (e / 100.0) for e in exponents])
+    floors, unconstrained = (plant.a**2 - 1.0) / hs**2, plant.a**2 / hs**2
+    # effective budget: the summed floors plus a log-uniform fraction of the way
+    # to the unconstrained SNR, past it about one time in eight
+    fraction = 10.0 ** draw(st.floats(-4.0, 0.5))
+    gamma_tilde = floors.sum() + fraction * (unconstrained.sum() - floors.sum())
+    g_common = 10.0 ** draw(st.floats(0.0, 4.0))
+    ssr = plant.sigma_w2 / SIGMA_Z2
+    noise = NoisePowers(SIGMA_Z2, gamma_tilde * (g_common**2 + ssr) / g_common**2 * SIGMA_Z2)
+    return plant, list(enumerate(hs.tolist(), start=1)), noise, g_common
+
+
+@PROPERTY_SETTINGS
+@given(shared_instances())
+def test_shared_actuator_properties(instance):
+    plant, channels, noise, g_common = instance
+    design = optimize_identical_actuator(channels, plant, noise, g_common)
+    a, hs, gamma_tilde = plant.a, np.array([h for _, h in channels]), design.gamma_tilde
+    k_tilde = np.array(design.k_tilde)
+    a_c = a + hs * k_tilde
+    assert np.all(np.abs(a_c) < 1.0)
+    spent = (k_tilde**2 / (1.0 - a_c**2)).sum()
+    if design.regime == "unconstrained":
+        assert spent <= gamma_tilde * (1.0 + 1e-12)
+        return
+
+    assert abs(spent - gamma_tilde) / gamma_tilde <= 1e-12
+
+    def residual(lam):
+        k = stationary_products(a, hs, lam)
+        return ((k**2 / (1.0 - (a + hs * k) ** 2)).sum() - gamma_tilde) / gamma_tilde
+
+    # normwise: a plant with a small part of the budget is pinned by a 1e-12
+    # budget residual only to about 1e-8 of its own product, in both solvers
+    oracle = stationary_products(a, hs, bisect_decreasing(residual))
+    assert np.max(np.abs(k_tilde - oracle)) <= 1e-9 * np.max(np.abs(oracle))

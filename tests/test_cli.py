@@ -253,6 +253,49 @@ def test_non_finite_input_is_a_usage_error(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "recipe, text, key",
+    [
+        ("select-sweep", "m0: []", "m0"),
+        ("trace", "a_c: []", "a_c"),
+        ("trace", "horizon: 2.9", "horizon"),
+        ("select-sweep", "m0: [2.7]", "m0"),
+    ],
+)
+def test_config_file_value_is_refused_as_its_flag_is(tmp_path, capsys, recipe, text, key):
+    # an empty list or a non-integral count, refused by name before any table
+    # is written, as the flags --m0 , and --horizon 2.9 are
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(text + "\n")
+    out = tmp_path / "x.csv"
+    assert main([recipe, "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"setting {key} " in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "recipe, text, flags",
+    [
+        ("multi-slow", "channels: 0.01", ["--h", "0.01"]),
+        ("trace", "a_c: 0.5", ["--a-c", "0.5"]),
+    ],
+)
+def test_config_file_scalar_is_a_one_item_list(tmp_path, recipe, text, flags):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(text + "\n")
+    small = ["--horizon", "20", "--replicas", "4"]
+    by_file, by_flag = tmp_path / "file.csv", tmp_path / "flag.csv"
+    assert main([recipe, "--config", str(cfg), *small, "--out", str(by_file)]) == EXIT_OK
+    assert main([recipe, *flags, *small, "--out", str(by_flag)]) == EXIT_OK
+    assert by_file.read_bytes() == by_flag.read_bytes()
+    configs = [json.loads((tmp_path / f"{p.name}.meta.json").read_text())["config"]
+               for p in (by_file, by_flag)]
+    for config in configs:
+        del config["out"]
+    assert configs[0] == configs[1]
+
+
 def test_shared_gain_columns(tmp_path):
     out = tmp_path / "shared.csv"
     code = run_main(

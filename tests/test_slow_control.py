@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 from wncs.model import GainPair, NoisePowers, PlantParams
 from wncs.slow_control import (
     allocate_multi_slow,
-    feasible_single,
     optimize_identical_actuator,
     optimize_identical_controller,
     optimize_single_slow,
@@ -55,12 +54,12 @@ def grid_min_cost(plant, noise, h, gamma, k_points=400, g_points=400):
 
 def test_snr_floor_and_feasibility():
     assert snr_floor(PLANT, 0.01) == pytest.approx(12500.0)
-    assert feasible_single(PLANT, NOISE, 0.01)
+    assert snr_floor(PLANT, 0.01) <= NOISE.gamma0
     # boundary budget is feasible (inclusive)
     boundary = NoisePowers(sigma_z2=1e-7, p0=12500.0 * 1e-7)
-    assert feasible_single(PLANT, boundary, 0.01)
+    assert snr_floor(PLANT, 0.01) <= boundary.gamma0
     below = NoisePowers(sigma_z2=1e-7, p0=12499.0 * 1e-7)
-    assert not feasible_single(PLANT, below, 0.01)
+    assert not snr_floor(PLANT, 0.01) <= below.gamma0
     for h in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             snr_floor(PLANT, h)
@@ -304,6 +303,18 @@ def test_identical_actuator_validation():
         optimize_identical_actuator([(0, 0.01)], PLANT, NOISE, g_common=0.0)
     with pytest.raises(ValueError):
         optimize_identical_actuator([], PLANT, NOISE, g_common=100.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -0.01, 1e200])
+@pytest.mark.parametrize(
+    "design", [optimize_identical_actuator, optimize_identical_controller], ids=lambda f: f.__name__
+)
+def test_shared_designs_refuse_bad_channel_magnitudes(design, bad):
+    # as allocate_multi_slow does: refused before any arithmetic, not a solver
+    # failure or a NaN cost reported as merely infeasible
+    factor = 1000.0 if design is optimize_identical_actuator else -1.0
+    with pytest.raises(ValueError, match="channel magnitude"):
+        design([(1, bad), (2, 0.02)], PLANT, NOISE, factor)
 
 
 def test_identical_controller_zero_discriminant_point():
