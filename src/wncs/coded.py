@@ -205,24 +205,80 @@ def required_success_probability(plant: PlantParams, scheme: CodingScheme) -> fl
     return 1.0 - abs(plant.a) ** (-2 * scheme.latency)
 
 
+#: largest message length whose 2^k codewords the link tabulates (the next
+#: perfect t = 1 code after (15, 11) is (31, 26), whose table would not fit)
+_MAX_TABLE_K = 16
+
+
+@lru_cache(maxsize=None)
+def _label_table(scheme: CodingScheme) -> tuple[np.ndarray, np.ndarray]:
+    """Every codeword's per-axis Gray labels, (2^k, d, 2), and their code-bit mask, (d, 2).
+
+    Row m is the codeword of message m (its bits read as an MSB-first
+    integer), zero-padded to d whole symbols and cut into the labels
+    ``qam_modulate`` reads: per symbol, the in-phase label from the first L/2
+    bits and the quadrature label from the last.  The mask, cut the same way,
+    has a 1 at every label bit that carries a code bit and a 0 at padding.
+    """
+    k, half = scheme.k, scheme.bits_per_symbol // 2
+    if k > _MAX_TABLE_K:
+        raise ValueError(f"the coded link tabulates all 2^k codewords; k = {k} > {_MAX_TABLE_K}")
+    words = np.zeros(((1 << k) + 1, scheme.latency * scheme.bits_per_symbol), dtype=np.uint8)
+    messages = (np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
+    words[:-1, : scheme.n] = bch_encode(messages, scheme)
+    words[-1, : scheme.n] = 1
+    grouped = words.reshape(len(words), scheme.latency, 2, half)
+    labels = grouped @ (1 << np.arange(half - 1, -1, -1))
+    labels = labels.astype(np.min_scalar_type((1 << half) - 1))
+    labels.flags.writeable = False  # shared by every caller through the cache
+    return labels[:-1], labels[-1]
+
+
+#: set bits of every byte
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
 def _link_success(
     sent: np.ndarray, scheme: CodingScheme, noise: NoisePowers, h: float, rng: np.random.Generator
 ) -> np.ndarray:
     """Send (..., k) message bits over the coded link; True where a word arrives intact.
 
-    Encode, zero-pad to whole symbols, modulate at power p0, scale by h, add
-    complex AWGN of power sigma_z2 per real dimension, detect, decode and
-    compare with what was sent.
+    The link encodes, zero-pads to whole symbols, modulates at power p0,
+    scales by h, adds complex AWGN of power sigma_z2 per real dimension
+    (real parts drawn first), detects and decodes.  A perfect t = 1 code
+    returns the sent message iff at most one code bit is wrong, so each axis
+    is detected in real arithmetic from the codeword's label-table row, and
+    the word succeeds iff its label XOR has at most one set bit on code bits.
     """
-    pad = scheme.latency * scheme.bits_per_symbol - scheme.n
-    coded = bch_encode(sent, scheme)
-    padded = np.concatenate([coded, np.zeros((*sent.shape[:-1], pad), dtype=np.uint8)], axis=-1)
-    tx = qam_modulate(padded, scheme.bits_per_symbol, noise.p0)
+    if not (math.isfinite(h) and h != 0.0):
+        raise ValueError(f"channel gain must be finite and nonzero (got {h!r})")
+    levels, c = _axis_scale(scheme.bits_per_symbol, noise.p0)
+    table, mask = _label_table(scheme)
+    to_gray, from_gray = _gray_maps(levels)
+    to_gray = to_gray.astype(table.dtype)  # detected labels at the table's width, not int64
+    amplitude = (2.0 * from_gray - (levels - 1)) * c
     std = math.sqrt(noise.sigma_z2)
-    rx = h * tx + rng.normal(0.0, std, tx.shape) + 1j * rng.normal(0.0, std, tx.shape)
-    bits = qam_detect(rx, scheme.bits_per_symbol, noise.p0, h)
-    decoded, _ = bch_decode(bits[..., : scheme.n], scheme)
-    return np.all(decoded == sent, axis=-1)
+    # weights of the table's index width: a wider matmul would copy sent at that width
+    weights = (1 << np.arange(scheme.k - 1, -1, -1)).astype(np.min_scalar_type(len(table) - 1))
+    labels = table[sent @ weights]
+    errors = np.empty_like(labels)
+    for axis in (0, 1):
+        # in place, in qam_detect's order: ((h amp + noise) / h / c + L - 1) / 2
+        y = amplitude[labels[..., axis]]
+        y *= h
+        y += rng.normal(0.0, std, y.shape)
+        y /= h
+        y /= c
+        y += levels - 1
+        y /= 2.0
+        np.clip(np.rint(y, out=y), 0, levels - 1, out=y)
+        errors[..., axis] = to_gray[y.astype(np.intp)]
+    errors ^= labels
+    errors &= mask
+    flips = _POPCOUNT[errors.view(np.uint8)].reshape(*sent.shape[:-1], mask.nbytes)
+    # summed as a matmul, far faster than sum() over so short an axis; a code
+    # whose table fits in memory has n < 256, so the uint8 count cannot wrap
+    return flips @ np.ones(flips.shape[-1], dtype=np.uint8) <= 1
 
 
 def estimate_word_success(
@@ -266,23 +322,20 @@ def run_coded_control(
         raise ValueError(f"replicas must be >= 1 (got {replicas})")
     d = scheme.latency
     n_epochs = horizon // d
-    if n_epochs:
-        # success flags are payload-independent, so simulate the link first
-        sent = rng.integers(0, 2, size=(replicas, n_epochs, scheme.k), dtype=np.uint8)
-        success = _link_success(sent, scheme, noise, h, rng)
-    else:
-        success = np.zeros((replicas, 0), dtype=bool)
+    # success flags are payload-independent, so simulate the link first
+    sent = rng.integers(0, 2, size=(replicas, n_epochs, scheme.k), dtype=np.uint8)
+    success = _link_success(sent, scheme, noise, h, rng)
 
     a = plant.a
     n = rng.normal(0.0, math.sqrt(plant.sigma_w2), (replicas, horizon))
-    c = np.full((replicas, horizon), a)
-    # (replicas, epochs, d) views of the whole epochs: writes land in c and n
-    epoch_c = c[:, : n_epochs * d].reshape(replicas, n_epochs, d)
+    # (replicas, epochs, d) view of the whole epochs: writes land in n
     epoch_n = n[:, : n_epochs * d].reshape(replicas, n_epochs, d)
     open_loop = epoch_n[..., :-1] @ a ** np.arange(d - 2, -1, -1)
-    np.copyto(epoch_c[..., -1], 0.0, where=success)
     np.add(epoch_n[..., -1], a * open_loop, out=epoch_n[..., -1], where=success)
-    states, diverged = simulate_loop(c, n)
+    del sent, open_loop  # the kernel's copies set the peak: free what it does not read
+    reset = np.zeros((replicas, horizon), dtype=bool)
+    reset[:, d - 1 : n_epochs * d : d] = success
+    states, diverged = simulate_loop(a, n, reset=reset)
 
     cost = float(np.mean(states**2, axis=1).mean())
     p_hat = float(success.mean()) if success.size else 0.0

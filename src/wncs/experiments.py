@@ -32,7 +32,7 @@ from .model import (
     simulate_loop,
 )
 from .slow_control import allocate_multi_slow, optimize_single_slow, select_plants, snr_floor
-from .slow_control import optimize_identical_actuator, optimize_identical_controller
+from .slow_control import Infeasible, optimize_identical_actuator, optimize_identical_controller
 
 # substream key vocabulary: kind of recipe, then purpose of the draw
 _KIND_TRACE, _KIND_COMPARE, _KIND_MULTI_SLOW, _KIND_MULTI_FAST, _KIND_SELECT = range(5)
@@ -401,7 +401,7 @@ def add_shared_gain_series(
         for p0 in spec.powers_w:
             try:
                 design = optimize(channels, spec.plant, spec.noise_at(p0), factor)
-            except ValueError:
+            except Infeasible:
                 design = None
             if design is None or not getattr(design, "feasible", True):
                 rows.append(None)

@@ -122,25 +122,31 @@ def predicted_cost_slow(
 
 
 def simulate_loop(
-    coeff: "float | np.ndarray", noise: np.ndarray, x0: float = 0.0
+    coeff: "float | np.ndarray", noise: np.ndarray, x0: float = 0.0,
+    reset: "np.ndarray | None" = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run x(t+1) = c_t x(t) + n_t over a (replicas, T) noise block, from x0.
 
     ``coeff`` is one closed-loop factor for every step (slow fading) or a
-    (replicas, T) array of per-step factors (fast fading, the coded loop's
-    epoch resets).  States beyond the divergence guard are clamped and
-    flagged; returns (states, diverged-per-replica).
+    (replicas, T) array of per-step factors (fast fading).  ``reset`` is an
+    optional (replicas, T) mask of steps whose factor is 0 instead (the coded
+    loop's decoded epochs), where the state restarts from n_t alone.  States
+    beyond the divergence guard are clamped and flagged; returns (states,
+    diverged-per-replica).
     """
     replicas, horizon = noise.shape
     per_step = not np.isscalar(coeff)
     # stepped time-major, so that every step reads and writes contiguous rows
     coeff_t = coeff.T.copy() if per_step else coeff
     noise_t = noise.T.copy()
+    reset_t = None if reset is None else reset.T.copy()
     x = np.full(replicas, float(x0))
     states_t = np.empty((horizon, replicas))
     diverged = np.zeros(replicas, dtype=bool)
     for t in range(horizon):
         x = (coeff_t[t] if per_step else coeff_t) * x + noise_t[t]
+        if reset_t is not None:
+            np.copyto(x, noise_t[t], where=reset_t[t])
         over = np.abs(x) > DIVERGENCE_GUARD
         if over.any():
             diverged |= over

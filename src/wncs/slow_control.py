@@ -39,6 +39,10 @@ _BOUNDARY_RTOL = 1e-12
 _BUDGET_RTOL = 1e-12
 
 
+class Infeasible(ValueError):
+    """The budget or shared factor admits no stabilizing design: a verdict, not bad input."""
+
+
 def snr_floor(plant: PlantParams, h: float) -> float:
     """Minimum SNR that admits any stabilizing design: (a^2 - 1)/h^2."""
     require_magnitude(h, "channel magnitude")
@@ -77,12 +81,17 @@ def optimize_single_slow(
     g0 = noise.gamma0 if gamma is None else float(gamma)
     floor = snr_floor(plant, h)
     if g0 < floor:
-        raise ValueError(
+        raise Infeasible(
             f"infeasible: budget gamma={g0:.6g} is below the stabilizability "
             f"floor (a^2-1)/h^2 = {floor:.6g}"
         )
     a = plant.a
     h2g = h * h * g0
+    # (h2g + 1) * margin below is about h2g^2: refuse a channel that overflows it
+    if not math.isfinite(h2g * h2g):
+        raise ValueError(
+            f"channel magnitude {h!r} is too large: h^2 gamma = {h2g!r} overflows when squared"
+        )
     a_c = a / (1.0 + h2g)
     # at the boundary h^2 gamma = a^2 - 1 the optimal K collapses to 0 while
     # the product G K stays finite and the cost diverges (G -> inf)
@@ -167,7 +176,7 @@ def _split_slack(
     """
     slack = gamma0 - floors.sum()
     if slack < 0.0:
-        raise ValueError(
+        raise Infeasible(
             f"infeasible: summed stabilizability floors {floors.sum():.6g} "
             f"exceed the budget gamma0 = {gamma0:.6g}"
         )
@@ -180,12 +189,24 @@ def _split_slack(
 
 
 def _channel_magnitudes(
-    channel_gains: Sequence[tuple[int, float]], design: str
+    channel_gains: Sequence[tuple[int, float]], design: str, scale: float, product: str
 ) -> tuple[tuple[int, ...], np.ndarray]:
-    """Plant ids and magnitudes of (plant id, |H|) pairs, each a checked magnitude."""
+    """Plant ids and magnitudes of (plant id, |H|) pairs, each a checked magnitude.
+
+    The designs multiply two terms of size h^2 scale (scale is the SNR budget,
+    or k^2 SSR under a shared controller factor), so the largest h must also
+    keep (h^2 scale)^2 finite; ``product`` names h^2 scale in the refusal.
+    """
     if not channel_gains:
         raise ValueError(f"{design} needs at least one plant")
     hs = [require_magnitude(h, "channel magnitude") for _, h in channel_gains]
+    top = max(hs)
+    h2s = top * top * scale
+    if not math.isfinite(h2s * h2s):
+        raise ValueError(
+            f"plant {channel_gains[hs.index(top)][0]}'s channel magnitude {top!r} is too "
+            f"large: {product} = {h2s!r} overflows when squared"
+        )
     return tuple(pid for pid, _ in channel_gains), np.array(hs, dtype=float)
 
 
@@ -205,7 +226,7 @@ def allocate_multi_slow(
     floors (a^2-1)/h_i^2 splits in proportion to 1/h_i.  The split is
     channel-inverting: larger h_i, smaller gamma_i.
     """
-    ids, hs = _channel_magnitudes(channel_gains, "allocate_multi_slow")
+    ids, hs = _channel_magnitudes(channel_gains, "allocate_multi_slow", noise.gamma0, "h^2 gamma0")
     floors = (plant.a * plant.a - 1.0) / hs**2
     gamma, s = _split_slack(floors, 1.0 / hs, noise.gamma0)
     multiplier = None if s is None else plant.sigma_w2 * (plant.a / s) ** 2
@@ -328,13 +349,15 @@ def optimize_identical_actuator(
     solves the summed-SNR equation (``_budget_multiplier``).
     """
     require_positive(g_common, "shared actuator factor")
-    ids, hs = _channel_magnitudes(channel_gains, "optimize_identical_actuator")
+    ids, hs = _channel_magnitudes(
+        channel_gains, "optimize_identical_actuator", noise.gamma0, "h^2 gamma0"
+    )
     a = plant.a
     ssr = noise.ssr(plant)
     gamma_tilde = g_common**2 * noise.gamma0 / (g_common**2 + ssr)
     floors = (a * a - 1.0) / hs**2
     if floors.sum() > gamma_tilde:
-        raise ValueError(
+        raise Infeasible(
             f"infeasible: effective budget gamma~ = {gamma_tilde:.6g} is below "
             f"the summed floors {floors.sum():.6g}"
         )
@@ -399,16 +422,18 @@ def optimize_identical_controller(
     """Optimal per-plant actuator factors under one shared controller factor K."""
     if not 1e-12 <= abs(k_common) < math.inf:
         raise ValueError(f"shared controller factor must be finite and nonzero (got {k_common!r})")
-    ids, hs = _channel_magnitudes(channel_gains, "optimize_identical_controller")
-    a = plant.a
-    ssr = noise.ssr(plant)
     k = float(k_common)
+    ssr = noise.ssr(plant)
+    ids, hs = _channel_magnitudes(
+        channel_gains, "optimize_identical_controller", k * k * ssr, "h^2 k^2 SSR"
+    )
+    a = plant.a
     e = 1.0 - a * a + hs * hs * k * k * ssr
     c = 4.0 * a * a * hs * hs * k * k * ssr
     g = _stable_quadratic_root(e, c, 2.0 * a * hs * k)
     a_c = a + hs * k * g
     if np.any(np.abs(a_c) >= 1.0):
-        raise ValueError("shared controller factor yields an unstable closed loop")
+        raise Infeasible("shared controller factor yields an unstable closed loop")
     costs = noise.sigma_z2 * (g**2 + ssr) / (1.0 - a_c**2)
     total = float(costs.sum())
     limit = noise.sigma_z2 * noise.gamma0 / k**2

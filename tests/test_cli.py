@@ -1,6 +1,7 @@
 """Command-line surface: units, grids, config layering, CSV contract, exits."""
 import json
 import math
+import shlex
 
 import numpy as np
 import pytest
@@ -235,6 +236,7 @@ def test_usage_errors_exit_1(tmp_path):
         ["compare", "--grid", "-inf:0:1 dBm"],
         ["compare", "--grid", "nan:0:1 dBm"],
         ["compare", "--h", "1e200"],
+        ["compare", "--h", "1e150"],
         ["compare", "--a", "1e200"],
         ["multi-slow", "--h", "1e200,0.02"],
         ["trace", "--h", "1e200"],
@@ -250,6 +252,23 @@ def test_non_finite_input_is_a_usage_error(tmp_path, capsys, argv):
     assert main([*argv, "--out", str(out)]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, channel",
+    [
+        ("--h 1e150,0.02 --grid '20 dBm' --k-common -1 --replicas 10 --horizon 20", "1e+150"),
+        ("--h 1e70,0.02 --grid '20 dBm' --k-common=-1e10 --replicas 10 --horizon 20", "1e+70"),
+    ],
+)
+def test_multi_slow_refuses_a_channel_the_design_overflows(tmp_path, capsys, argv, channel):
+    # h^2 gamma0 (or h^2 k^2 SSR for --k-common) is finite here but its
+    # square is not: refused by name, not a g1 = 0.0 row with INF shared cells
+    out = tmp_path / "x.csv"
+    assert main(["multi-slow", *shlex.split(argv), "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"plant 1's channel magnitude {channel}" in err and "Traceback" not in err
     assert not out.exists()
 
 

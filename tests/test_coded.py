@@ -219,13 +219,64 @@ def test_custom_scheme_latency_rounding():
     assert scheme.latency == 3
 
 
+def test_link_refuses_a_code_too_long_to_tabulate():
+    # (31, 26) is a perfect t = 1 code, but its 2^26-row label table would not fit
+    scheme = CodingScheme("h31", n=31, k=26, generator=0b100101, bits_per_symbol=2)
+    noise = NoisePowers(sigma_z2=1e-7, p0=0.1)
+    with pytest.raises(ValueError, match="2\\^k"):
+        run_coded_control(PLANT, noise, 0.01, scheme, horizon=16, rng=substream(0, 0))
+
+
+def _reference_link_success(sent, scheme, noise, h, rng):
+    """The coded link's whole chain: encode, pad, modulate, complex AWGN, detect, decode."""
+    pad = scheme.latency * scheme.bits_per_symbol - scheme.n
+    coded = bch_encode(sent, scheme)
+    padded = np.concatenate([coded, np.zeros((*sent.shape[:-1], pad), dtype=np.uint8)], axis=-1)
+    tx = qam_modulate(padded, scheme.bits_per_symbol, noise.p0)
+    std = math.sqrt(noise.sigma_z2)
+    rx = h * tx + rng.normal(0.0, std, tx.shape) + 1j * rng.normal(0.0, std, tx.shape)
+    bits = qam_detect(rx, scheme.bits_per_symbol, noise.p0, h)
+    decoded, _ = bch_decode(bits[..., : scheme.n], scheme)
+    return np.all(decoded == sent, axis=-1)
+
+
+OWN_SCHEME = CodingScheme("own", 15, 11, 0b10011, bits_per_symbol=6)  # 3 padding bits
+
+
+@pytest.mark.parametrize("scheme", [*SCHEMES.values(), OWN_SCHEME], ids=lambda s: s.name)
+@pytest.mark.parametrize("p0_dbm", [0.1, 1.0, 10.0])
+@pytest.mark.parametrize("h", [0.01, -0.01])
+def test_link_matches_the_codec_chain(scheme, p0_dbm, h):
+    # the label-table link must give the chain's flags from the same draws;
+    # every cell holds both verdicts, so equal flags pin both
+    noise = NoisePowers(sigma_z2=1e-7, p0=1e-3 * 10.0 ** (p0_dbm / 10.0))
+    got_rng, want_rng = substream(3, 0), substream(3, 0)
+    sent = got_rng.integers(0, 2, size=(300, 40, scheme.k), dtype=np.uint8)
+    want_rng.integers(0, 2, size=sent.shape, dtype=np.uint8)
+    got = _link_success(sent, scheme, noise, h, got_rng)
+    want = _reference_link_success(sent, scheme, noise, h, want_rng)
+    assert want.any() and not want.all()
+    assert_array_equal(got, want)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf, 0.0])
+def test_coded_link_refuses_a_dead_or_non_finite_gain(h):
+    noise = NoisePowers(sigma_z2=1e-7, p0=0.1)
+    scheme = SCHEMES["bch7_4_qam16"]
+    with pytest.raises(ValueError, match="channel gain"):
+        run_coded_control(PLANT, noise, h, scheme, horizon=10, rng=substream(0, 0))
+    with pytest.raises(ValueError, match="channel gain"):
+        estimate_word_success(scheme, noise, h, substream(0, 0), words=10)
+
+
 def _per_symbol_reference(noise, scheme, horizon, rng, replicas):
     """The coded loop stepped symbol by symbol: u = -a^d x(s) at a decoded epoch's end."""
     d = scheme.latency
     n_epochs = horizon // d
     if n_epochs:
         sent = rng.integers(0, 2, size=(replicas, n_epochs, scheme.k), dtype=np.uint8)
-        success = _link_success(sent, scheme, noise, 0.01, rng)
+        success = _reference_link_success(sent, scheme, noise, 0.01, rng)
     else:
         success = np.zeros((replicas, 0), dtype=bool)
     w = rng.normal(0.0, math.sqrt(PLANT.sigma_w2), (replicas, horizon))

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from wncs.model import GainPair, NoisePowers, PlantParams
 from wncs.slow_control import (
+    Infeasible,
     allocate_multi_slow,
     optimize_identical_actuator,
     optimize_identical_controller,
@@ -305,16 +306,18 @@ def test_identical_actuator_validation():
         optimize_identical_actuator([], PLANT, NOISE, g_common=100.0)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -0.01, 1e200])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -0.01, 1e200, 1e150])
 @pytest.mark.parametrize(
     "design", [optimize_identical_actuator, optimize_identical_controller], ids=lambda f: f.__name__
 )
 def test_shared_designs_refuse_bad_channel_magnitudes(design, bad):
     # as allocate_multi_slow does: refused before any arithmetic, not a solver
-    # failure or a NaN cost reported as merely infeasible
+    # failure or a NaN cost reported as merely infeasible (1e150: h^2 gamma0
+    # and h^2 k^2 SSR are finite, their squares are not)
     factor = 1000.0 if design is optimize_identical_actuator else -1.0
-    with pytest.raises(ValueError, match="channel magnitude"):
+    with pytest.raises(ValueError, match="channel magnitude") as refused:
         design([(1, bad), (2, 0.02)], PLANT, NOISE, factor)
+    assert not isinstance(refused.value, Infeasible)
 
 
 def test_identical_controller_zero_discriminant_point():
