@@ -36,7 +36,6 @@ from .experiments import (
 from .fading import rayleigh_gain_samples, substream
 from .fast_control import (
     ETA,
-    FastDesign,
     FastSingleDesign,
     allocate_multi_fast,
     expected_ac2,
@@ -55,7 +54,7 @@ from .model import (
 from .slow_control import (
     IdenticalActuatorDesign,
     IdenticalControllerDesign,
-    SlowDesign,
+    MultiDesign,
     SlowSingleDesign,
     SnrAllocation,
     allocate_multi_slow,
@@ -73,14 +72,13 @@ __all__ = [
     "SCHEMES",
     "CodingScheme",
     "ExperimentSpec",
-    "FastDesign",
     "FastSingleDesign",
     "GainPair",
     "IdenticalActuatorDesign",
     "IdenticalControllerDesign",
+    "MultiDesign",
     "NoisePowers",
     "PlantParams",
-    "SlowDesign",
     "SlowSingleDesign",
     "SnrAllocation",
     "SweepResult",

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import math
 import re
@@ -163,6 +164,11 @@ def _list_of(item: Callable) -> Callable:
     return parse
 
 
+def _default(callee: Callable, keyword: str):
+    """The default of ``keyword`` in the signature of a recipe or of ExperimentSpec."""
+    return inspect.signature(callee).parameters[keyword].default
+
+
 _GRID_DEFAULTS = {
     "compare": "0:40:5 dBm",
     "multi-slow": "0:20:2 dBm",
@@ -174,6 +180,7 @@ _GRID_DEFAULTS = {
 #: every setting: (RunConfig field, flag, config-file key, default, parser).
 #: Flags beat the file, the file beats the default; a callable default takes
 #: the recipe name.  ``trace`` reads its one budget from p0, the rest a grid.
+#: Run sizes and recipe keywords default to what ExperimentSpec and the recipes say.
 _SETTINGS = (
     # the selection recipe defaults to a milder plant, per its usual usage
     ("a", "a", "a", lambda kind: 1.1 if kind == "select-sweep" else 1.5, _real),
@@ -181,19 +188,22 @@ _SETTINGS = (
     ("sigma_z2_w", "sigma_z2", "sigma_z2", "-40 dBm", parse_power),
     ("powers_w", "p0", "p0", "20 dBm", lambda v: (parse_power(v),)),
     ("powers_w", "grid", "grid", _GRID_DEFAULTS.get, parse_power_grid),
-    ("horizon", "horizon", "horizon", 500, _integer),
-    ("replicas", "replicas", "replicas", 1000, _integer),
-    ("seed", "seed", "seed", 0, _integer),
+    ("horizon", "horizon", "horizon", _default(ExperimentSpec, "horizon"), _integer),
+    ("replicas", "replicas", "replicas", _default(ExperimentSpec, "replicas"), _integer),
+    ("seed", "seed", "seed", _default(ExperimentSpec, "seed"), _integer),
     ("out", "out", "out", "{}.csv".format, str),
     ("h", "h", "h", 0.01, _real),
     ("channel_gains", "channel_gains", "channels", (0.01, 0.02), _list_of(_real)),
     ("sigma_h2", "sigma_h2", "sigma_h2", (1e-4, 4e-4), _list_of(_real)),
     ("a_c", "a_c", "a_c", (0.6, 0.9, 1.01), _list_of(_real)),
-    ("x0", "x0", "x0", 5.0, _real),
-    ("m0", "m0", "m0", (2, 5, 10), _list_of(_integer)),
-    ("realizations", "realizations", "realizations", 10000, _integer),
-    ("mean_gain", "mean_gain", "mean_gain", 1e-4, _real),
-    ("schemes", "schemes", "schemes", tuple(SCHEMES), _list_of(lambda v: str(v).strip())),
+    ("x0", "x0", "x0", _default(run_trace, "x0"), _real),
+    ("m0", "m0", "m0", _default(run_selection_sweep, "m0_values"), _list_of(_integer)),
+    ("realizations", "realizations", "realizations",
+     _default(run_selection_sweep, "realizations"), _integer),
+    ("mean_gain", "mean_gain", "mean_gain",
+     _default(run_selection_sweep, "mean_power_gain"), _real),
+    ("schemes", "schemes", "schemes", _default(run_single_compare, "schemes"),
+     _list_of(lambda v: str(v).strip())),
     ("g_common", "g_common", "g_common", None, _real),
     ("k_common", "k_common", "k_common", None, _real),
 )
@@ -292,13 +302,12 @@ def emit_csv(result: SweepResult, path: str, config: Optional[RunConfig] = None)
     replica count, resolved configuration and its hash, so a CSV can always
     be traced back to the exact run that produced it.
     """
-    names = list(result.series)
+    names, bounded = list(result.series), result.bounded
     lines = [",".join([result.x_name, *names])]
     for i, xv in enumerate(result.x):
         cells = [_fmt(xv)]
         for name in names:
-            ok = result.bounded[name][i]
-            cells.append(_fmt(result.series[name][i]) if ok else INF_TOKEN)
+            cells.append(_fmt(result.series[name][i]) if bounded[name][i] else INF_TOKEN)
         lines.append(",".join(cells))
     _write(path, "\n".join(lines) + "\n")
     sidecar = {

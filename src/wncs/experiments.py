@@ -73,27 +73,38 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """One experiment's table: shared x column, named series, bounded flags.
+    """One experiment's table: shared x column and named series.
 
-    ``series[name][i]`` is the value at ``x[i]``; ``bounded[name][i]`` False
-    marks cells with no finite value (infeasible design or diverged
-    simulation) -- their numeric entry is a placeholder and serializers must
-    render the INF token instead.  ``meta`` carries seed, replica count and
-    recipe-specific diagnostics for the sidecar.
+    ``series[name][i]`` is the value at ``x[i]``; a cell with no finite value
+    (infeasible design or diverged simulation) holds inf.  ``meta`` carries
+    seed, replica count and recipe-specific diagnostics for the sidecar.
     """
 
     x_name: str
     x: tuple[float, ...]
     series: dict[str, tuple[float, ...]]
-    bounded: dict[str, tuple[bool, ...]]
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         for name, ys in self.series.items():
             if len(ys) != len(self.x):
                 raise ValueError(f"series {name!r} length {len(ys)} != grid {len(self.x)}")
-            if len(self.bounded[name]) != len(self.x):
-                raise ValueError(f"bounded flags for {name!r} do not match the grid")
+
+    @property
+    def bounded(self) -> dict[str, tuple[bool, ...]]:
+        """Per series, whether each cell holds a finite value."""
+        return {name: tuple(map(math.isfinite, ys)) for name, ys in self.series.items()}
+
+
+def _refuse_clashes(values: Sequence, labels: Sequence[str], what: str) -> None:
+    """ValueError naming two entries of ``values`` whose column labels coincide."""
+    seen: dict[str, object] = {}
+    for value, label in zip(values, labels):
+        if label in seen:
+            raise ValueError(
+                f"{what} {seen[label]!r} and {value!r} share the column label {label!r}"
+            )
+        seen[label] = value
 
 
 def _simulated_blocks(
@@ -123,13 +134,14 @@ def _simulated_blocks(
         yield simulate_loop(coeff, g * z + w, x0)
 
 
-def _mean_cost(blocks: Iterator[tuple[np.ndarray, np.ndarray]]) -> tuple[float, bool]:
-    """Time-average cost over every replica, and whether none diverged."""
-    per_replica, ok = [], True
+def _mean_cost(blocks: Iterator[tuple[np.ndarray, np.ndarray]]) -> float:
+    """Time-average cost over every replica; inf once any replica diverges."""
+    per_replica = []
     for states, diverged in blocks:
+        if diverged.any():
+            return math.inf
         per_replica.append(np.mean(states**2, axis=1))
-        ok = ok and not bool(diverged.any())
-    return float(np.concatenate(per_replica).mean()), ok
+    return float(np.concatenate(per_replica).mean())
 
 
 # ---------------------------------------------------------------------------
@@ -170,18 +182,21 @@ def run_trace(
     For each a_c the loop runs with budget-saturating implied gains at
     spec.powers_w[0] (unreachable a_c fall back to the bare recursion).  The
     x series shows replica 0's trajectory; the j series is the running cost
-    averaged across replicas, transient included.
+    averaged across replicas, transient included.  A state past the
+    divergence guard is inf, and so is every running cost of a factor with a
+    diverged replica.
     """
     if not math.isfinite(x0):
         raise ValueError(f"initial state must be finite (got {x0!r})")
+    labels = [f"ac{a_c:g}" for a_c in a_c_values]
+    _refuse_clashes(a_c_values, labels, "closed-loop factors")
     p0 = spec.powers_w[0]
     noise = spec.noise_at(p0)
     t_axis = tuple(float(t) for t in range(1, spec.horizon + 1))
     series: dict[str, tuple[float, ...]] = {}
-    bounded: dict[str, tuple[bool, ...]] = {}
     gains_used: dict[str, Optional[tuple[float, float]]] = {}
     predicted: dict[str, Optional[float]] = {}
-    for idx, a_c in enumerate(a_c_values):
+    for idx, (a_c, label) in enumerate(zip(a_c_values, labels)):
         gains = implied_trace_gains(spec.plant, noise, h, a_c)
         g = gains.g if gains is not None else 0.0
         first, sum_sq, ok = None, np.zeros(spec.horizon), True
@@ -190,12 +205,10 @@ def run_trace(
             # rows summed in dense row order: the block size changes no bit
             sum_sq = np.add.reduce(np.concatenate([sum_sq[None], states**2]), axis=0)
             ok = ok and not bool(diverged.any())
-        label = f"ac{a_c:g}"
         running = np.cumsum(sum_sq / spec.replicas) / np.arange(1, spec.horizon + 1)
-        series[f"x_{label}"] = tuple(map(float, first))
-        bounded[f"x_{label}"] = tuple([not bool(np.abs(s) >= DIVERGENCE_GUARD) for s in first])
-        series[f"j_{label}"] = tuple(map(float, running))
-        bounded[f"j_{label}"] = tuple([ok] * spec.horizon)
+        shown = np.where(np.abs(first) < DIVERGENCE_GUARD, first, math.inf)
+        series[f"x_{label}"] = tuple(shown.tolist())
+        series[f"j_{label}"] = tuple(running.tolist()) if ok else (math.inf,) * spec.horizon
         gains_used[label] = None if gains is None else (gains.k, gains.g)
         if gains is None:
             predicted[label] = None if abs(a_c) >= 1.0 else spec.plant.sigma_w2 / (1.0 - a_c * a_c)
@@ -211,7 +224,7 @@ def run_trace(
         "gains": gains_used,
         "predicted_j_ave": predicted,
     }
-    return SweepResult(x_name="t", x=t_axis, series=series, bounded=bounded, meta=meta)
+    return SweepResult(x_name="t", x=t_axis, series=series, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -227,21 +240,21 @@ def run_single_compare(
     """Analog-optimal and coded-baseline costs over the power grid.
 
     The analog series carry the closed-form prediction and the simulated
-    cost; below the stabilizability threshold (a^2-1)/h^2 both are flagged
-    unbounded.  Each coded scheme is simulated at every grid point regardless
-    (divergence shows up as an unbounded flag, not an error).
+    cost; below the stabilizability threshold (a^2-1)/h^2 both are inf.  Each
+    coded scheme is simulated at every grid point regardless (an unstable
+    verdict is an inf cell, not an error).
     """
     unknown = [s for s in schemes if s not in SCHEMES]
     if unknown:
         raise ValueError(f"unknown coding scheme(s): {unknown}")
+    _refuse_clashes(schemes, schemes, "coding schemes")
     floor = snr_floor(spec.plant, h)
     names = ["analog_pred", "analog_sim", *schemes]
     cols: dict[str, list[float]] = {n: [] for n in names}
-    flags: dict[str, list[bool]] = {n: [] for n in names}
     feasible_points = 0
     for gi, p0 in enumerate(spec.powers_w):
         noise = spec.noise_at(p0)
-        pred, sim, sim_ok = math.inf, math.inf, False
+        pred, sim = math.inf, math.inf
         if noise.gamma0 >= floor:
             feasible_points += 1
             design = optimize_single_slow(spec.plant, noise, h)
@@ -249,19 +262,16 @@ def run_single_compare(
             # at a boundary point no pair is realizable: the cost is unbounded in the limit
             if design.gains is not None:
                 blocks = _simulated_blocks(spec, (_KIND_COMPARE, gi, 0), design.gains.g, design.a_c)
-                sim, sim_ok = _mean_cost(blocks)
+                sim = _mean_cost(blocks)
         cols["analog_pred"].append(pred)
-        flags["analog_pred"].append(math.isfinite(pred))
         cols["analog_sim"].append(sim)
-        flags["analog_sim"].append(sim_ok)
         for si, name in enumerate(schemes):
             rng = substream(spec.seed, _KIND_COMPARE, gi, 1 + si, _DRAW_CODED)
             cost, stable = run_coded_control(
                 spec.plant, noise, h, SCHEMES[name],
                 horizon=spec.horizon, rng=rng, replicas=spec.replicas,
             )
-            cols[name].append(cost)
-            flags[name].append(stable)
+            cols[name].append(cost if stable else math.inf)
     meta = {
         "seed": spec.seed,
         "replicas": spec.replicas,
@@ -274,7 +284,6 @@ def run_single_compare(
         x_name="p0_w",
         x=spec.powers_w,
         series={n: tuple(v) for n, v in cols.items()},
-        bounded={n: tuple(v) for n, v in flags.items()},
         meta=meta,
     )
 
@@ -293,7 +302,7 @@ def run_multi_sweep(
 
     ``channels`` is (plant id, |H|) for regime "slow" or (plant id, sigma_h2)
     for regime "fast".  Grid points whose budget cannot cover the summed
-    stabilizability floors are flagged unbounded across all series.
+    stabilizability floors are inf across all series.
     """
     if regime not in ("slow", "fast"):
         raise ValueError(f"regime must be 'slow' or 'fast' (got {regime!r})")
@@ -307,7 +316,6 @@ def run_multi_sweep(
         names += [f"p{pid}_w", f"k{pid}", f"g{pid}", f"j{pid}_pred", f"j{pid}_sim"]
     names += ["j_total_pred", "j_total_sim"]
     cols: dict[str, list[float]] = {n: [] for n in names}
-    flags: dict[str, list[bool]] = {n: [] for n in names}
     allocations: list[Optional[dict]] = []
     feasible_points = 0
 
@@ -315,43 +323,32 @@ def run_multi_sweep(
     allocate = allocate_multi_slow if slow else allocate_multi_fast
     floors_total = sum(floor_of(spec.plant, v) for _, v in channels)
 
-    def push(name: str, value: float, ok: bool) -> None:
-        cols[name].append(value)
-        flags[name].append(ok)
-
     for gi, p0 in enumerate(spec.powers_w):
         noise = spec.noise_at(p0)
         if noise.gamma0 < floors_total:
             for n in names:
-                push(n, math.inf, False)
+                cols[n].append(math.inf)
             allocations.append(None)
             continue
         feasible_points += 1
         alloc, design = allocate(channels, spec.plant, noise)
-        total_pred = 0.0
-        total_sim = 0.0
-        total_ok = True
-        for j, (pid, ch) in enumerate(channels):
-            gamma_j = alloc.gamma[j]
-            gains = design.gains[j]
-            push(f"p{pid}_w", gamma_j * spec.sigma_z2, True)
-            j_pred = design.predicted_costs[j]
-            push(f"j{pid}_pred", j_pred, math.isfinite(j_pred))
-            k, g, sim, sim_ok = math.inf, math.inf, math.inf, False
+        row = {"j_total_pred": 0.0, "j_total_sim": 0.0}
+        for (pid, ch), gamma_j, gains, j_pred in zip(
+            channels, alloc.gamma, design.gains, design.predicted_costs
+        ):
+            k, g, sim = math.inf, math.inf, math.inf
             # a boundary share has gains only as a limit: nothing to run
             if gains is not None:
                 k, g = gains.k, gains.g
                 a_c = spec.plant.a + g * ch * k if slow else spec.plant.a
                 fading = None if slow else (gains.product, ch)
-                sim, sim_ok = _mean_cost(_simulated_blocks(spec, (kind, gi, pid), g, a_c, fading))
-            push(f"k{pid}", k, gains is not None)
-            push(f"g{pid}", g, gains is not None)
-            push(f"j{pid}_sim", sim, sim_ok)
-            total_pred += j_pred
-            total_sim += sim
-            total_ok = total_ok and sim_ok
-        push("j_total_pred", total_pred, math.isfinite(total_pred))
-        push("j_total_sim", total_sim if total_ok else math.inf, total_ok)
+                sim = _mean_cost(_simulated_blocks(spec, (kind, gi, pid), g, a_c, fading))
+            row.update({f"p{pid}_w": gamma_j * spec.sigma_z2, f"k{pid}": k, f"g{pid}": g,
+                        f"j{pid}_pred": j_pred, f"j{pid}_sim": sim})
+            row["j_total_pred"] += j_pred
+            row["j_total_sim"] += sim
+        for n in names:
+            cols[n].append(row[n])
         allocations.append(
             {
                 "gamma": list(alloc.gamma),
@@ -373,7 +370,6 @@ def run_multi_sweep(
         x_name="p0_w",
         x=spec.powers_w,
         series={n: tuple(v) for n, v in cols.items()},
-        bounded={n: tuple(v) for n, v in flags.items()},
         meta=meta,
     )
 
@@ -387,9 +383,9 @@ def add_shared_gain_series(
     sharedG_k<id> holds each controller factor under one actuator factor
     ``g_common``, sharedK_g<id> each actuator factor under one controller
     factor ``k_common``; both add per-plant and total costs.  A factor of None
-    adds no columns, and a grid point where its design is infeasible is unbounded.
+    adds no columns, and a grid point where its design is infeasible is inf.
     """
-    series, bounded = dict(result.series), dict(result.bounded)
+    series = dict(result.series)
     for prefix, gain, factor, optimize in (
         ("sharedG", "k", g_common, optimize_identical_actuator),
         ("sharedK", "g", k_common, optimize_identical_controller),
@@ -410,9 +406,8 @@ def add_shared_gain_series(
             rows.append([value for pair in pairs for value in pair] + [design.total_cost])
         for i, name in enumerate([*names, f"{prefix}_j_total"]):
             series[name] = tuple(math.inf if row is None else row[i] for row in rows)
-            bounded[name] = tuple(row is not None for row in rows)
     meta = {**result.meta, "g_common": g_common, "k_common": k_common}
-    return SweepResult(result.x_name, result.x, series, bounded, meta)
+    return SweepResult(result.x_name, result.x, series, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -436,10 +431,11 @@ def run_selection_sweep(
         raise ValueError(f"realizations must be >= 1 (got {realizations})")
     if any(m < 1 for m in m0_values):
         raise ValueError("every M0 must be >= 1")
+    labels = [f"m{m0}_avg_selected" for m0 in m0_values]
+    _refuse_clashes(m0_values, labels, "M0 values")
     a = spec.plant.a
     series: dict[str, tuple[float, ...]] = {}
-    bounded: dict[str, tuple[bool, ...]] = {}
-    for mi, m0 in enumerate(m0_values):
+    for mi, (m0, label) in enumerate(zip(m0_values, labels)):
         gains = np.stack(
             [
                 rayleigh_gain_samples(
@@ -453,15 +449,11 @@ def run_selection_sweep(
         )
         budgets = [p0 / spec.sigma_z2 for p0 in spec.powers_w]
         _, counts = select_plants(np.arange(m0), (a * a - 1.0) / gains**2, budgets)
-        averages = [float(c.mean()) for c in counts.T]
-        series[f"m{m0}_avg_selected"] = tuple(averages)
-        bounded[f"m{m0}_avg_selected"] = tuple([True] * len(spec.powers_w))
+        series[label] = tuple(float(c.mean()) for c in counts.T)
     meta = {
         "seed": spec.seed,
         "realizations": realizations,
         "mean_power_gain": mean_power_gain,
         "m0_values": list(m0_values),
     }
-    return SweepResult(
-        x_name="p0_w", x=spec.powers_w, series=series, bounded=bounded, meta=meta
-    )
+    return SweepResult(x_name="p0_w", x=spec.powers_w, series=series, meta=meta)

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .model import GainPair, NoisePowers, PlantParams, require_positive
-from .slow_control import _BOUNDARY_RTOL, SnrAllocation, _split_slack
+from .slow_control import _BOUNDARY_RTOL, MultiDesign, SnrAllocation, _split_slack
 
 #: stabilizability constant for sign-only channel knowledge, 1 - 2/pi
 ETA = 1.0 - 2.0 / math.pi
@@ -61,15 +61,13 @@ class FastSingleDesign:
     """Optimal single-plant design under per-symbol fading.
 
     On the feasibility boundary the cost diverges (K -> 0 with the product
-    u = GK finite): ``gains`` is None, ``j_ave`` is inf, ``degenerate`` True.
+    u = GK finite): ``gains`` is None and ``j_ave`` is inf.
     """
 
     gains: Optional[GainPair]
     gain_product: float
     expected_ac2: float
     j_ave: float
-    snr: float
-    degenerate: bool = False
 
 
 def optimize_single_fast(
@@ -102,12 +100,7 @@ def optimize_single_fast(
     denom = (1.0 - e_star) * g0 - u * u
     if denom <= _BOUNDARY_RTOL * (1.0 - e_star) * g0:
         return FastSingleDesign(
-            gains=None,
-            gain_product=float(u),
-            expected_ac2=float(e_star),
-            j_ave=math.inf,
-            snr=g0,
-            degenerate=True,
+            gains=None, gain_product=float(u), expected_ac2=float(e_star), j_ave=math.inf
         )
     ssr = noise.ssr(plant)
     k = -math.sqrt(denom / ssr)
@@ -117,31 +110,14 @@ def optimize_single_fast(
         gain_product=float(u),
         expected_ac2=float(e_star),
         j_ave=float(g0 * plant.sigma_w2 / denom),
-        snr=g0,
-        degenerate=False,
     )
-
-
-@dataclass(frozen=True)
-class FastDesign:
-    """Jointly optimal per-plant designs under one shared SNR budget."""
-
-    plant_ids: tuple[int, ...]
-    gains: tuple[Optional[GainPair], ...]
-    expected_ac2: tuple[float, ...]
-    predicted_costs: tuple[float, ...]
-    degenerate: tuple[bool, ...]
-
-    @property
-    def total_cost(self) -> float:
-        return float(sum(self.predicted_costs))
 
 
 def allocate_multi_fast(
     channel_powers: Sequence[tuple[int, float]],
     plant: PlantParams,
     noise: NoisePowers,
-) -> tuple[SnrAllocation, FastDesign]:
+) -> tuple[SnrAllocation, MultiDesign]:
     """Split gamma0 across plants under per-symbol fading, then design each.
 
     Equalizing marginal costs gives the interior share
@@ -174,11 +150,5 @@ def allocate_multi_fast(
         for s, gam in zip(ss, gamma)
     ]
     allocation = SnrAllocation(plant_ids=ids, gamma=tuple(map(float, gamma)), multiplier=multiplier)
-    design = FastDesign(
-        plant_ids=ids,
-        gains=tuple(d.gains for d in designs),
-        expected_ac2=tuple(d.expected_ac2 for d in designs),
-        predicted_costs=tuple(d.j_ave for d in designs),
-        degenerate=tuple(d.degenerate for d in designs),
-    )
-    return allocation, design
+    gains = tuple(d.gains for d in designs)
+    return allocation, MultiDesign(ids, gains, tuple(d.j_ave for d in designs))

@@ -54,16 +54,14 @@ class SlowSingleDesign:
     """Optimal single-plant design for one block gain.
 
     On the feasibility boundary the optimum is a limit (K -> 0, G -> inf with
-    the product finite): ``gains`` is None, ``degenerate`` is True and only
-    ``gain_product``, ``a_c`` and ``j_ave`` remain meaningful.
+    the product finite): ``gains`` is None, ``j_ave`` is inf and only
+    ``gain_product`` and ``a_c`` remain meaningful.
     """
 
     gains: Optional[GainPair]
     a_c: float
     j_ave: float
     gain_product: float
-    snr: float
-    degenerate: bool = False
 
 
 def optimize_single_slow(
@@ -98,26 +96,14 @@ def optimize_single_slow(
     margin = h2g + 1.0 - a * a
     if margin <= _BOUNDARY_RTOL * (h2g + 1.0):
         return SlowSingleDesign(
-            gains=None,
-            a_c=a_c,
-            j_ave=float("inf"),
-            gain_product=-(a * a - 1.0) / (a * h),
-            snr=g0,
-            degenerate=True,
+            gains=None, a_c=a_c, j_ave=math.inf, gain_product=-(a * a - 1.0) / (a * h)
         )
     j_ave = plant.sigma_w2 * (1.0 + h2g) / margin
     ssr = noise.ssr(plant)
     k = -np.sqrt(g0 * margin / (ssr * (h2g + 1.0)))
     g = a * h * np.sqrt(g0 * ssr / ((h2g + 1.0) * margin))
     gains = GainPair(k=float(k), g=float(g))
-    return SlowSingleDesign(
-        gains=gains,
-        a_c=a_c,
-        j_ave=j_ave,
-        gain_product=gains.product,
-        snr=g0,
-        degenerate=False,
-    )
+    return SlowSingleDesign(gains=gains, a_c=a_c, j_ave=j_ave, gain_product=gains.product)
 
 
 def select_plants(
@@ -151,14 +137,16 @@ class SnrAllocation:
 
 
 @dataclass(frozen=True)
-class SlowDesign:
-    """Jointly optimal per-plant designs under one shared SNR budget."""
+class MultiDesign:
+    """Jointly optimal per-plant designs under one shared SNR budget.
+
+    Both allocators return one.  A share that sits exactly on its plant's
+    floor has only a limiting design: its gains are None and its cost inf.
+    """
 
     plant_ids: tuple[int, ...]
     gains: tuple[Optional[GainPair], ...]
-    closed_loop: tuple[float, ...]
     predicted_costs: tuple[float, ...]
-    degenerate: tuple[bool, ...]
 
     @property
     def total_cost(self) -> float:
@@ -214,7 +202,7 @@ def allocate_multi_slow(
     channel_gains: Sequence[tuple[int, float]],
     plant: PlantParams,
     noise: NoisePowers,
-) -> tuple[SnrAllocation, SlowDesign]:
+) -> tuple[SnrAllocation, MultiDesign]:
     """Split gamma0 across plants and design each at its share.
 
     Equal marginal cost across plants gives the interior share
@@ -236,14 +224,8 @@ def allocate_multi_slow(
         for h, gam in zip(hs, gamma)
     ]
     allocation = SnrAllocation(plant_ids=ids, gamma=tuple(map(float, gamma)), multiplier=multiplier)
-    design = SlowDesign(
-        plant_ids=ids,
-        gains=tuple(d.gains for d in designs),
-        closed_loop=tuple(d.a_c for d in designs),
-        predicted_costs=tuple(d.j_ave for d in designs),
-        degenerate=tuple(d.degenerate for d in designs),
-    )
-    return allocation, design
+    gains = tuple(d.gains for d in designs)
+    return allocation, MultiDesign(ids, gains, tuple(d.j_ave for d in designs))
 
 
 # ---------------------------------------------------------------------------

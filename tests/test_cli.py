@@ -1,4 +1,5 @@
 """Command-line surface: units, grids, config layering, CSV contract, exits."""
+import hashlib
 import json
 import math
 import shlex
@@ -79,7 +80,6 @@ def _tiny_result():
         x_name="p0_w",
         x=(0.001, 0.01),
         series={"j": (0.5, float("inf")), "k": (1.25, 2.5)},
-        bounded={"j": (True, False), "k": (True, True)},
         meta={"feasible_points": 1},
     )
 
@@ -256,6 +256,25 @@ def test_non_finite_input_is_a_usage_error(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv, clash",
+    [
+        (["trace", "--a-c", "0.6,0.6000001"], "0.6 and 0.6000001 share the column label 'ac0.6'"),
+        (["select-sweep", "--m0", "2,2"], "2 and 2 share the column label 'm2_avg_selected'"),
+        (["compare", "--schemes", "bch7_4_qam16,bch7_4_qam16"],
+         "'bch7_4_qam16' and 'bch7_4_qam16' share the column label 'bch7_4_qam16'"),
+    ],
+    ids=["trace", "select-sweep", "compare"],
+)
+def test_list_entries_that_share_a_column_are_refused(tmp_path, capsys, argv, clash):
+    # two entries whose labels coincide would overwrite one column's data
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--horizon", "10", "--replicas", "2", "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert clash in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "argv, channel",
     [
         ("--h 1e150,0.02 --grid '20 dBm' --k-common -1 --replicas 10 --horizon 20", "1e+150"),
@@ -331,3 +350,45 @@ def test_shared_gain_columns(tmp_path):
 
 def test_verify_command_passes():
     assert run_main(["verify"]) == EXIT_OK
+
+
+#: (argv, exit code, CSV SHA-256, sidecar SHA-256) of small runs of each recipe
+_PINNED = [
+    ("trace --horizon 40 --replicas 4", EXIT_OK,
+     "d659805efd387b5a0fbe53bea699216be195c8cee1c50abb35901d641d858a78",
+     "677bb130e96f2d01cfdff417ff8b160c9be1eaa0d92ad6cf17802a6a91d16d42"),
+    ("trace --a-c 0.6,3 --horizon 60 --replicas 4", EXIT_OK,
+     "f586a5dd6d9832e0c5ed7a22d4ad1501e518d6775bcbba5e49d3c2cc67141d2f",
+     "984944e1d02e04bec9eaa0021ce036fc9bdc79f2ca9e95e1f78b08224f3c8e2b"),
+    ("compare --grid '0:20:10 dBm' --horizon 30 --replicas 8", EXIT_OK,
+     "7efdb6474f691dc9b54f6c5319b13d4a16137b2f841b51b3c2d1ae8aeb5f6d64",
+     "a0574a1b3b55014c528c080df473ea092b914d39e028c74a204e138e25d5f22a"),
+    ("compare --grid '-10:0:5 dBm' --horizon 20 --replicas 4", EXIT_INFEASIBLE,
+     "27a1330e39e9ff31afd16c8c24b8e8661d71bbf5c1f6fef089d9a148e2201755",
+     "f34f3a2ffe6f20870e0745991c49a1008c3b102d35240c929b20dd840e794ca5"),
+    ("multi-slow --grid '0:4:2 dBm' --g-common 1000 --k-common -1 --horizon 30 --replicas 8",
+     EXIT_OK,
+     "bb9e7a1d3e34848723a77ef9587c27d38918962e702a0b00ab2de242a9b4d9ac",
+     "78ca5d378ed7e4c88f739c9fd593e79a1d153065c46af89e87381ec9ec5f2cf5"),
+    ("multi-fast --grid '8:12:2 dBm' --horizon 30 --replicas 8", EXIT_OK,
+     "586e7e4b1a1737612e79b4c663b63b1747c222e68ee1b9c4270cf11b3fdc2fdf",
+     "6e2d1488f87f723480817798302fdcadda3370ea62a727f81405c5e17d921153"),
+    ("select-sweep --grid '0:10:5 dBm' --m0 2,3 --realizations 200", EXIT_OK,
+     "a18303df6a5b0e69539cf8e160dc6cff8383243780c2a5b15df8988fa332ddfe",
+     "725c2c07671ba8b2d082520542aea2233112c21a9a455260ce0a84e26dd5bdef"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, csv_sha256, sidecar_sha256", _PINNED, ids=[row[0] for row in _PINNED]
+)
+def test_recipe_output_is_pinned_byte_for_byte(tmp_path, monkeypatch, argv, code,
+                                               csv_sha256, sidecar_sha256):
+    # small runs of every recipe, the INF cells below each knee and past the
+    # divergence guard included; a relative --out keeps the sidecar's config
+    # free of the temporary directory
+    monkeypatch.chdir(tmp_path)
+    assert main([*shlex.split(argv), "--out", "run.csv"]) == code
+    digests = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("run.csv", "run.csv.meta.json")]
+    assert digests == [csv_sha256, sidecar_sha256]

@@ -82,14 +82,16 @@ def test_run_trace_structure_and_series():
 
 
 def test_run_trace_flags_guard_crossings():
-    # a_c = 3 crosses the divergence guard within 60 steps: the state is
-    # clamped there, its cells and the whole running-cost series are flagged
+    # a_c = 3 crosses the divergence guard within 60 steps: the states from
+    # there on and the whole running-cost series are inf
     spec = make_spec(horizon=60, replicas=4)
     result = run_trace(spec, a_c_values=(3.0,), h=0.01, x0=5.0)
-    x_ok = result.bounded["x_ac3"]
-    assert x_ok[0] and not x_ok[-1]
-    assert max(abs(x) for x in result.series["x_ac3"]) == DIVERGENCE_GUARD
+    xs = result.series["x_ac3"]
+    crossed = next(t for t, x in enumerate(xs) if math.isinf(x))
+    assert 0 < crossed and all(map(math.isinf, xs[crossed:]))
+    assert max(abs(x) for x in xs[:crossed]) < DIVERGENCE_GUARD
     assert not any(result.bounded["j_ac3"])
+    assert all(map(math.isinf, result.series["j_ac3"]))
 
 
 def test_run_trace_deterministic():
@@ -239,7 +241,7 @@ def test_selection_sweep_deterministic_per_seed():
 
 
 def test_sweep_result_is_plain_data():
-    res = SweepResult(
-        x_name="p0_w", x=(1.0,), series={"j": (0.5,)}, bounded={"j": (True,)}
-    )
+    res = SweepResult(x_name="p0_w", x=(1.0, 2.0), series={"j": (0.5, math.inf)})
     assert res.meta == {}
+    # a cell is bounded iff it is finite; there is no second table to disagree
+    assert res.bounded == {"j": (True, False)}

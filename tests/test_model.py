@@ -3,8 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 
-from wncs.model import GainPair, NoisePowers, PlantParams, predicted_cost_slow
+from wncs.model import (
+    DIVERGENCE_GUARD,
+    GainPair,
+    NoisePowers,
+    PlantParams,
+    predicted_cost_slow,
+    simulate_loop,
+)
 
 
 def test_plant_params_requires_unstable_dynamics():
@@ -86,3 +94,29 @@ def test_predicted_cost_matches_long_simulation():
     pred = predicted_cost_slow(plant, noise, gains, h)
     assert sim == pytest.approx(pred, rel=0.02)
 
+
+
+def test_simulate_loop_clamps_at_the_guard_flags_and_resets():
+    # replicas 0 and 1 grow by 10 and -10 a step from x0 = 1; replica 2 is a
+    # stable loop on a ramp of noise whose step 4 is a reset
+    horizon = 15
+    coeff = np.array([[10.0] * horizon, [-10.0] * horizon, [0.5] * horizon])
+    noise = np.zeros((3, horizon))
+    noise[2] = np.arange(1.0, horizon + 1.0)
+    reset = np.zeros((3, horizon), dtype=bool)
+    reset[2, 4] = True
+    states, diverged = simulate_loop(coeff, noise, x0=1.0, reset=reset)
+    # +-10^(t+1) lands on the guard at t = 11, which is not past it; from
+    # t = 12 on each state is clamped to exactly the guard, sign kept
+    assert_array_equal(states[0, :12], 10.0 ** np.arange(1, 13))
+    assert_array_equal(states[1, :12], (-10.0) ** np.arange(1, 13))
+    assert states[0, 12] == DIVERGENCE_GUARD and states[1, 12] == -DIVERGENCE_GUARD
+    assert_array_equal(np.abs(states[:2, 12:]), DIVERGENCE_GUARD)
+    assert diverged.tolist() == [True, True, False]
+    # the reset step restarts from its own noise alone, then the loop resumes
+    x, expected = 1.0, []
+    for t in range(horizon):
+        x = noise[2, t] if t == 4 else 0.5 * x + noise[2, t]
+        expected.append(x)
+    assert states[2, 4] == 5.0
+    assert_array_equal(states[2], expected)

@@ -72,7 +72,6 @@ def test_single_design_reference_instance():
     assert design.j_ave == pytest.approx(0.10227848101265823, rel=1e-12)
     assert design.gains.k == pytest.approx(-0.9887986510292314, rel=1e-12)
     assert design.gains.g == pytest.approx(150.19726344747818, rel=1e-12)
-    assert not design.degenerate
     # the returned pair realizes a_c and spends the whole budget
     a_c = PLANT.a + design.gains.g * 0.01 * design.gains.k
     assert a_c == pytest.approx(design.a_c, rel=1e-9)
@@ -119,7 +118,6 @@ def test_single_design_perfect_channel_limit():
 def test_single_design_boundary_budget_degenerates():
     floor = snr_floor(PLANT, 0.01)
     design = optimize_single_slow(PLANT, NOISE, 0.01, gamma=floor)
-    assert design.degenerate
     assert design.gains is None
     assert math.isinf(design.j_ave)
     assert design.gain_product == pytest.approx(-(1.5**2 - 1.0) / (1.5 * 0.01), rel=1e-12)
@@ -219,7 +217,7 @@ def test_allocation_budget_on_floors_pins_shares():
     alloc, design = allocate_multi_slow(hs, PLANT, noise)
     assert_allclose(alloc.gamma, (3125.0, 12500.0), rtol=1e-12)
     assert alloc.multiplier is None
-    assert all(design.degenerate)
+    assert all(gains is None for gains in design.gains)
     assert all(math.isinf(j) for j in design.predicted_costs)
 
 
