@@ -177,36 +177,91 @@ _GRID_DEFAULTS = {
 }
 
 
-#: every setting: (RunConfig field, flag, config-file key, default, parser).
-#: Flags beat the file, the file beats the default; a callable default takes
-#: the recipe name.  ``trace`` reads its one budget from p0, the rest a grid.
-#: Run sizes and recipe keywords default to what ExperimentSpec and the recipes say.
-_SETTINGS = (
+#: every setting, keyed by its config-file key, which is also its flag's dest:
+#: (RunConfig field, default, parser, flag help).  Flags beat the file, the
+#: file beats the default; a callable default takes the recipe name.  ``trace``
+#: reads its one budget from p0, the rest a grid.  Run sizes and recipe
+#: keywords default to what ExperimentSpec and the recipes say.
+_SETTINGS = {
     # the selection recipe defaults to a milder plant, per its usual usage
-    ("a", "a", "a", lambda kind: 1.1 if kind == "select-sweep" else 1.5, _real),
-    ("sigma_w2", "sigma_w2", "sigma_w2", 0.1, _real),
-    ("sigma_z2_w", "sigma_z2", "sigma_z2", "-40 dBm", parse_power),
-    ("powers_w", "p0", "p0", "20 dBm", lambda v: (parse_power(v),)),
-    ("powers_w", "grid", "grid", _GRID_DEFAULTS.get, parse_power_grid),
-    ("horizon", "horizon", "horizon", _default(ExperimentSpec, "horizon"), _integer),
-    ("replicas", "replicas", "replicas", _default(ExperimentSpec, "replicas"), _integer),
-    ("seed", "seed", "seed", _default(ExperimentSpec, "seed"), _integer),
-    ("out", "out", "out", "{}.csv".format, str),
-    ("h", "h", "h", 0.01, _real),
-    ("channel_gains", "channel_gains", "channels", (0.01, 0.02), _list_of(_real)),
-    ("sigma_h2", "sigma_h2", "sigma_h2", (1e-4, 4e-4), _list_of(_real)),
-    ("a_c", "a_c", "a_c", (0.6, 0.9, 1.01), _list_of(_real)),
-    ("x0", "x0", "x0", _default(run_trace, "x0"), _real),
-    ("m0", "m0", "m0", _default(run_selection_sweep, "m0_values"), _list_of(_integer)),
-    ("realizations", "realizations", "realizations",
-     _default(run_selection_sweep, "realizations"), _integer),
-    ("mean_gain", "mean_gain", "mean_gain",
-     _default(run_selection_sweep, "mean_power_gain"), _real),
-    ("schemes", "schemes", "schemes", _default(run_single_compare, "schemes"),
-     _list_of(lambda v: str(v).strip())),
-    ("g_common", "g_common", "g_common", None, _real),
-    ("k_common", "k_common", "k_common", None, _real),
+    "a": ("a", lambda kind: 1.1 if kind == "select-sweep" else 1.5, _real,
+          "open-loop plant gain (|a| > 1)"),
+    "sigma_w2": ("sigma_w2", 0.1, _real, "disturbance power, watts"),
+    "sigma_z2": ("sigma_z2_w", "-40 dBm", parse_power, "actuator noise power, e.g. '-40 dBm'"),
+    "p0": ("powers_w", "20 dBm", lambda v: (parse_power(v),),
+           "transmit power budget, e.g. '20 dBm'"),
+    "grid": ("powers_w", _GRID_DEFAULTS.get, parse_power_grid,
+             "power grid, e.g. '0:40:5 dBm' or '1,10,100 mW'"),
+    "horizon": ("horizon", _default(ExperimentSpec, "horizon"), _integer,
+                "control symbols per process"),
+    "replicas": ("replicas", _default(ExperimentSpec, "replicas"), _integer,
+                 "Monte-Carlo replicas"),
+    "seed": ("seed", _default(ExperimentSpec, "seed"), _integer, "root seed for all substreams"),
+    "out": ("out", "{}.csv".format, str, "output CSV path"),
+    "h": ("h", 0.01, _real, "block channel magnitude"),
+    "channels": ("channel_gains", (0.01, 0.02), _list_of(_real),
+                 "comma list of per-plant channel magnitudes"),
+    "sigma_h2": ("sigma_h2", (1e-4, 4e-4), _list_of(_real),
+                 "comma list of per-plant channel variances"),
+    "a_c": ("a_c", (0.6, 0.9, 1.01), _list_of(_real), "comma list of closed-loop factors"),
+    "x0": ("x0", _default(run_trace, "x0"), _real, "initial plant state"),
+    "m0": ("m0", _default(run_selection_sweep, "m0_values"), _list_of(_integer),
+           "comma list of candidate plant counts"),
+    "realizations": ("realizations", _default(run_selection_sweep, "realizations"), _integer,
+                     "channel realizations per M0"),
+    "mean_gain": ("mean_gain", _default(run_selection_sweep, "mean_power_gain"), _real,
+                  "Rayleigh mean power gain"),
+    "schemes": ("schemes", _default(run_single_compare, "schemes"),
+                _list_of(lambda v: str(v).strip()), f"comma list from: {', '.join(SCHEMES)}"),
+    "g_common": ("g_common", None, _real, "also design with one shared actuator factor"),
+    "k_common": ("k_common", None, _real, "also design with one shared controller factor"),
+}
+
+#: (flag, setting key) pairs that every recipe accepts, beside --config
+_COMMON_FLAGS = (
+    ("--a", "a"), ("--sigma-w2", "sigma_w2"), ("--sigma-z2", "sigma_z2"),
+    ("--horizon", "horizon"), ("--replicas", "replicas"), ("--seed", "seed"), ("--out", "out"),
 )
+
+
+def _plants(channels: Sequence[float]) -> tuple[tuple[int, float], ...]:
+    """Per-plant channel values numbered from plant 1."""
+    return tuple(enumerate(channels, start=1))
+
+
+#: subcommand -> (help, its own (flag, setting key) pairs, the recipe run on a RunConfig)
+_RECIPES: dict[str, tuple[str, tuple[tuple[str, str], ...], Callable]] = {
+    "trace": (
+        "state and running-cost series at fixed closed-loop factors",
+        (("--p0", "p0"), ("--h", "h"), ("--a-c", "a_c"), ("--x0", "x0")),
+        lambda c: run_trace(c.spec(), c.a_c, c.h, x0=c.x0),
+    ),
+    "compare": (
+        "analog loop vs coded baselines over a power grid",
+        (("--grid", "grid"), ("--h", "h"), ("--schemes", "schemes")),
+        lambda c: run_single_compare(c.spec(), c.h, schemes=c.schemes),
+    ),
+    "multi-slow": (
+        "two-plus-plant allocation sweep, block fading",
+        (("--grid", "grid"), ("--h", "channels"), ("--g-common", "g_common"),
+         ("--k-common", "k_common")),
+        lambda c: add_shared_gain_series(
+            run_multi_sweep(c.spec(), _plants(c.channel_gains), regime="slow"),
+            c.spec(), _plants(c.channel_gains), c.g_common, c.k_common),
+    ),
+    "multi-fast": (
+        "two-plus-plant allocation sweep, per-symbol fading",
+        (("--grid", "grid"), ("--sigma-h2", "sigma_h2")),
+        lambda c: run_multi_sweep(c.spec(), _plants(c.sigma_h2), regime="fast"),
+    ),
+    "select-sweep": (
+        "average supportable plant count under Rayleigh draws",
+        (("--grid", "grid"), ("--m0", "m0"), ("--realizations", "realizations"),
+         ("--mean-gain", "mean_gain")),
+        lambda c: run_selection_sweep(c.spec(), m0_values=c.m0, mean_power_gain=c.mean_gain,
+                                      realizations=c.realizations),
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -257,7 +312,7 @@ def _load_config_file(path: str) -> dict:
         return {}
     if not isinstance(raw, dict):
         raise ValueError(f"config {path!r} must be a mapping of settings")
-    unknown = sorted(set(raw) - {key for _, _, key, _, _ in _SETTINGS})
+    unknown = sorted(set(raw) - set(_SETTINGS))
     if unknown:
         raise ValueError(f"config {path!r} has unknown field(s): {', '.join(unknown)}")
     return raw
@@ -266,13 +321,16 @@ def _load_config_file(path: str) -> dict:
 def parse_config(kind: str, args: argparse.Namespace) -> RunConfig:
     """Merge built-in defaults, the optional config file and explicit flags."""
     file_cfg = _load_config_file(args.config) if args.config else {}
-    skipped = "grid" if kind == "trace" else "p0"
+    own = {key for _, key in _RECIPES[kind][1]}
+    # every setting is resolved, so the sidecar records them all, but of two
+    # keys that set one field (p0 and grid) only the one the recipe owns is read
+    claimed = {_SETTINGS[key][0] for key in own}
     fields = {}
-    for field, flag, key, default, parse in _SETTINGS:
-        if key == skipped:
+    for key, (field, default, parse, _) in _SETTINGS.items():
+        if field in claimed and key not in own:
             continue
         # a null in the file, like an absent flag, leaves the setting unset
-        value = getattr(args, flag, None)
+        value = getattr(args, key, None)
         if value is None:
             value = file_cfg.get(key)
         if value is None:
@@ -298,9 +356,10 @@ def _fmt(value: float) -> str:
 def emit_csv(result: SweepResult, path: str, config: Optional[RunConfig] = None) -> None:
     """Write the result table as CSV plus a <path>.meta.json sidecar.
 
-    Unbounded cells become the INF token.  The sidecar records the seed,
-    replica count, resolved configuration and its hash, so a CSV can always
-    be traced back to the exact run that produced it.
+    Unbounded cells become the INF token, and non-finite meta values null, so
+    the sidecar is strict JSON.  The sidecar records the seed, replica count,
+    resolved configuration and its hash, so a CSV can always be traced back
+    to the exact run that produced it.
     """
     names, bounded = list(result.series), result.bounded
     lines = [",".join([result.x_name, *names])]
@@ -315,7 +374,8 @@ def emit_csv(result: SweepResult, path: str, config: Optional[RunConfig] = None)
         "x_name": result.x_name,
         "series": names,
         "rows": len(result.x),
-        "meta": result.meta,
+        # a round trip that reads Infinity, -Infinity and NaN back as null
+        "meta": json.loads(json.dumps(result.meta), parse_constant=lambda _: None),
     }
     if config is not None:
         cfg = asdict(config)
@@ -324,7 +384,8 @@ def emit_csv(result: SweepResult, path: str, config: Optional[RunConfig] = None)
         sidecar["config_sha256"] = hashlib.sha256(canonical.encode()).hexdigest()
         sidecar["seed"] = config.seed
         sidecar["replicas"] = config.replicas
-    _write(path + ".meta.json", json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(sidecar, indent=2, sort_keys=True, allow_nan=False)
+    _write(path + ".meta.json", text + "\n")
 
 
 def _write(path: str, text: str) -> None:
@@ -343,46 +404,6 @@ def _finish(result: SweepResult, config: RunConfig) -> int:
         print("no feasible grid point under the given budget", file=sys.stderr)
         return EXIT_INFEASIBLE
     return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-# subcommands
-# ---------------------------------------------------------------------------
-
-
-def cmd_trace(config: RunConfig) -> int:
-    result = run_trace(config.spec(), config.a_c, config.h, x0=config.x0)
-    return _finish(result, config)
-
-
-def cmd_compare(config: RunConfig) -> int:
-    result = run_single_compare(config.spec(), config.h, schemes=config.schemes)
-    return _finish(result, config)
-
-
-def cmd_multi_slow(config: RunConfig) -> int:
-    spec = config.spec()
-    channels = tuple(enumerate(config.channel_gains, start=1))
-    result = run_multi_sweep(spec, channels, regime="slow")
-    if config.g_common is not None or config.k_common is not None:
-        result = add_shared_gain_series(result, spec, channels, config.g_common, config.k_common)
-    return _finish(result, config)
-
-
-def cmd_multi_fast(config: RunConfig) -> int:
-    channels = tuple(enumerate(config.sigma_h2, start=1))
-    result = run_multi_sweep(config.spec(), channels, regime="fast")
-    return _finish(result, config)
-
-
-def cmd_select_sweep(config: RunConfig) -> int:
-    result = run_selection_sweep(
-        config.spec(),
-        m0_values=config.m0,
-        mean_power_gain=config.mean_gain,
-        realizations=config.realizations,
-    )
-    return _finish(result, config)
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +581,7 @@ def _check_thresholds() -> tuple[bool, str]:
     return ok, detail
 
 
-def cmd_verify(_config: Optional[RunConfig] = None) -> int:
+def cmd_verify() -> int:
     checks: list[tuple[str, Callable[[], tuple[bool, str]]]] = [
         ("slow single: closed form vs 2-D grid", _check_slow_single_grid),
         ("slow pair: allocation vs split sweep", lambda: _check_pair_sweep(
@@ -606,61 +627,13 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> _Parser:
     parser = _Parser(prog="wncs", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: _Parser) -> None:
+    for kind, (help_text, flags, _) in _RECIPES.items():
+        p = sub.add_parser(kind, help=help_text)
         p.add_argument("--config", help="YAML file with defaults for any flag")
-        p.add_argument("--a", help="open-loop plant gain (|a| > 1)")
-        p.add_argument("--sigma-w2", help="disturbance power, watts")
-        p.add_argument("--sigma-z2", help="actuator noise power, e.g. '-40 dBm'")
-        p.add_argument("--horizon", help="control symbols per process")
-        p.add_argument("--replicas", help="Monte-Carlo replicas")
-        p.add_argument("--seed", help="root seed for all substreams")
-        p.add_argument("--out", help="output CSV path")
-
-    p = sub.add_parser("trace", help="state and running-cost series at fixed closed-loop factors")
-    common(p)
-    p.add_argument("--p0", help="transmit power budget, e.g. '20 dBm'")
-    p.add_argument("--h", help="block channel magnitude")
-    p.add_argument("--a-c", dest="a_c", help="comma list of closed-loop factors")
-    p.add_argument("--x0", help="initial plant state")
-
-    p = sub.add_parser("compare", help="analog loop vs coded baselines over a power grid")
-    common(p)
-    p.add_argument("--grid", help="power grid, e.g. '0:40:5 dBm' or '1,10,100 mW'")
-    p.add_argument("--h", help="block channel magnitude")
-    p.add_argument("--schemes", help=f"comma list from: {', '.join(SCHEMES)}")
-
-    p = sub.add_parser("multi-slow", help="two-plus-plant allocation sweep, block fading")
-    common(p)
-    p.add_argument("--grid", help="power grid with unit")
-    p.add_argument("--h", dest="channel_gains", help="comma list of per-plant channel magnitudes")
-    p.add_argument("--g-common", help="also design with one shared actuator factor")
-    p.add_argument("--k-common", help="also design with one shared controller factor")
-
-    p = sub.add_parser("multi-fast", help="two-plus-plant allocation sweep, per-symbol fading")
-    common(p)
-    p.add_argument("--grid", help="power grid with unit")
-    p.add_argument("--sigma-h2", dest="sigma_h2", help="comma list of per-plant channel variances")
-
-    p = sub.add_parser("select-sweep", help="average supportable plant count under Rayleigh draws")
-    common(p)
-    p.add_argument("--grid", help="power grid with unit")
-    p.add_argument("--m0", help="comma list of candidate plant counts")
-    p.add_argument("--realizations", help="channel realizations per M0")
-    p.add_argument("--mean-gain", dest="mean_gain", help="Rayleigh mean power gain")
-
-    p = sub.add_parser("verify", help="cross-check closed forms, codecs and simulators")
-
+        for flag, key in (*_COMMON_FLAGS, *flags):
+            p.add_argument(flag, dest=key, help=_SETTINGS[key][3])
+    sub.add_parser("verify", help="cross-check closed forms, codecs and simulators")
     return parser
-
-
-_HANDLERS = {
-    "trace": cmd_trace,
-    "compare": cmd_compare,
-    "multi-slow": cmd_multi_slow,
-    "multi-fast": cmd_multi_fast,
-    "select-sweep": cmd_select_sweep,
-}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -668,7 +641,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "verify":
         return cmd_verify()
     try:
-        return _HANDLERS[args.command](parse_config(args.command, args))
+        config = parse_config(args.command, args)
+        return _finish(_RECIPES[args.command][2](config), config)
     except ValueError as exc:
         print(f"wncs {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

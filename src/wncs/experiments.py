@@ -195,7 +195,7 @@ def run_trace(
     t_axis = tuple(float(t) for t in range(1, spec.horizon + 1))
     series: dict[str, tuple[float, ...]] = {}
     gains_used: dict[str, Optional[tuple[float, float]]] = {}
-    predicted: dict[str, Optional[float]] = {}
+    predicted: dict[str, float] = {}
     for idx, (a_c, label) in enumerate(zip(a_c_values, labels)):
         gains = implied_trace_gains(spec.plant, noise, h, a_c)
         g = gains.g if gains is not None else 0.0
@@ -211,10 +211,10 @@ def run_trace(
         series[f"j_{label}"] = tuple(running.tolist()) if ok else (math.inf,) * spec.horizon
         gains_used[label] = None if gains is None else (gains.k, gains.g)
         if gains is None:
-            predicted[label] = None if abs(a_c) >= 1.0 else spec.plant.sigma_w2 / (1.0 - a_c * a_c)
+            stable = abs(a_c) < 1.0
+            predicted[label] = spec.plant.sigma_w2 / (1.0 - a_c * a_c) if stable else math.inf
         else:
-            j = predicted_cost_slow(spec.plant, noise, gains, h)
-            predicted[label] = j if math.isfinite(j) else None
+            predicted[label] = predicted_cost_slow(spec.plant, noise, gains, h)
     meta = {
         "seed": spec.seed,
         "replicas": spec.replicas,
@@ -383,8 +383,11 @@ def add_shared_gain_series(
     sharedG_k<id> holds each controller factor under one actuator factor
     ``g_common``, sharedK_g<id> each actuator factor under one controller
     factor ``k_common``; both add per-plant and total costs.  A factor of None
-    adds no columns, and a grid point where its design is infeasible is inf.
+    adds no columns (with both None, ``result`` is returned as it is), and a
+    grid point where its design is infeasible is inf.
     """
+    if g_common is None and k_common is None:
+        return result
     series = dict(result.series)
     for prefix, gain, factor, optimize in (
         ("sharedG", "k", g_common, optimize_identical_actuator),
@@ -398,8 +401,6 @@ def add_shared_gain_series(
             try:
                 design = optimize(channels, spec.plant, spec.noise_at(p0), factor)
             except Infeasible:
-                design = None
-            if design is None or not getattr(design, "feasible", True):
                 rows.append(None)
                 continue
             pairs = zip(getattr(design, gain), design.predicted_costs)

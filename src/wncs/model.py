@@ -37,9 +37,12 @@ def require_positive(value: float, what: str) -> float:
 
 
 def require_magnitude(value: float, what: str) -> float:
-    """``require_positive``, and also ValueError when ``value`` squared overflows."""
-    if require_positive(value, what) * value == math.inf:
+    """``require_positive``, and also ValueError when ``value`` squared overflows or is 0."""
+    square = require_positive(value, what) * value
+    if square == math.inf:
         raise ValueError(f"{what} is too large: its square overflows (got {value!r})")
+    if square == 0.0:
+        raise ValueError(f"{what} is too small: its square underflows to 0 (got {value!r})")
     return value
 
 
@@ -141,7 +144,6 @@ def simulate_loop(
     noise_t = noise.T.copy()
     reset_t = None if reset is None else reset.T.copy()
     x = np.full(replicas, float(x0))
-    states_t = np.empty((horizon, replicas))
     diverged = np.zeros(replicas, dtype=bool)
     for t in range(horizon):
         x = (coeff_t[t] if per_step else coeff_t) * x + noise_t[t]
@@ -151,5 +153,5 @@ def simulate_loop(
         if over.any():
             diverged |= over
             x = np.clip(x, -DIVERGENCE_GUARD, DIVERGENCE_GUARD)
-        states_t[t] = x
-    return states_t.T.copy(), diverged
+        noise_t[t] = x  # the state overwrites the noise row it has just used
+    return noise_t.T.copy(), diverged

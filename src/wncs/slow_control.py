@@ -304,7 +304,6 @@ class IdenticalActuatorDesign:
     plant_ids: tuple[int, ...]
     k_tilde: tuple[float, ...]
     k: tuple[float, ...]
-    g_common: float
     gamma_tilde: float
     regime: str  # "unconstrained" | "budget"
     multiplier: Optional[float]
@@ -363,7 +362,6 @@ def optimize_identical_actuator(
         plant_ids=ids,
         k_tilde=tuple(map(float, k_tilde)),
         k=tuple(float(kt / g_common) for kt in k_tilde),
-        g_common=g_common,
         gamma_tilde=float(gamma_tilde),
         regime=regime,
         multiplier=multiplier,
@@ -377,18 +375,14 @@ class IdenticalControllerDesign:
     """Per-plant actuator factors under one shared controller factor K.
 
     With a common K the SNR budget is equivalent to a cap on the total cost,
-    so the per-plant optima are unconstrained minimizers and feasibility is a
-    post-hoc check: ``feasible`` is False when ``total_cost`` exceeds
-    ``cost_limit`` = sigma_z2 gamma0 / K^2.
+    sigma_z2 gamma0 / K^2, so the per-plant optima are unconstrained
+    minimizers and the cap is checked after them.
     """
 
     plant_ids: tuple[int, ...]
     g: tuple[float, ...]
-    k_common: float
     closed_loop: tuple[float, ...]
     predicted_costs: tuple[float, ...]
-    cost_limit: float
-    feasible: bool
 
     @property
     def total_cost(self) -> float:
@@ -401,7 +395,11 @@ def optimize_identical_controller(
     noise: NoisePowers,
     k_common: float,
 ) -> IdenticalControllerDesign:
-    """Optimal per-plant actuator factors under one shared controller factor K."""
+    """Optimal per-plant actuator factors under one shared controller factor K.
+
+    Raises ``Infeasible`` when a closed loop is unstable or the total cost
+    exceeds the budget's cap sigma_z2 gamma0 / K^2.
+    """
     if not 1e-12 <= abs(k_common) < math.inf:
         raise ValueError(f"shared controller factor must be finite and nonzero (got {k_common!r})")
     k = float(k_common)
@@ -419,12 +417,14 @@ def optimize_identical_controller(
     costs = noise.sigma_z2 * (g**2 + ssr) / (1.0 - a_c**2)
     total = float(costs.sum())
     limit = noise.sigma_z2 * noise.gamma0 / k**2
+    if total > limit * (1.0 + 1e-12):
+        raise Infeasible(
+            f"infeasible: total cost {total:.6g} under the shared controller factor "
+            f"exceeds the budget's cap {limit:.6g}"
+        )
     return IdenticalControllerDesign(
         plant_ids=ids,
         g=tuple(map(float, g)),
-        k_common=k,
         closed_loop=tuple(map(float, a_c)),
         predicted_costs=tuple(map(float, costs)),
-        cost_limit=float(limit),
-        feasible=bool(total <= limit * (1.0 + 1e-12)),
     )

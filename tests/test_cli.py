@@ -108,6 +108,21 @@ def test_emit_csv_sidecar(tmp_path):
     assert "package_version" in sidecar
 
 
+def test_sidecar_is_strict_json(tmp_path):
+    # |a| = 1.7 is past the per-symbol-fading boundary, so the floors are
+    # infinite: the sidecar says null, never the non-standard Infinity
+    out = tmp_path / "x.csv"
+    argv = ["multi-fast", "--a", "1.7", "--grid", "20 dBm", "--horizon", "10", "--replicas", "2"]
+    assert main([*argv, "--out", str(out)]) == EXIT_INFEASIBLE
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    sidecar = json.loads((tmp_path / "x.csv.meta.json").read_text(), parse_constant=refuse)
+    assert sidecar["meta"]["floors_total"] is None
+    assert sidecar["meta"]["threshold_p0_w"] is None
+
+
 def run_main(args):
     return main(args)
 
@@ -240,6 +255,9 @@ def test_usage_errors_exit_1(tmp_path):
         ["compare", "--a", "1e200"],
         ["multi-slow", "--h", "1e200,0.02"],
         ["trace", "--h", "1e200"],
+        ["compare", "--h", "1e-200"],
+        ["multi-slow", "--h", "1e-200,0.02"],
+        ["trace", "--h", "1e-200"],
         ["select-sweep", "--m0", ","],
     ],
     ids=" ".join,
@@ -247,7 +265,7 @@ def test_usage_errors_exit_1(tmp_path):
 def test_non_finite_input_is_a_usage_error(tmp_path, capsys, argv):
     # refused with a message before any table is written: no traceback, no
     # all-nan or all-zero CSV with exit 0; a finite value whose square
-    # overflows and an empty list are refused the same way
+    # overflows or is 0, and an empty list, are refused the same way
     out = tmp_path / "x.csv"
     assert main([*argv, "--out", str(out)]) == EXIT_USAGE
     err = capsys.readouterr().err

@@ -321,9 +321,9 @@ def test_shared_designs_refuse_bad_channel_magnitudes(design, bad):
 def test_identical_controller_zero_discriminant_point():
     # k chosen so 1 - a^2 + h^2 k^2 ssr = 0; the optimal g collapses to sqrt(ssr)
     k_star = -math.sqrt(1.25 / (0.01**2 * 1e6))
+    # within budget, or it would raise Infeasible
     design = optimize_identical_controller([(0, 0.01)], PLANT, NOISE, k_common=k_star)
     assert design.g[0] == pytest.approx(1000.0, rel=1e-9)
-    assert design.feasible
     assert design.total_cost == pytest.approx(design.predicted_costs[0], rel=1e-12)
     # numeric 1-D check: no g in a wide bracket does better
     gs = np.linspace(500.0, 1500.0, 20001)
@@ -343,23 +343,26 @@ def test_identical_controller_larger_gain_for_weaker_channel():
 def test_identical_controller_budget_check_and_degenerate_k():
     k = -0.5
     tight = NoisePowers(sigma_z2=1e-7, p0=0.02)  # cost cap p0 / k^2 = 0.08
-    design = optimize_identical_controller([(0, 0.01)], PLANT, tight, k_common=k)
-    assert not design.feasible
-    assert design.total_cost > design.cost_limit
-    roomy = NoisePowers(sigma_z2=1e-7, p0=0.1)
-    assert optimize_identical_controller([(0, 0.01)], PLANT, roomy, k_common=k).feasible
+    # the single plant's optimum costs 0.109 > 0.08: refused, naming both
+    with pytest.raises(Infeasible, match=r"total cost 0\.1\d* .*exceeds the budget's cap 0\.08"):
+        optimize_identical_controller([(0, 0.01)], PLANT, tight, k_common=k)
+    roomy = NoisePowers(sigma_z2=1e-7, p0=0.1)  # cap 0.4
+    design = optimize_identical_controller([(0, 0.01)], PLANT, roomy, k_common=k)
+    assert design.total_cost <= 0.4
     with pytest.raises(ValueError):
         optimize_identical_controller([(0, 0.01)], PLANT, NOISE, k_common=1e-13)
 
 
 def test_identical_controller_matches_numeric_minimum():
-    # seeded instances: the closed form is the 1-D minimizer of the plant cost
+    # seeded instances: the closed form is the 1-D minimizer of the plant cost;
+    # a 1 W budget caps no instance's cost (the largest needs 0.34 W)
+    roomy = NoisePowers(sigma_z2=NOISE.sigma_z2, p0=1.0)
     rng = np.random.default_rng(404)
     for _ in range(20):
         plant = PlantParams(a=rng.uniform(1.05, 1.6), sigma_w2=10.0 ** rng.uniform(-2, 0))
         h = 10.0 ** rng.uniform(-3, -1)
         k = -(10.0 ** rng.uniform(-2, 0.5))
-        design = optimize_identical_controller([(0, h)], plant, NOISE, k_common=k)
+        design = optimize_identical_controller([(0, h)], plant, roomy, k_common=k)
         g_star = design.g[0]
         gs = np.linspace(g_star * 0.5, g_star * 1.5, 4001)
         a_c = plant.a + h * k * gs
