@@ -332,12 +332,15 @@ def run_coded_control(
     epoch_n = n[:, : n_epochs * d].reshape(replicas, n_epochs, d)
     open_loop = epoch_n[..., :-1] @ a ** np.arange(d - 2, -1, -1)
     np.add(epoch_n[..., -1], a * open_loop, out=epoch_n[..., -1], where=success)
-    del sent, open_loop  # the kernel's copies set the peak: free what it does not read
-    reset = np.zeros((replicas, horizon), dtype=bool)
-    reset[:, d - 1 : n_epochs * d : d] = success
-    states, diverged = simulate_loop(a, n, reset=reset)
+    del sent, open_loop
+    # the kernel steps time-major blocks: one copy of the noise, which it overwrites
+    n_t = n.T.copy()
+    del n, epoch_n
+    reset = np.zeros((horizon, replicas), dtype=bool)
+    reset[d - 1 : n_epochs * d : d] = success.T
+    states, diverged = simulate_loop(a, n_t, reset=reset)
 
-    cost = float(np.mean(states**2, axis=1).mean())
+    cost = float(np.mean(np.square(states, out=states), axis=1).mean())
     p_hat = float(success.mean()) if success.size else 0.0
     supportable = p_hat > required_success_probability(plant, scheme)
     return cost, supportable and not bool(diverged.any())

@@ -13,14 +13,16 @@ boundary.
 from __future__ import annotations
 
 import math
+import threading
+from contextlib import closing
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Generator, Optional, Sequence
 
 import numpy as np
 
 from .coded import SCHEMES, run_coded_control
 from .fading import rayleigh_gain_samples, substream
-from .fast_control import allocate_multi_fast, fast_snr_floor, optimize_single_fast
+from .fast_control import allocate_multi_fast, fast_snr_floor
 from .model import (
     DIVERGENCE_GUARD,
     GainPair,
@@ -34,6 +36,9 @@ from .model import (
 from .slow_control import allocate_multi_slow, optimize_single_slow, select_plants, snr_floor
 from .slow_control import Infeasible, optimize_identical_actuator, optimize_identical_controller
 
+if TYPE_CHECKING:
+    from concurrent.futures import Future, ThreadPoolExecutor
+
 # substream key vocabulary: kind of recipe, then purpose of the draw
 _KIND_TRACE, _KIND_COMPARE, _KIND_MULTI_SLOW, _KIND_MULTI_FAST, _KIND_SELECT = range(5)
 _DRAW_Z, _DRAW_W, _DRAW_H, _DRAW_CODED = range(4)
@@ -41,6 +46,15 @@ _DRAW_Z, _DRAW_W, _DRAW_H, _DRAW_CODED = range(4)
 #: replica-steps drawn and simulated at a time, whatever the replica count;
 #: a block's rows are this over the horizon
 _BLOCK_ELEMENTS = 1 << 19
+#: threads that draw a fast-fading point's next factor block while the caller
+#: steps this one: a constant, whatever the replica count, and no option sets
+#: it.  A caller keeps one draw in flight, so two callers never queue
+_DRAW_THREADS = 2
+#: rows drawn and combined at once: the temporaries stay this small
+_CHUNK_ROWS = 64
+
+_draw_pool: Optional[ThreadPoolExecutor] = None
+_draw_pool_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -107,10 +121,29 @@ def _refuse_clashes(values: Sequence, labels: Sequence[str], what: str) -> None:
         seen[label] = value
 
 
+def _pool() -> ThreadPoolExecutor:
+    """The drawing threads shared by every caller, started on first use."""
+    global _draw_pool
+    with _draw_pool_lock:
+        if _draw_pool is None:
+            # imported here, so that runs of one-block points never load it
+            from concurrent.futures import ThreadPoolExecutor
+
+            _draw_pool = ThreadPoolExecutor(_DRAW_THREADS, thread_name_prefix="wncs-draw")
+        return _draw_pool
+
+
+def _fill(out: np.ndarray, draw: Callable[[np.ndarray], None]) -> None:
+    """Fill the time-major (T, rows) block ``out`` by ``draw`` on (rows, T) views, in row order."""
+    rows = out.shape[1]
+    for start in range(0, rows, _CHUNK_ROWS):
+        draw(out[:, start : start + _CHUNK_ROWS].T)
+
+
 def _simulated_blocks(
     spec: ExperimentSpec, key: tuple[int, ...], g: float, a_c: float,
     fading: Optional[tuple[float, float]] = None, x0: float = 0.0,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+) -> Generator[tuple[np.ndarray, np.ndarray], None, None]:
     """The kernel's (states, diverged) for the replicas, one row block at a time.
 
     The loop is x(t+1) = c_t x(t) + g z(t) + w(t) with c_t = a_c, or with
@@ -118,29 +151,75 @@ def _simulated_blocks(
     gain h_t per symbol.  z, w and h come from the substreams keyed
     (seed, *key, purpose).  Consecutive row blocks of a stream equal its
     dense (replicas, horizon) draw, so the block size changes no result.
+
+    The calling thread draws each block's noise g z + w and steps the kernel.
+    Under fast fading a pool thread draws block k+1's factors meanwhile, into
+    the other of two time-major slots; block 0's are drawn on the calling
+    thread, and a slow-fading point never uses the pool.  The factors are
+    the costliest of the three draws but cost less than the noise and the
+    kernel, so the pool thread has slack: a busy host slows a point by at
+    most the draw it moved.  Each stream is read by one thread at a time
+    and in order, so the thread changes no result.
     """
     rows = max(1, _BLOCK_ELEMENTS // spec.horizon)
+    sizes = [min(rows, spec.replicas - start) for start in range(0, spec.replicas, rows)]
     z_rng = substream(spec.seed, *key, _DRAW_Z)
     w_rng = substream(spec.seed, *key, _DRAW_W)
-    h_rng = None if fading is None else substream(spec.seed, *key, _DRAW_H)
-    for start in range(0, spec.replicas, rows):
-        shape = (min(rows, spec.replicas - start), spec.horizon)
-        z = z_rng.normal(0.0, math.sqrt(spec.sigma_z2), shape)
-        w = w_rng.normal(0.0, math.sqrt(spec.plant.sigma_w2), shape)
-        coeff: "float | np.ndarray" = a_c
-        if fading is not None:
-            product, sigma_h2 = fading
-            coeff = a_c + product * np.abs(h_rng.normal(0.0, math.sqrt(sigma_h2), shape))
-        yield simulate_loop(coeff, g * z + w, x0)
+    z_std, w_std = math.sqrt(spec.sigma_z2), math.sqrt(spec.plant.sigma_w2)
+
+    # each draw writes its operations straight into the block's (rows, T) view
+    def noise_draw(out: np.ndarray) -> None:
+        np.multiply(z_rng.normal(0.0, z_std, out.shape), g, out=out)
+        out += w_rng.normal(0.0, w_std, out.shape)
+
+    if fading is not None:
+        product, sigma_h2 = fading
+        h_rng = substream(spec.seed, *key, _DRAW_H)
+        h_std = math.sqrt(sigma_h2)
+
+        def factor_draw(out: np.ndarray) -> None:
+            h = h_rng.normal(0.0, h_std, out.shape)
+            np.abs(h, out=h)
+            h *= product
+            np.add(h, a_c, out=out)
+
+        # block i's factors live in slot i % 2, sized by the first (largest) block
+        factor_slots = [np.empty((spec.horizon, size)) for size in sizes[:2]]
+    noise_slot = np.empty((spec.horizon, sizes[0]))
+
+    pending: Optional[Future] = None
+    try:
+        for i, size in enumerate(sizes):
+            noise = noise_slot[:, :size]
+            _fill(noise, noise_draw)
+            coeff: "float | np.ndarray" = a_c
+            if fading is not None:
+                coeff = factor_slots[i % 2][:, :size]
+                if pending is None:
+                    _fill(coeff, factor_draw)
+                else:
+                    pending.result()
+                if i + 1 < len(sizes):
+                    following = factor_slots[(i + 1) % 2][:, : sizes[i + 1]]
+                    pending = _pool().submit(_fill, following, factor_draw)
+            yield simulate_loop(coeff, noise, x0)
+    finally:
+        # an abandoned block's factor draw still writes into its slot: let it finish
+        if pending is not None:
+            pending.exception()
 
 
-def _mean_cost(blocks: Iterator[tuple[np.ndarray, np.ndarray]]) -> float:
-    """Time-average cost over every replica; inf once any replica diverges."""
+def _mean_cost(blocks: Generator[tuple[np.ndarray, np.ndarray], None, None]) -> float:
+    """Time-average cost over every replica; inf once any replica diverges.
+
+    The blocks are closed on return, so no draw is left running.
+    """
     per_replica = []
-    for states, diverged in blocks:
-        if diverged.any():
-            return math.inf
-        per_replica.append(np.mean(states**2, axis=1))
+    with closing(blocks):
+        for states, diverged in blocks:
+            if diverged.any():
+                return math.inf
+            per_replica.append(np.mean(np.square(states, out=states), axis=1))
     return float(np.concatenate(per_replica).mean())
 
 
@@ -448,8 +527,15 @@ def run_selection_sweep(
             ],
             axis=1,
         )
+        with np.errstate(divide="ignore", over="ignore"):
+            floors = (a * a - 1.0) / gains**2
+        if not np.isfinite(floors).all():
+            raise ValueError(
+                f"mean power gain {mean_power_gain!r} is too small: a drawn channel's "
+                "stabilizability floor (a^2-1)/h^2 is not finite"
+            )
         budgets = [p0 / spec.sigma_z2 for p0 in spec.powers_w]
-        _, counts = select_plants(np.arange(m0), (a * a - 1.0) / gains**2, budgets)
+        _, counts = select_plants(np.arange(m0), floors, budgets)
         series[label] = tuple(float(c.mean()) for c in counts.T)
     meta = {
         "seed": spec.seed,

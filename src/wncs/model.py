@@ -128,30 +128,31 @@ def simulate_loop(
     coeff: "float | np.ndarray", noise: np.ndarray, x0: float = 0.0,
     reset: "np.ndarray | None" = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Run x(t+1) = c_t x(t) + n_t over a (replicas, T) noise block, from x0.
+    """Run x(t+1) = c_t x(t) + n_t over a time-major (T, replicas) noise block, from x0.
 
     ``coeff`` is one closed-loop factor for every step (slow fading) or a
-    (replicas, T) array of per-step factors (fast fading).  ``reset`` is an
-    optional (replicas, T) mask of steps whose factor is 0 instead (the coded
-    loop's decoded epochs), where the state restarts from n_t alone.  States
-    beyond the divergence guard are clamped and flagged; returns (states,
-    diverged-per-replica).
+    (T, replicas) array of per-step factors (fast fading).  ``reset`` is an
+    optional (T, replicas) mask of steps whose factor is 0 instead (the coded
+    loop's decoded epochs), where the state restarts from n_t alone.  Time-major
+    rows keep every step's reads and writes contiguous.  Each state overwrites
+    the noise row it has just used, so ``noise`` holds the states on return.
+    States beyond the divergence guard are clamped and flagged; returns
+    (states replica-major, diverged-per-replica).
     """
-    replicas, horizon = noise.shape
+    horizon, replicas = noise.shape
     per_step = not np.isscalar(coeff)
-    # stepped time-major, so that every step reads and writes contiguous rows
-    coeff_t = coeff.T.copy() if per_step else coeff
-    noise_t = noise.T.copy()
-    reset_t = None if reset is None else reset.T.copy()
     x = np.full(replicas, float(x0))
+    scratch = np.empty(replicas)
     diverged = np.zeros(replicas, dtype=bool)
     for t in range(horizon):
-        x = (coeff_t[t] if per_step else coeff_t) * x + noise_t[t]
-        if reset_t is not None:
-            np.copyto(x, noise_t[t], where=reset_t[t])
-        over = np.abs(x) > DIVERGENCE_GUARD
-        if over.any():
-            diverged |= over
-            x = np.clip(x, -DIVERGENCE_GUARD, DIVERGENCE_GUARD)
-        noise_t[t] = x  # the state overwrites the noise row it has just used
-    return noise_t.T.copy(), diverged
+        row = noise[t]
+        np.multiply(x, coeff[t] if per_step else coeff, out=scratch)
+        # n_t + c_t x(t) in place of n_t; a reset step keeps n_t alone
+        np.add(row, scratch, out=row, where=True if reset is None else ~reset[t])
+        # one call per step: the squares sum past the guard's square whenever
+        # a state passes the guard (and, harmlessly, sometimes when none does)
+        if row @ row > DIVERGENCE_GUARD**2:
+            diverged |= np.abs(row, out=scratch) > DIVERGENCE_GUARD
+            np.clip(row, -DIVERGENCE_GUARD, DIVERGENCE_GUARD, out=row)
+        x = row
+    return noise.T.copy(), diverged

@@ -244,6 +244,7 @@ def test_usage_errors_exit_1(tmp_path):
         ["multi-fast", "--sigma-h2", "nan,4e-4"],
         ["multi-fast", "--sigma-w2", "nan"],
         ["select-sweep", "--mean-gain", "nan"],
+        ["select-sweep", "--mean-gain", "1e-320"],
         ["trace", "--h", "nan"],
         ["trace", "--a-c", "nan"],
         ["trace", "--x0", "nan"],

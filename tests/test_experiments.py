@@ -1,6 +1,9 @@
 """Experiment recipes: traces, comparisons, allocation sweeps, selection."""
 import math
+import sys
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from wncs.experiments import (
     run_single_compare,
     run_trace,
 )
+from wncs.fading import substream
 from wncs.model import DIVERGENCE_GUARD, NoisePowers, PlantParams
 from wncs.slow_control import optimize_single_slow
 
@@ -205,6 +209,86 @@ def test_fast_sweep_memory_is_bounded_by_the_block():
         tracemalloc.stop()
     assert result.bounded["j1_sim"][0]
     assert peak < 64 * 2**20
+
+
+def _dense_reference_cost(spec, key, g, a_c, fading=None):
+    """The loop's mean cost from one dense (replicas, T) draw per substream,
+    stepped by a plain time loop over replica-major arrays."""
+    shape = (spec.replicas, spec.horizon)
+
+    def draw(purpose, power):
+        return substream(spec.seed, *key, purpose).normal(0.0, math.sqrt(power), shape)
+
+    z = draw(experiments._DRAW_Z, spec.sigma_z2)
+    noise = g * z + draw(experiments._DRAW_W, spec.plant.sigma_w2)
+    coeff = np.full(shape, a_c)
+    if fading is not None:
+        product, sigma_h2 = fading
+        coeff = a_c + product * np.abs(draw(experiments._DRAW_H, sigma_h2))
+    x, states = np.zeros(spec.replicas), np.empty(shape)
+    for t in range(spec.horizon):
+        x = coeff[:, t] * x + noise[:, t]
+        states[:, t] = x
+    assert (np.abs(states) < DIVERGENCE_GUARD).all()
+    return float(np.mean(states**2, axis=1).mean())
+
+
+@pytest.mark.parametrize("block_rows", [None, 100, 7], ids=["default", "100-row", "7-row"])
+@pytest.mark.parametrize(
+    "g, a_c, fading", [(138.97, 0.9, None), (100.0, 1.5, (-100.0, 1e-4))], ids=["slow", "fast"]
+)
+def test_pipelined_blocks_equal_a_dense_reference(monkeypatch, block_rows, g, a_c, fading):
+    # 150 replicas: one block of three drawing chunks by default, and 2 or 22
+    # blocks drawn on the pool while the kernel steps the one before
+    spec = make_spec(horizon=40, replicas=150)
+    if block_rows is not None:
+        monkeypatch.setattr(experiments, "_BLOCK_ELEMENTS", block_rows * spec.horizon)
+    key = (experiments._KIND_MULTI_FAST, 0, 1)
+    blocks = experiments._simulated_blocks(spec, key, g, a_c, fading)
+    assert experiments._mean_cost(blocks) == _dense_reference_cost(spec, key, g, a_c, fading)
+
+
+def test_a_diverged_first_block_returns_inf_with_no_draw_pending(monkeypatch):
+    # a_c = 3 crosses the guard within block 0; block 1's factors are drawn
+    # (slowly) on the pool meanwhile, and the cost returns only once that draw
+    # has finished
+    spec = make_spec(horizon=60, replicas=70)
+    monkeypatch.setattr(experiments, "_BLOCK_ELEMENTS", 7 * spec.horizon)
+    pool, submitted = experiments._pool(), []
+
+    class SlowPool:
+        @staticmethod
+        def submit(fn, *args):
+            submitted.append(pool.submit(lambda: (time.sleep(0.2), fn(*args))))
+            return submitted[-1]
+
+    monkeypatch.setattr(experiments, "_pool", lambda: SlowPool)
+    blocks = experiments._simulated_blocks(spec, (0, 0), 1.0, 3.0, fading=(1e-3, 1e-4))
+    assert experiments._mean_cost(blocks) == math.inf
+    # block 1's factor draw, and nothing after it
+    assert len(submitted) == 1
+    assert all(future.done() for future in submitted)
+
+
+def test_concurrent_sweeps_equal_their_sequential_results(monkeypatch):
+    # four library callers share the two drawing threads, 8 blocks a point,
+    # with the interpreter switching threads far more often than by default
+    monkeypatch.setattr(experiments, "_BLOCK_ELEMENTS", 7 * 60)
+    jobs = [
+        (make_spec(powers_w=(0.1,), horizon=60, replicas=50, seed=seed), channels, regime)
+        for seed in (0, 1)
+        for channels, regime in ((((1, 1e-4), (2, 4e-4)), "fast"), (((1, 0.01), (2, 0.02)), "slow"))
+    ]
+    sequential = [run_multi_sweep(*job).series for job in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(len(jobs)) as callers:
+            results = callers.map(lambda job: run_multi_sweep(*job).series, jobs, timeout=120)
+            concurrent = list(results)
+    finally:
+        sys.setswitchinterval(interval)
+    assert concurrent == sequential
 
 
 def test_run_selection_sweep_monotone_and_bounded():
