@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import NoisePowers, PlantParams, simulate_loop
+from .model import NoisePowers, PlantParams, mean_square_per_replica, simulate_loop
 
 
 @dataclass(frozen=True)
@@ -236,12 +236,37 @@ def _label_table(scheme: CodingScheme) -> tuple[np.ndarray, np.ndarray]:
 
 #: set bits of every byte
 _POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+#: words the link detects at a time on each axis: its temporaries stay this small
+_LINK_WORDS = 1 << 15
+#: replicas whose messages are drawn at a time.  A multiple of 4, so that
+#: each chunk takes whole 32-bit words from the generator and the chunks
+#: equal one dense uint8 draw
+_MESSAGE_ROWS = 64
+#: replicas whose plant noise is drawn and combined at a time
+_NOISE_ROWS = 64
+
+
+def _message_weights(scheme: CodingScheme) -> np.ndarray:
+    """Weights that read (..., k) message bits as their row of ``_label_table``.
+
+    They have the table's index width: a wider matmul would copy the bits at
+    that width.
+    """
+    table, _ = _label_table(scheme)
+    return (1 << np.arange(scheme.k - 1, -1, -1)).astype(np.min_scalar_type(len(table) - 1))
 
 
 def _link_success(
     sent: np.ndarray, scheme: CodingScheme, noise: NoisePowers, h: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """Send (..., k) message bits over the coded link; True where a word arrives intact.
+    """Send (..., k) message bits over the coded link; True where a word arrives intact."""
+    return _words_intact(sent @ _message_weights(scheme), scheme, noise, h, rng)
+
+
+def _words_intact(
+    words: np.ndarray, scheme: CodingScheme, noise: NoisePowers, h: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Send codewords, given as ``_label_table`` rows, over the link; True where one arrives intact.
 
     The link encodes, zero-pads to whole symbols, modulates at power p0,
     scales by h, adds complex AWGN of power sigma_z2 per real dimension
@@ -249,6 +274,9 @@ def _link_success(
     returns the sent message iff at most one code bit is wrong, so each axis
     is detected in real arithmetic from the codeword's label-table row, and
     the word succeeds iff its label XOR has at most one set bit on code bits.
+    The words are detected a chunk at a time, every real axis before any
+    imaginary one: consecutive chunks of a normal draw equal the dense draw,
+    so the chunk size changes no result.
     """
     if not (math.isfinite(h) and h != 0.0):
         raise ValueError(f"channel gain must be finite and nonzero (got {h!r})")
@@ -258,27 +286,29 @@ def _link_success(
     to_gray = to_gray.astype(table.dtype)  # detected labels at the table's width, not int64
     amplitude = (2.0 * from_gray - (levels - 1)) * c
     std = math.sqrt(noise.sigma_z2)
-    # weights of the table's index width: a wider matmul would copy sent at that width
-    weights = (1 << np.arange(scheme.k - 1, -1, -1)).astype(np.min_scalar_type(len(table) - 1))
-    labels = table[sent @ weights]
-    errors = np.empty_like(labels)
+    flat = words.reshape(-1)
+    # code bits wrong per word, summed as a matmul, far faster than sum() over
+    # so short an axis; a code whose table fits in memory has n < 256, so the
+    # uint8 count cannot wrap
+    flips = np.zeros(flat.shape, dtype=np.uint8)
+    ones = np.ones(mask.shape[0] * mask.itemsize, dtype=np.uint8)
     for axis in (0, 1):
-        # in place, in qam_detect's order: ((h amp + noise) / h / c + L - 1) / 2
-        y = amplitude[labels[..., axis]]
-        y *= h
-        y += rng.normal(0.0, std, y.shape)
-        y /= h
-        y /= c
-        y += levels - 1
-        y /= 2.0
-        np.clip(np.rint(y, out=y), 0, levels - 1, out=y)
-        errors[..., axis] = to_gray[y.astype(np.intp)]
-    errors ^= labels
-    errors &= mask
-    flips = _POPCOUNT[errors.view(np.uint8)].reshape(*sent.shape[:-1], mask.nbytes)
-    # summed as a matmul, far faster than sum() over so short an axis; a code
-    # whose table fits in memory has n < 256, so the uint8 count cannot wrap
-    return flips @ np.ones(flips.shape[-1], dtype=np.uint8) <= 1
+        for start in range(0, flat.size, _LINK_WORDS):
+            labels = table[flat[start : start + _LINK_WORDS], :, axis]
+            # in place, in qam_detect's order: ((h amp + noise) / h / c + L - 1) / 2
+            y = amplitude[labels]
+            y *= h
+            y += rng.normal(0.0, std, y.shape)
+            y /= h
+            y /= c
+            y += levels - 1
+            y /= 2.0
+            np.clip(np.rint(y, out=y), 0, levels - 1, out=y)
+            errors = to_gray[y.astype(np.intp)]
+            errors ^= labels
+            errors &= mask[:, axis]
+            flips[start : start + _LINK_WORDS] += _POPCOUNT[errors.view(np.uint8)] @ ones
+    return (flips <= 1).reshape(words.shape)
 
 
 def estimate_word_success(
@@ -322,25 +352,36 @@ def run_coded_control(
         raise ValueError(f"replicas must be >= 1 (got {replicas})")
     d = scheme.latency
     n_epochs = horizon // d
-    # success flags are payload-independent, so simulate the link first
-    sent = rng.integers(0, 2, size=(replicas, n_epochs, scheme.k), dtype=np.uint8)
-    success = _link_success(sent, scheme, noise, h, rng)
+    # each purpose is one run of draws from rng, taken in order a chunk at a
+    # time: the messages, the link's noise, then the plant noise.  Success
+    # flags are payload-independent, so the link runs first
+    weights = _message_weights(scheme)
+    words = np.empty((replicas, n_epochs), dtype=weights.dtype)
+    for start in range(0, replicas, _MESSAGE_ROWS):
+        chunk = words[start : start + _MESSAGE_ROWS]
+        sent = rng.integers(0, 2, size=(*chunk.shape, scheme.k), dtype=np.uint8)
+        np.matmul(sent, weights, out=chunk)
+    success = _words_intact(words, scheme, noise, h, rng)
+    del words
 
-    a = plant.a
-    n = rng.normal(0.0, math.sqrt(plant.sigma_w2), (replicas, horizon))
-    # (replicas, epochs, d) view of the whole epochs: writes land in n
-    epoch_n = n[:, : n_epochs * d].reshape(replicas, n_epochs, d)
-    open_loop = epoch_n[..., :-1] @ a ** np.arange(d - 2, -1, -1)
-    np.add(epoch_n[..., -1], a * open_loop, out=epoch_n[..., -1], where=success)
-    del sent, open_loop
-    # the kernel steps time-major blocks: one copy of the noise, which it overwrites
-    n_t = n.T.copy()
-    del n, epoch_n
+    a, std = plant.a, math.sqrt(plant.sigma_w2)
+    powers = a ** np.arange(d - 2, -1, -1)
+    # the kernel steps time-major noise; each chunk is drawn replica-major,
+    # as the dense draw is, and written into its columns
+    n_t = np.empty((horizon, replicas))
+    for start in range(0, replicas, _NOISE_ROWS):
+        n = rng.normal(0.0, std, (min(_NOISE_ROWS, replicas - start), horizon))
+        # (rows, epochs, d) view of the whole epochs: writes land in n
+        epoch_n = n[:, : n_epochs * d].reshape(len(n), n_epochs, d)
+        open_loop = epoch_n[..., :-1] @ powers
+        where = success[start : start + len(n)]
+        np.add(epoch_n[..., -1], a * open_loop, out=epoch_n[..., -1], where=where)
+        n_t[:, start : start + len(n)] = n.T
     reset = np.zeros((horizon, replicas), dtype=bool)
     reset[d - 1 : n_epochs * d : d] = success.T
     states, diverged = simulate_loop(a, n_t, reset=reset)
 
-    cost = float(np.mean(np.square(states, out=states), axis=1).mean())
+    cost = float(mean_square_per_replica(states).mean())
     p_hat = float(success.mean()) if success.size else 0.0
     supportable = p_hat > required_success_probability(plant, scheme)
     return cost, supportable and not bool(diverged.any())

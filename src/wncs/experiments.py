@@ -28,6 +28,7 @@ from .model import (
     GainPair,
     NoisePowers,
     PlantParams,
+    mean_square_per_replica,
     predicted_cost_slow,
     require_magnitude,
     require_positive,
@@ -47,8 +48,8 @@ _DRAW_Z, _DRAW_W, _DRAW_H, _DRAW_CODED = range(4)
 #: a block's rows are this over the horizon
 _BLOCK_ELEMENTS = 1 << 19
 #: threads that draw a fast-fading point's next factor block while the caller
-#: steps this one: a constant, whatever the replica count, and no option sets
-#: it.  A caller keeps one draw in flight, so two callers never queue
+#: steps this one, and that run ``run_single_compare``'s cells: a constant,
+#: whatever the replica count, and no option sets it
 _DRAW_THREADS = 2
 #: rows drawn and combined at once: the temporaries stay this small
 _CHUNK_ROWS = 64
@@ -219,7 +220,7 @@ def _mean_cost(blocks: Generator[tuple[np.ndarray, np.ndarray], None, None]) -> 
         for states, diverged in blocks:
             if diverged.any():
                 return math.inf
-            per_replica.append(np.mean(np.square(states, out=states), axis=1))
+            per_replica.append(mean_square_per_replica(states))
     return float(np.concatenate(per_replica).mean())
 
 
@@ -280,6 +281,9 @@ def run_trace(
         g = gains.g if gains is not None else 0.0
         first, sum_sq, ok = None, np.zeros(spec.horizon), True
         for states, diverged in _simulated_blocks(spec, (_KIND_TRACE, idx), g, a_c, x0=x0):
+            # replica-major and contiguous: the next block overwrites the
+            # kernel's slot, and the sum below must see dense rows
+            states = states.T.copy()
             first = states[0] if first is None else first
             # rows summed in dense row order: the block size changes no bit
             sum_sq = np.add.reduce(np.concatenate([sum_sq[None], states**2]), axis=0)
@@ -321,7 +325,10 @@ def run_single_compare(
     The analog series carry the closed-form prediction and the simulated
     cost; below the stabilizability threshold (a^2-1)/h^2 both are inf.  Each
     coded scheme is simulated at every grid point regardless (an unstable
-    verdict is an inf cell, not an error).
+    verdict is an inf cell, not an error).  The cells run two at a time on
+    the drawing threads while the calling thread designs the analog loops
+    and then collects the results in grid order; the first cell to raise, in
+    grid order, raises here.
     """
     unknown = [s for s in schemes if s not in SCHEMES]
     if unknown:
@@ -331,26 +338,54 @@ def run_single_compare(
     names = ["analog_pred", "analog_sim", *schemes]
     cols: dict[str, list[float]] = {n: [] for n in names}
     feasible_points = 0
-    for gi, p0 in enumerate(spec.powers_w):
-        noise = spec.noise_at(p0)
-        pred, sim = math.inf, math.inf
-        if noise.gamma0 >= floor:
-            feasible_points += 1
-            design = optimize_single_slow(spec.plant, noise, h)
-            pred = design.j_ave
-            # at a boundary point no pair is realizable: the cost is unbounded in the limit
-            if design.gains is not None:
-                blocks = _simulated_blocks(spec, (_KIND_COMPARE, gi, 0), design.gains.g, design.a_c)
-                sim = _mean_cost(blocks)
-        cols["analog_pred"].append(pred)
-        cols["analog_sim"].append(sim)
-        for si, name in enumerate(schemes):
-            rng = substream(spec.seed, _KIND_COMPARE, gi, 1 + si, _DRAW_CODED)
-            cost, stable = run_coded_control(
-                spec.plant, noise, h, SCHEMES[name],
-                horizon=spec.horizon, rng=rng, replicas=spec.replicas,
-            )
-            cols[name].append(cost if stable else math.inf)
+    # per grid point: the prediction, the analog cell (None where nothing
+    # runs) and the coded cells, every cell running on the drawing threads
+    points: list[tuple[float, Optional[Future], list[Future]]] = []
+    futures: list[Future] = []
+
+    def submit(fn: Callable, *args) -> Future:
+        # a pooled task that submitted to the pool and waited could deadlock
+        # both threads; no cell does: the analog cells are slow fading, which
+        # draws no factors on the pool, and the coded cells never use it
+        futures.append(_pool().submit(fn, *args))
+        return futures[-1]
+
+    try:
+        for gi, p0 in enumerate(spec.powers_w):
+            noise = spec.noise_at(p0)
+            pred, sim = math.inf, None
+            if noise.gamma0 >= floor:
+                feasible_points += 1
+                design = optimize_single_slow(spec.plant, noise, h)
+                pred = design.j_ave
+                # at a boundary point no pair is realizable: the cost is unbounded in the limit
+                if design.gains is not None:
+                    key = (_KIND_COMPARE, gi, 0)
+                    blocks = _simulated_blocks(spec, key, design.gains.g, design.a_c)
+                    sim = submit(_mean_cost, blocks)
+            coded = [
+                submit(
+                    run_coded_control, spec.plant, noise, h, SCHEMES[name], spec.horizon,
+                    substream(spec.seed, _KIND_COMPARE, gi, 1 + si, _DRAW_CODED), spec.replicas,
+                )
+                for si, name in enumerate(schemes)
+            ]
+            points.append((pred, sim, coded))
+        # each cell has its own substreams, so the threads change no result
+        for pred, sim, coded in points:
+            cols["analog_pred"].append(pred)
+            cols["analog_sim"].append(math.inf if sim is None else sim.result())
+            for name, cell in zip(schemes, coded):
+                cost, stable = cell.result()
+                cols[name].append(cost if stable else math.inf)
+    finally:
+        # after a cell raises, the cells not yet started never start, and the
+        # call returns only once none is running
+        for future in futures:
+            future.cancel()
+        for future in futures:
+            if not future.cancelled():
+                future.exception()
     meta = {
         "seed": spec.seed,
         "replicas": spec.replicas,

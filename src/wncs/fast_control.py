@@ -83,8 +83,10 @@ def optimize_single_fast(
 
         J(u) = gamma sigma_w2 / (gamma (1 - E[A_c^2](u)) - u^2)
 
-    is minimized by u* = -bA gamma / (1 + sigma_h2 gamma).
+    is minimized by u* = -bA gamma / (1 + sigma_h2 gamma).  With no
+    disturbance there is no optimal pair (K -> -inf), so sigma_w2 = 0 is refused.
     """
+    require_positive(plant.sigma_w2, "disturbance power")
     g0 = noise.gamma0 if gamma is None else float(gamma)
     floor = fast_snr_floor(plant, sigma_h2)
     if g0 < floor:

@@ -137,22 +137,44 @@ def simulate_loop(
     rows keep every step's reads and writes contiguous.  Each state overwrites
     the noise row it has just used, so ``noise`` holds the states on return.
     States beyond the divergence guard are clamped and flagged; returns
-    (states replica-major, diverged-per-replica).
+    (``noise``, now the time-major states, and diverged-per-replica).
     """
     horizon, replicas = noise.shape
     per_step = not np.isscalar(coeff)
     x = np.full(replicas, float(x0))
     scratch = np.empty(replicas)
     diverged = np.zeros(replicas, dtype=bool)
-    for t in range(horizon):
-        row = noise[t]
-        np.multiply(x, coeff[t] if per_step else coeff, out=scratch)
-        # n_t + c_t x(t) in place of n_t; a reset step keeps n_t alone
-        np.add(row, scratch, out=row, where=True if reset is None else ~reset[t])
-        # one call per step: the squares sum past the guard's square whenever
-        # a state passes the guard (and, harmlessly, sometimes when none does)
-        if row @ row > DIVERGENCE_GUARD**2:
-            diverged |= np.abs(row, out=scratch) > DIVERGENCE_GUARD
-            np.clip(row, -DIVERGENCE_GUARD, DIVERGENCE_GUARD, out=row)
-        x = row
-    return noise.T.copy(), diverged
+    # a state near the float limit overflows the guard's sum of squares to
+    # inf, which still passes the guard: the clamp below is the answer to it
+    with np.errstate(over="ignore"):
+        for t in range(horizon):
+            row = noise[t]
+            np.multiply(x, coeff[t] if per_step else coeff, out=scratch)
+            # n_t + c_t x(t) in place of n_t; a reset step keeps n_t alone
+            np.add(row, scratch, out=row, where=True if reset is None else ~reset[t])
+            # one call per step: the squares sum past the guard's square whenever
+            # a state passes the guard (and, harmlessly, sometimes when none does)
+            if row @ row > DIVERGENCE_GUARD**2:
+                diverged |= np.abs(row, out=scratch) > DIVERGENCE_GUARD
+                np.clip(row, -DIVERGENCE_GUARD, DIVERGENCE_GUARD, out=row)
+            x = row
+    return noise, diverged
+
+
+#: replicas transposed and reduced at a time: the copy stays this small
+_REDUCE_ROWS = 64
+
+
+def mean_square_per_replica(states: np.ndarray) -> np.ndarray:
+    """Time average of x(t)^2 for each replica of time-major (T, replicas) states.
+
+    Each replica's squares are summed as one contiguous row, as they would be
+    in a replica-major array, so the result does not depend on the layout.
+    """
+    horizon, replicas = states.shape
+    means = np.empty(replicas)
+    rows = np.empty((min(replicas, _REDUCE_ROWS), horizon))
+    for start in range(0, replicas, _REDUCE_ROWS):
+        chunk = np.square(states[:, start : start + _REDUCE_ROWS].T, out=rows[: replicas - start])
+        means[start : start + len(chunk)] = np.mean(chunk, axis=1)
+    return means

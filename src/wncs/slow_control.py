@@ -74,8 +74,10 @@ def optimize_single_slow(
 
     ``gamma`` overrides the budget (used by the multi-plant allocator to
     design each plant at its allocated share); default is the full gamma0.
-    The returned design meets its SNR budget with equality.
+    The returned design meets its SNR budget with equality.  With no
+    disturbance there is no optimal pair (K -> -inf), so sigma_w2 = 0 is refused.
     """
+    require_positive(plant.sigma_w2, "disturbance power")
     g0 = noise.gamma0 if gamma is None else float(gamma)
     floor = snr_floor(plant, h)
     if g0 < floor:

@@ -143,6 +143,21 @@ def test_trace_command_writes_csv(tmp_path, capsys):
     assert "wrote" in capsys.readouterr().out
 
 
+def test_trace_from_a_huge_state_is_clamped_without_a_warning(tmp_path):
+    # 1e200 squares past the float limit in the kernel's guard; under the
+    # suite's warnings-as-errors a leaked overflow warning fails this run.
+    # Every first state passes the guard and is clamped to it, so the first
+    # row and every running cost are INF
+    out = tmp_path / "trace.csv"
+    args = ["trace", "--x0", "1e200", "--horizon", "5", "--replicas", "2", "--out", str(out)]
+    assert run_main(args) == EXIT_OK
+    header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+    assert len(rows) == 5
+    assert all(cell == INF_TOKEN for cell in rows[0][1:])
+    costs = [i for i, name in enumerate(header) if name.startswith("j_")]
+    assert all(row[i] == INF_TOKEN for row in rows for i in costs)
+
+
 def test_compare_command_infeasible_grid_exits_2(tmp_path):
     out = tmp_path / "cmp.csv"
     code = run_main(
@@ -260,6 +275,9 @@ def test_usage_errors_exit_1(tmp_path):
         ["multi-slow", "--h", "1e-200,0.02"],
         ["trace", "--h", "1e-200"],
         ["select-sweep", "--m0", ","],
+        ["compare", "--sigma-w2", "0"],
+        ["multi-slow", "--sigma-w2", "0"],
+        ["multi-fast", "--sigma-w2", "0"],
     ],
     ids=" ".join,
 )

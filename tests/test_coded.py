@@ -1,10 +1,12 @@
 """Coded baseline: block codes, QAM mapping, and the dead-beat loop."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from wncs import coded, model
 from wncs.coded import (
     SCHEMES,
     CodingScheme,
@@ -309,3 +311,44 @@ def test_coded_loop_matches_per_symbol_reference(name, p0, horizon):
     want = _per_symbol_reference(noise, scheme, horizon, substream(5, 0), replicas=200)
     assert got[0] == pytest.approx(want[0], rel=1e-12)
     assert got[1] == want[1]
+
+
+def _coded_cells():
+    """Every scheme's (cost, verdict) and its generator's final state, 150 x 101."""
+    noise = NoisePowers(sigma_z2=1e-7, p0=0.1)
+    cells = []
+    for scheme in SCHEMES.values():
+        rng = substream(5, 1)
+        cells.append((run_coded_control(PLANT, noise, 0.01, scheme, 101, rng, replicas=150),
+                      rng.bit_generator.state))
+    return cells
+
+
+def test_chunk_sizes_change_no_coded_result(monkeypatch):
+    # 64-row chunks, one 2^15-word link chunk and 64-replica reductions by
+    # default; then plant noise in 7-row chunks, link words in 999-word chunks
+    # and reductions of 5 replicas.  Message chunks must stay a multiple of 4
+    # rows to take whole 32-bit words of the generator: 4 here
+    default = _coded_cells()
+    monkeypatch.setattr(coded, "_NOISE_ROWS", 7)
+    monkeypatch.setattr(coded, "_LINK_WORDS", 999)
+    monkeypatch.setattr(coded, "_MESSAGE_ROWS", 4)
+    monkeypatch.setattr(model, "_REDUCE_ROWS", 5)
+    assert _coded_cells() == default
+
+
+def test_coded_cell_memory_is_bounded_by_the_chunks():
+    # drawn and detected as dense arrays this cell peaks at 138 MiB; in chunks
+    # at about 53 MiB, of which 38 MiB are the kernel's (T, replicas) states
+    noise = NoisePowers(sigma_z2=1e-7, p0=0.1)
+    tracemalloc.start()
+    try:
+        cost, stable = run_coded_control(
+            PLANT, noise, 0.01, SCHEMES["bch7_4_qam256"], horizon=500,
+            rng=substream(0, 1), replicas=10000,
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stable and math.isfinite(cost)
+    assert peak < 64 * 2**20

@@ -10,6 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from wncs import experiments
+from wncs.coded import CodingScheme
 from wncs.experiments import (
     ExperimentSpec,
     SweepResult,
@@ -289,6 +290,49 @@ def test_concurrent_sweeps_equal_their_sequential_results(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert concurrent == sequential
+
+
+def test_concurrent_compares_equal_their_sequential_results():
+    # four library callers queue their cells on the same two threads, with
+    # the interpreter switching threads far more often than by default
+    specs = [
+        make_spec(powers_w=(5e-4, 0.01, 0.1), horizon=60, replicas=50, seed=seed)
+        for seed in range(4)
+    ]
+    sequential = [run_single_compare(spec, h=0.01).series for spec in specs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(len(specs)) as callers:
+            results = callers.map(lambda spec: run_single_compare(spec, h=0.01).series, specs,
+                                  timeout=120)
+            concurrent = list(results)
+    finally:
+        sys.setswitchinterval(interval)
+    assert concurrent == sequential
+
+
+def test_a_failing_compare_cell_raises_and_leaves_no_cell_running(monkeypatch):
+    # (31, 26) is too long for the link's label table: its cells raise at once,
+    # while each other cell is held back 0.1 s on its thread
+    too_long = CodingScheme("h31", n=31, k=26, generator=0b100101, bits_per_symbol=2)
+    monkeypatch.setitem(experiments.SCHEMES, too_long.name, too_long)
+    pool, submitted = experiments._pool(), []
+
+    class SlowPool:
+        @staticmethod
+        def submit(fn, *args):
+            submitted.append(pool.submit(lambda: (time.sleep(0.1), fn(*args))[1]))
+            return submitted[-1]
+
+    monkeypatch.setattr(experiments, "_pool", lambda: SlowPool)
+    spec = make_spec(powers_w=(0.01, 0.02, 0.05, 0.1), horizon=60, replicas=20)
+    with pytest.raises(ValueError, match="2\\^k"):
+        run_single_compare(spec, h=0.01, schemes=("bch7_4_qam16", "h31", "bch7_4_qam256"))
+    # 4 analog and 12 coded cells: the ones after the failure never started
+    assert len(submitted) == 16
+    assert all(future.done() for future in submitted)
+    assert any(future.cancelled() for future in submitted)
 
 
 def test_run_selection_sweep_monotone_and_bounded():

@@ -105,8 +105,10 @@ def test_simulate_loop_clamps_at_the_guard_flags_and_resets():
     noise[2] = np.arange(1.0, horizon + 1.0)
     reset = np.zeros((3, horizon), dtype=bool)
     reset[2, 4] = True
-    # time-major inputs; the kernel writes its states over the noise it is given
+    # time-major inputs; the kernel writes its states over the noise it is
+    # given and returns them time-major: read them replica-major
     states, diverged = simulate_loop(coeff.T, noise.T.copy(), x0=1.0, reset=reset.T)
+    states = states.T
     # +-10^(t+1) lands on the guard at t = 11, which is not past it; from
     # t = 12 on each state is clamped to exactly the guard, sign kept
     assert_array_equal(states[0, :12], 10.0 ** np.arange(1, 13))
