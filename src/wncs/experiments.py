@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import math
 import threading
-from contextlib import closing
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Generator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -46,13 +46,11 @@ _DRAW_Z, _DRAW_W, _DRAW_H, _DRAW_CODED = range(4)
 
 #: replica-steps drawn and simulated at a time, whatever the replica count;
 #: a block's rows are this over the horizon
-_BLOCK_ELEMENTS = 1 << 19
-#: threads that draw a fast-fading point's next factor block while the caller
-#: steps this one, and that run ``run_single_compare``'s cells: a constant,
-#: whatever the replica count, and no option sets it
+_BLOCK_ELEMENTS = 1 << 18
+#: threads that run the recipes' simulation cells, ``run_single_compare``'s
+#: and ``run_multi_sweep``'s, two at a time: a constant, whatever the replica
+#: count, and no option sets it
 _DRAW_THREADS = 2
-#: rows drawn and combined at once: the temporaries stay this small
-_CHUNK_ROWS = 64
 
 _draw_pool: Optional[ThreadPoolExecutor] = None
 _draw_pool_lock = threading.Lock()
@@ -123,28 +121,44 @@ def _refuse_clashes(values: Sequence, labels: Sequence[str], what: str) -> None:
 
 
 def _pool() -> ThreadPoolExecutor:
-    """The drawing threads shared by every caller, started on first use."""
+    """The drawing threads that run every caller's cells, started on first use."""
     global _draw_pool
     with _draw_pool_lock:
         if _draw_pool is None:
-            # imported here, so that runs of one-block points never load it
+            # imported here, so that a recipe that runs no cells never loads it
             from concurrent.futures import ThreadPoolExecutor
 
             _draw_pool = ThreadPoolExecutor(_DRAW_THREADS, thread_name_prefix="wncs-draw")
         return _draw_pool
 
 
-def _fill(out: np.ndarray, draw: Callable[[np.ndarray], None]) -> None:
-    """Fill the time-major (T, rows) block ``out`` by ``draw`` on (rows, T) views, in row order."""
-    rows = out.shape[1]
-    for start in range(0, rows, _CHUNK_ROWS):
-        draw(out[:, start : start + _CHUNK_ROWS].T)
+@contextmanager
+def _cells() -> Iterator[Callable[..., Future]]:
+    """A ``submit(fn, *args)`` that runs a recipe's cell on the drawing threads.
+
+    On leaving, also by an exception, the cells not yet started never start,
+    and the block is left only once no cell is running.
+    """
+    futures: list[Future] = []
+
+    def submit(fn: Callable, *args) -> Future:
+        futures.append(_pool().submit(fn, *args))
+        return futures[-1]
+
+    try:
+        yield submit
+    finally:
+        for future in futures:
+            future.cancel()
+        for future in futures:
+            if not future.cancelled():
+                future.exception()
 
 
 def _simulated_blocks(
     spec: ExperimentSpec, key: tuple[int, ...], g: float, a_c: float,
     fading: Optional[tuple[float, float]] = None, x0: float = 0.0,
-) -> Generator[tuple[np.ndarray, np.ndarray], None, None]:
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The kernel's (states, diverged) for the replicas, one row block at a time.
 
     The loop is x(t+1) = c_t x(t) + g z(t) + w(t) with c_t = a_c, or with
@@ -153,74 +167,52 @@ def _simulated_blocks(
     (seed, *key, purpose).  Consecutive row blocks of a stream equal its
     dense (replicas, horizon) draw, so the block size changes no result.
 
-    The calling thread draws each block's noise g z + w and steps the kernel.
-    Under fast fading a pool thread draws block k+1's factors meanwhile, into
-    the other of two time-major slots; block 0's are drawn on the calling
-    thread, and a slow-fading point never uses the pool.  The factors are
-    the costliest of the three draws but cost less than the noise and the
-    kernel, so the pool thread has slack: a busy host slows a point by at
-    most the draw it moved.  Each stream is read by one thread at a time
-    and in order, so the thread changes no result.
+    Each stream's block is one ``standard_normal`` call into a replica-major
+    (rows, T) stage, which is scaled there and written into a time-major
+    (T, rows) slot: the noise as z s_z g + w s_w and the factors as
+    a_c + gk |h s_h|.  A ``normal(0, s)`` draw is 0 + s n, the same value
+    but for the sign of a zero, so these are the values of per-purpose
+    ``normal`` draws.  Every draw runs on the thread that takes the blocks.
     """
     rows = max(1, _BLOCK_ELEMENTS // spec.horizon)
-    sizes = [min(rows, spec.replicas - start) for start in range(0, spec.replicas, rows)]
     z_rng = substream(spec.seed, *key, _DRAW_Z)
     w_rng = substream(spec.seed, *key, _DRAW_W)
     z_std, w_std = math.sqrt(spec.sigma_z2), math.sqrt(spec.plant.sigma_w2)
-
-    # each draw writes its operations straight into the block's (rows, T) view
-    def noise_draw(out: np.ndarray) -> None:
-        np.multiply(z_rng.normal(0.0, z_std, out.shape), g, out=out)
-        out += w_rng.normal(0.0, w_std, out.shape)
-
+    stage = np.empty((min(rows, spec.replicas), spec.horizon))
+    noise_slot = np.empty(stage.shape[::-1])
     if fading is not None:
         product, sigma_h2 = fading
         h_rng = substream(spec.seed, *key, _DRAW_H)
         h_std = math.sqrt(sigma_h2)
+        factor_slot = np.empty_like(noise_slot)
 
-        def factor_draw(out: np.ndarray) -> None:
-            h = h_rng.normal(0.0, h_std, out.shape)
-            np.abs(h, out=h)
-            h *= product
-            np.add(h, a_c, out=out)
-
-        # block i's factors live in slot i % 2, sized by the first (largest) block
-        factor_slots = [np.empty((spec.horizon, size)) for size in sizes[:2]]
-    noise_slot = np.empty((spec.horizon, sizes[0]))
-
-    pending: Optional[Future] = None
-    try:
-        for i, size in enumerate(sizes):
-            noise = noise_slot[:, :size]
-            _fill(noise, noise_draw)
-            coeff: "float | np.ndarray" = a_c
-            if fading is not None:
-                coeff = factor_slots[i % 2][:, :size]
-                if pending is None:
-                    _fill(coeff, factor_draw)
-                else:
-                    pending.result()
-                if i + 1 < len(sizes):
-                    following = factor_slots[(i + 1) % 2][:, : sizes[i + 1]]
-                    pending = _pool().submit(_fill, following, factor_draw)
-            yield simulate_loop(coeff, noise, x0)
-    finally:
-        # an abandoned block's factor draw still writes into its slot: let it finish
-        if pending is not None:
-            pending.exception()
+    for start in range(0, spec.replicas, rows):
+        size = min(rows, spec.replicas - start)
+        drawn, noise = stage[:size], noise_slot[:, :size]
+        z_rng.standard_normal(out=drawn)
+        drawn *= z_std
+        np.multiply(drawn, g, out=noise.T)
+        w_rng.standard_normal(out=drawn)
+        drawn *= w_std
+        np.add(noise.T, drawn, out=noise.T)
+        coeff: "float | np.ndarray" = a_c
+        if fading is not None:
+            coeff = factor_slot[:, :size]
+            h_rng.standard_normal(out=drawn)
+            drawn *= h_std
+            np.abs(drawn, out=drawn)
+            drawn *= product
+            np.add(drawn, a_c, out=coeff.T)
+        yield simulate_loop(coeff, noise, x0)
 
 
-def _mean_cost(blocks: Generator[tuple[np.ndarray, np.ndarray], None, None]) -> float:
-    """Time-average cost over every replica; inf once any replica diverges.
-
-    The blocks are closed on return, so no draw is left running.
-    """
+def _mean_cost(blocks: Iterator[tuple[np.ndarray, np.ndarray]]) -> float:
+    """Time-average cost over every replica; inf once any replica diverges."""
     per_replica = []
-    with closing(blocks):
-        for states, diverged in blocks:
-            if diverged.any():
-                return math.inf
-            per_replica.append(mean_square_per_replica(states))
+    for states, diverged in blocks:
+        if diverged.any():
+            return math.inf
+        per_replica.append(mean_square_per_replica(states))
     return float(np.concatenate(per_replica).mean())
 
 
@@ -341,16 +333,7 @@ def run_single_compare(
     # per grid point: the prediction, the analog cell (None where nothing
     # runs) and the coded cells, every cell running on the drawing threads
     points: list[tuple[float, Optional[Future], list[Future]]] = []
-    futures: list[Future] = []
-
-    def submit(fn: Callable, *args) -> Future:
-        # a pooled task that submitted to the pool and waited could deadlock
-        # both threads; no cell does: the analog cells are slow fading, which
-        # draws no factors on the pool, and the coded cells never use it
-        futures.append(_pool().submit(fn, *args))
-        return futures[-1]
-
-    try:
+    with _cells() as submit:
         for gi, p0 in enumerate(spec.powers_w):
             noise = spec.noise_at(p0)
             pred, sim = math.inf, None
@@ -378,14 +361,6 @@ def run_single_compare(
             for name, cell in zip(schemes, coded):
                 cost, stable = cell.result()
                 cols[name].append(cost if stable else math.inf)
-    finally:
-        # after a cell raises, the cells not yet started never start, and the
-        # call returns only once none is running
-        for future in futures:
-            future.cancel()
-        for future in futures:
-            if not future.cancelled():
-                future.exception()
     meta = {
         "seed": spec.seed,
         "replicas": spec.replicas,
@@ -437,39 +412,55 @@ def run_multi_sweep(
     allocate = allocate_multi_slow if slow else allocate_multi_fast
     floors_total = sum(floor_of(spec.plant, v) for _, v in channels)
 
-    for gi, p0 in enumerate(spec.powers_w):
-        noise = spec.noise_at(p0)
-        if noise.gamma0 < floors_total:
-            for n in names:
-                cols[n].append(math.inf)
-            allocations.append(None)
-            continue
-        feasible_points += 1
-        alloc, design = allocate(channels, spec.plant, noise)
-        row = {"j_total_pred": 0.0, "j_total_sim": 0.0}
-        for (pid, ch), gamma_j, gains, j_pred in zip(
-            channels, alloc.gamma, design.gains, design.predicted_costs
-        ):
-            k, g, sim = math.inf, math.inf, math.inf
-            # a boundary share has gains only as a limit: nothing to run
-            if gains is not None:
-                k, g = gains.k, gains.g
-                a_c = spec.plant.a + g * ch * k if slow else spec.plant.a
+    # per feasible grid point: the allocation, the design and each plant's
+    # cell (None where nothing runs); None at an infeasible point
+    points: list[Optional[tuple]] = []
+    with _cells() as submit:
+        for gi, p0 in enumerate(spec.powers_w):
+            noise = spec.noise_at(p0)
+            if noise.gamma0 < floors_total:
+                points.append(None)
+                continue
+            alloc, design = allocate(channels, spec.plant, noise)
+            cells: list[Optional[Future]] = []
+            for (pid, ch), gains in zip(channels, design.gains):
+                # a boundary share has gains only as a limit: nothing to run
+                if gains is None:
+                    cells.append(None)
+                    continue
+                a_c = spec.plant.a + gains.g * ch * gains.k if slow else spec.plant.a
                 fading = None if slow else (gains.product, ch)
-                sim = _mean_cost(_simulated_blocks(spec, (kind, gi, pid), g, a_c, fading))
-            row.update({f"p{pid}_w": gamma_j * spec.sigma_z2, f"k{pid}": k, f"g{pid}": g,
-                        f"j{pid}_pred": j_pred, f"j{pid}_sim": sim})
-            row["j_total_pred"] += j_pred
-            row["j_total_sim"] += sim
-        for n in names:
-            cols[n].append(row[n])
-        allocations.append(
-            {
-                "gamma": list(alloc.gamma),
-                "multiplier": alloc.multiplier,
-                "plant_ids": list(alloc.plant_ids),
-            }
-        )
+                blocks = _simulated_blocks(spec, (kind, gi, pid), gains.g, a_c, fading)
+                cells.append(submit(_mean_cost, blocks))
+            points.append((alloc, design, cells))
+        # collected in grid and plant order: the totals add up as they always have
+        for point in points:
+            if point is None:
+                for n in names:
+                    cols[n].append(math.inf)
+                allocations.append(None)
+                continue
+            feasible_points += 1
+            alloc, design, cells = point
+            row = {"j_total_pred": 0.0, "j_total_sim": 0.0}
+            for pid, gamma_j, gains, j_pred, cell in zip(
+                ids, alloc.gamma, design.gains, design.predicted_costs, cells
+            ):
+                k, g = (math.inf, math.inf) if gains is None else (gains.k, gains.g)
+                sim = math.inf if cell is None else cell.result()
+                row.update({f"p{pid}_w": gamma_j * spec.sigma_z2, f"k{pid}": k, f"g{pid}": g,
+                            f"j{pid}_pred": j_pred, f"j{pid}_sim": sim})
+                row["j_total_pred"] += j_pred
+                row["j_total_sim"] += sim
+            for n in names:
+                cols[n].append(row[n])
+            allocations.append(
+                {
+                    "gamma": list(alloc.gamma),
+                    "multiplier": alloc.multiplier,
+                    "plant_ids": list(alloc.plant_ids),
+                }
+            )
     meta = {
         "seed": spec.seed,
         "replicas": spec.replicas,

@@ -1,6 +1,7 @@
 """Experiment recipes: traces, comparisons, allocation sweeps, selection."""
 import math
 import sys
+import threading
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -200,7 +201,7 @@ def test_block_size_changes_no_result(monkeypatch):
 
 def test_fast_sweep_memory_is_bounded_by_the_block():
     # drawn as dense (replicas, horizon) arrays this point peaks at 459 MB;
-    # in row blocks at about 37 MB
+    # in row blocks at about 8 MB
     spec = make_spec(powers_w=(0.1,), horizon=500, replicas=20000)
     tracemalloc.start()
     try:
@@ -239,8 +240,8 @@ def _dense_reference_cost(spec, key, g, a_c, fading=None):
     "g, a_c, fading", [(138.97, 0.9, None), (100.0, 1.5, (-100.0, 1e-4))], ids=["slow", "fast"]
 )
 def test_pipelined_blocks_equal_a_dense_reference(monkeypatch, block_rows, g, a_c, fading):
-    # 150 replicas: one block of three drawing chunks by default, and 2 or 22
-    # blocks drawn on the pool while the kernel steps the one before
+    # 150 replicas: one block by default, or 2 or 22 blocks, each drawn with
+    # one call per stream
     spec = make_spec(horizon=40, replicas=150)
     if block_rows is not None:
         monkeypatch.setattr(experiments, "_BLOCK_ELEMENTS", block_rows * spec.horizon)
@@ -249,34 +250,43 @@ def test_pipelined_blocks_equal_a_dense_reference(monkeypatch, block_rows, g, a_
     assert experiments._mean_cost(blocks) == _dense_reference_cost(spec, key, g, a_c, fading)
 
 
-def test_a_diverged_first_block_returns_inf_with_no_draw_pending(monkeypatch):
-    # a_c = 3 crosses the guard within block 0; block 1's factors are drawn
-    # (slowly) on the pool meanwhile, and the cost returns only once that draw
-    # has finished
-    spec = make_spec(horizon=60, replicas=70)
-    monkeypatch.setattr(experiments, "_BLOCK_ELEMENTS", 7 * spec.horizon)
-    pool, submitted = experiments._pool(), []
+def test_no_cell_submits_to_the_pool(monkeypatch):
+    # a cell that submitted to the pool and waited could hold both threads:
+    # only the calling thread submits, and a fast-fading cell run on its own
+    # never touches the pool
+    pool, submitters = experiments._pool(), []
 
-    class SlowPool:
+    class WatchedPool:
         @staticmethod
         def submit(fn, *args):
-            submitted.append(pool.submit(lambda: (time.sleep(0.2), fn(*args))))
-            return submitted[-1]
+            submitters.append(threading.current_thread().name)
+            return pool.submit(fn, *args)
 
-    monkeypatch.setattr(experiments, "_pool", lambda: SlowPool)
-    blocks = experiments._simulated_blocks(spec, (0, 0), 1.0, 3.0, fading=(1e-3, 1e-4))
-    assert experiments._mean_cost(blocks) == math.inf
-    # block 1's factor draw, and nothing after it
-    assert len(submitted) == 1
-    assert all(future.done() for future in submitted)
+    monkeypatch.setattr(experiments, "_pool", lambda: WatchedPool)
+    spec = make_spec(powers_w=(0.01, 0.1), horizon=60, replicas=20)
+    run_single_compare(spec, h=0.01)
+    run_multi_sweep(spec, ((1, 0.01), (2, 0.02)), regime="slow")
+    run_multi_sweep(spec, ((1, 1e-4), (2, 4e-4)), regime="fast")
+    # 2 points of 1 analog and 4 coded cells, then 2 points of 2 plants, twice
+    assert submitters == [threading.current_thread().name] * 18
+
+    def no_pool():
+        raise AssertionError("a cell used the pool")
+
+    monkeypatch.setattr(experiments, "_pool", no_pool)
+    monkeypatch.setattr(experiments, "_BLOCK_ELEMENTS", 7 * spec.horizon)
+    blocks = experiments._simulated_blocks(spec, (0, 0), 100.0, 1.5, fading=(-100.0, 1e-4))
+    assert math.isfinite(experiments._mean_cost(blocks))
 
 
 def test_concurrent_sweeps_equal_their_sequential_results(monkeypatch):
-    # four library callers share the two drawing threads, 8 blocks a point,
-    # with the interpreter switching threads far more often than by default
+    # four library callers queue their cells, 3 feasible points of 2 plants
+    # and 8 blocks a cell each, on the same two threads, with the interpreter
+    # switching threads far more often than by default
     monkeypatch.setattr(experiments, "_BLOCK_ELEMENTS", 7 * 60)
     jobs = [
-        (make_spec(powers_w=(0.1,), horizon=60, replicas=50, seed=seed), channels, regime)
+        (make_spec(powers_w=(1e-3, 0.02, 0.05, 0.1), horizon=60, replicas=50, seed=seed),
+         channels, regime)
         for seed in (0, 1)
         for channels, regime in ((((1, 1e-4), (2, 4e-4)), "fast"), (((1, 0.01), (2, 0.02)), "slow"))
     ]
@@ -331,6 +341,27 @@ def test_a_failing_compare_cell_raises_and_leaves_no_cell_running(monkeypatch):
         run_single_compare(spec, h=0.01, schemes=("bch7_4_qam16", "h31", "bch7_4_qam256"))
     # 4 analog and 12 coded cells: the ones after the failure never started
     assert len(submitted) == 16
+    assert all(future.done() for future in submitted)
+    assert any(future.cancelled() for future in submitted)
+
+
+def test_a_failing_multi_sweep_cell_raises_and_leaves_no_cell_running(monkeypatch):
+    # plant id -1 keys no substream: its cells raise on their first draw,
+    # while each cell is held back 0.1 s on its thread
+    pool, submitted = experiments._pool(), []
+
+    class SlowPool:
+        @staticmethod
+        def submit(fn, *args):
+            submitted.append(pool.submit(lambda: (time.sleep(0.1), fn(*args))[1]))
+            return submitted[-1]
+
+    monkeypatch.setattr(experiments, "_pool", lambda: SlowPool)
+    spec = make_spec(powers_w=(0.01, 0.02, 0.05, 0.1), horizon=60, replicas=20)
+    with pytest.raises(ValueError, match="non-negative"):
+        run_multi_sweep(spec, ((1, 1e-4), (-1, 4e-4)), regime="fast")
+    # 4 points of 2 cells: the ones after the failure never started
+    assert len(submitted) == 8
     assert all(future.done() for future in submitted)
     assert any(future.cancelled() for future in submitted)
 
