@@ -47,8 +47,8 @@ _DRAW_Z, _DRAW_W, _DRAW_H, _DRAW_CODED = range(4)
 #: replica-steps drawn and simulated at a time, whatever the replica count;
 #: a block's rows are this over the horizon
 _BLOCK_ELEMENTS = 1 << 18
-#: threads that run the recipes' simulation cells, ``run_single_compare``'s
-#: and ``run_multi_sweep``'s, two at a time: a constant, whatever the replica
+#: cell threads, which run the recipes' simulation cells (``run_single_compare``'s
+#: and ``run_multi_sweep``'s) two at a time: a constant, whatever the replica
 #: count, and no option sets it
 _DRAW_THREADS = 2
 
@@ -121,7 +121,7 @@ def _refuse_clashes(values: Sequence, labels: Sequence[str], what: str) -> None:
 
 
 def _pool() -> ThreadPoolExecutor:
-    """The drawing threads that run every caller's cells, started on first use."""
+    """The cell threads that run every caller's cells, started on first use."""
     global _draw_pool
     with _draw_pool_lock:
         if _draw_pool is None:
@@ -134,7 +134,7 @@ def _pool() -> ThreadPoolExecutor:
 
 @contextmanager
 def _cells() -> Iterator[Callable[..., Future]]:
-    """A ``submit(fn, *args)`` that runs a recipe's cell on the drawing threads.
+    """A ``submit(fn, *args)`` that runs a recipe's cell on the cell threads.
 
     On leaving, also by an exception, the cells not yet started never start,
     and the block is left only once no cell is running.
@@ -318,7 +318,7 @@ def run_single_compare(
     cost; below the stabilizability threshold (a^2-1)/h^2 both are inf.  Each
     coded scheme is simulated at every grid point regardless (an unstable
     verdict is an inf cell, not an error).  The cells run two at a time on
-    the drawing threads while the calling thread designs the analog loops
+    the cell threads while the calling thread designs the analog loops
     and then collects the results in grid order; the first cell to raise, in
     grid order, raises here.
     """
@@ -331,7 +331,7 @@ def run_single_compare(
     cols: dict[str, list[float]] = {n: [] for n in names}
     feasible_points = 0
     # per grid point: the prediction, the analog cell (None where nothing
-    # runs) and the coded cells, every cell running on the drawing threads
+    # runs) and the coded cells, every cell running on the cell threads
     points: list[tuple[float, Optional[Future], list[Future]]] = []
     with _cells() as submit:
         for gi, p0 in enumerate(spec.powers_w):
@@ -397,9 +397,11 @@ def run_multi_sweep(
         raise ValueError(f"regime must be 'slow' or 'fast' (got {regime!r})")
     if not channels:
         raise ValueError("need at least one (plant id, channel) pair")
+    ids = [pid for pid, _ in channels]
+    if any(pid < 0 for pid in ids):
+        raise ValueError(f"plant ids must be non-negative (got {ids})")
     slow = regime == "slow"
     kind = _KIND_MULTI_SLOW if slow else _KIND_MULTI_FAST
-    ids = [pid for pid, _ in channels]
     names: list[str] = []
     for pid in ids:
         names += [f"p{pid}_w", f"k{pid}", f"g{pid}", f"j{pid}_pred", f"j{pid}_sim"]

@@ -172,6 +172,8 @@ def test_run_multi_sweep_fast_reference_allocation():
         run_multi_sweep(spec, ((1, 1e-4),), regime="medium")
     with pytest.raises(ValueError):
         run_multi_sweep(spec, (), regime="slow")
+    with pytest.raises(ValueError, match="plant ids must be non-negative"):
+        run_multi_sweep(spec, ((1, 1e-4), (-1, 4e-4)), regime="fast")
 
 
 def test_run_multi_sweep_deterministic():
@@ -239,7 +241,7 @@ def _dense_reference_cost(spec, key, g, a_c, fading=None):
 @pytest.mark.parametrize(
     "g, a_c, fading", [(138.97, 0.9, None), (100.0, 1.5, (-100.0, 1e-4))], ids=["slow", "fast"]
 )
-def test_pipelined_blocks_equal_a_dense_reference(monkeypatch, block_rows, g, a_c, fading):
+def test_blocks_equal_a_dense_reference(monkeypatch, block_rows, g, a_c, fading):
     # 150 replicas: one block by default, or 2 or 22 blocks, each drawn with
     # one call per stream
     spec = make_spec(horizon=40, replicas=150)
@@ -248,6 +250,22 @@ def test_pipelined_blocks_equal_a_dense_reference(monkeypatch, block_rows, g, a_
     key = (experiments._KIND_MULTI_FAST, 0, 1)
     blocks = experiments._simulated_blocks(spec, key, g, a_c, fading)
     assert experiments._mean_cost(blocks) == _dense_reference_cost(spec, key, g, a_c, fading)
+
+
+@pytest.mark.parametrize("fading", [None, (1e-3, 1e-4)], ids=["slow", "fast"])
+def test_a_diverged_block_makes_the_cost_inf_and_draws_no_more(monkeypatch, fading):
+    # a_c = 3 crosses the guard within 60 steps in the first of ten 7-row blocks
+    monkeypatch.setattr(experiments, "_BLOCK_ELEMENTS", 7 * 60)
+    spec = make_spec(horizon=60, replicas=70)
+    blocks, taken = experiments._simulated_blocks(spec, (0, 0), 1.0, 3.0, fading), []
+
+    def counted():
+        for block in blocks:
+            taken.append(block)
+            yield block
+
+    assert experiments._mean_cost(counted()) == math.inf
+    assert len(taken) == 1
 
 
 def test_no_cell_submits_to_the_pool(monkeypatch):
@@ -346,9 +364,15 @@ def test_a_failing_compare_cell_raises_and_leaves_no_cell_running(monkeypatch):
 
 
 def test_a_failing_multi_sweep_cell_raises_and_leaves_no_cell_running(monkeypatch):
-    # plant id -1 keys no substream: its cells raise on their first draw,
-    # while each cell is held back 0.1 s on its thread
+    # plant 2's cells raise on their first draw, while each cell is held back
+    # 0.1 s on its thread
     pool, submitted = experiments._pool(), []
+
+    def failing_substream(seed, *key):
+        # key is (kind, grid index, plant id, purpose)
+        if key[2] == 2:
+            raise RuntimeError("plant 2's draw failed")
+        return substream(seed, *key)
 
     class SlowPool:
         @staticmethod
@@ -357,9 +381,10 @@ def test_a_failing_multi_sweep_cell_raises_and_leaves_no_cell_running(monkeypatc
             return submitted[-1]
 
     monkeypatch.setattr(experiments, "_pool", lambda: SlowPool)
+    monkeypatch.setattr(experiments, "substream", failing_substream)
     spec = make_spec(powers_w=(0.01, 0.02, 0.05, 0.1), horizon=60, replicas=20)
-    with pytest.raises(ValueError, match="non-negative"):
-        run_multi_sweep(spec, ((1, 1e-4), (-1, 4e-4)), regime="fast")
+    with pytest.raises(RuntimeError, match="plant 2"):
+        run_multi_sweep(spec, ((1, 1e-4), (2, 4e-4)), regime="fast")
     # 4 points of 2 cells: the ones after the failure never started
     assert len(submitted) == 8
     assert all(future.done() for future in submitted)
