@@ -27,6 +27,7 @@ import yaml
 
 from . import __version__
 from .coded import SCHEMES, bch_decode, bch_encode, qam_detect, qam_modulate
+from .coded import estimate_word_success, word_success
 from .experiments import (
     ExperimentSpec,
     SweepResult,
@@ -36,6 +37,7 @@ from .experiments import (
     run_single_compare,
     run_trace,
 )
+from .fading import substream
 from .fast_control import (
     ETA,
     allocate_multi_fast,
@@ -543,6 +545,18 @@ def _check_codecs() -> tuple[bool, str]:
     return True, "all codewords correct every single-bit error; QAM round-trips clean"
 
 
+def _check_coded_link() -> tuple[bool, str]:
+    """Exact word success vs 200k link words per scheme, within 5 binomial standard errors."""
+    noise, words, rng = replace(_VERIFY_NOISE, p0=dbm_to_watts(10.0)), 200_000, substream(0, 0)
+    scores = []
+    for scheme in SCHEMES.values():
+        exact = word_success(scheme, noise, 0.01)
+        measured = estimate_word_success(scheme, noise, 0.01, rng, words)
+        scores.append(abs(measured - exact) / math.sqrt(exact * (1.0 - exact) / words))
+    detail = ", ".join(f"{name} {z:.2f}" for name, z in zip(SCHEMES, scores))
+    return max(scores) <= 5.0, f"link vs exact word success at 10 dBm, in standard errors: {detail}"
+
+
 def _check_sim_vs_prediction() -> tuple[bool, str]:
     slow = ExperimentSpec(plant=_VERIFY_PLANT, sigma_z2=1e-7, powers_w=(0.1,), replicas=1000)
     # the fast loop's per-symbol gain makes x^2 heavy-tailed (its fourth moment
@@ -592,6 +606,7 @@ def cmd_verify() -> int:
         ("budget saturation", _check_budget_saturation),
         ("fast-fading stabilizability boundary", _check_fast_boundary),
         ("codec and constellation exhaustive checks", _check_codecs),
+        ("coded link: exact word success vs Monte-Carlo link", _check_coded_link),
         ("simulation matches prediction (2%)", _check_sim_vs_prediction),
         ("feasibility thresholds", _check_thresholds),
     ]

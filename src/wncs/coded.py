@@ -311,6 +311,44 @@ def _words_intact(
     return (flips <= 1).reshape(words.shape)
 
 
+def word_success(scheme: CodingScheme, noise: NoisePowers, h: float) -> float:
+    """Exact word success rate of one scheme at one channel gain, over all 2^k codewords.
+
+    Each label of ``_label_table`` rides on one Gray-PAM axis, detected under
+    noise of std sigma_z / |h| in the y / h domain: level j is detected on
+    amp_j +- c, open at the two outer levels.  Per (symbol, axis) slot and
+    sent label that gives P(no code bit wrong) and P(one code bit wrong), and
+    a word succeeds iff at most one code bit is wrong over its 2d slots
+    (Cho & Yoon, IEEE Trans. Commun. 2002).
+    """
+    if not (math.isfinite(h) and h != 0.0):
+        raise ValueError(f"channel gain must be finite and nonzero (got {h!r})")
+    levels, c = _axis_scale(scheme.bits_per_symbol, noise.p0)
+    table, mask = _label_table(scheme)
+    to_gray, from_gray = _gray_maps(levels)
+    scale = math.sqrt(2.0 * noise.sigma_z2) / abs(h)
+    # beyond[m + levels] = P(axis noise > (2m - 1) c), m = j - i the detected
+    # level's offset from the sent one
+    beyond = [0.5 * math.erfc((2 * m - 1) * c / scale) for m in range(-levels, levels + 1)]
+    offsets = np.arange(levels) - from_gray[:, None] + levels  # (sent label, detected level)
+    lower = np.take(beyond, offsets)
+    lower[:, 0] = 1.0
+    upper = np.take(beyond, offsets + 1)
+    upper[:, -1] = 0.0
+    trans = lower - upper
+    # code bits wrong per (slot, sent label, detected level)
+    wrong = _POPCOUNT[(np.arange(levels)[:, None] ^ to_gray) & mask[..., None, None]]
+    clean_p = np.where(wrong == 0, trans, 0.0).sum(axis=-1)
+    one_p = np.where(wrong == 1, trans, 0.0).sum(axis=-1)
+    clean, one = np.ones(len(table)), np.zeros(len(table))
+    for symbol in range(scheme.latency):
+        for axis in (0, 1):
+            labels = table[:, symbol, axis]
+            p0, p1 = clean_p[symbol, axis, labels], one_p[symbol, axis, labels]
+            clean, one = clean * p0, one * p0 + clean * p1
+    return float(np.mean(clean + one))
+
+
 def estimate_word_success(
     scheme: CodingScheme,
     noise: NoisePowers,
@@ -319,6 +357,8 @@ def estimate_word_success(
     words: int = 10000,
 ) -> float:
     """Monte-Carlo word success rate of one scheme at one channel gain."""
+    if words < 1:
+        raise ValueError(f"words must be >= 1 (got {words})")
     sent = rng.integers(0, 2, size=(words, scheme.k), dtype=np.uint8)
     return float(np.mean(_link_success(sent, scheme, noise, h, rng)))
 

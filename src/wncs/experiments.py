@@ -20,7 +20,8 @@ from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .coded import SCHEMES, run_coded_control
+from .coded import SCHEMES, CodingScheme, run_coded_control
+from .coded import required_success_probability, word_success
 from .fading import rayleigh_gain_samples, substream
 from .fast_control import allocate_multi_fast, fast_snr_floor
 from .model import (
@@ -307,6 +308,25 @@ def run_trace(
 # ---------------------------------------------------------------------------
 
 
+def _coded_cost(
+    spec: ExperimentSpec, noise: NoisePowers, h: float, scheme: CodingScheme,
+    rng: np.random.Generator,
+) -> tuple[float, float]:
+    """One coded cell: its cost, inf where the loop is unstable, and its exact word success.
+
+    A word success at or below the rate that the dead-beat recursion requires
+    makes the loop mean-square unstable (Sinopoli et al., IEEE TAC 2004): the
+    cell is inf and draws nothing.  Otherwise the loop is simulated, and its
+    own verdict stands.
+    """
+    success = word_success(scheme, noise, h)
+    if success <= required_success_probability(spec.plant, scheme):
+        return math.inf, success
+    cost, stable = run_coded_control(spec.plant, noise, h, scheme, spec.horizon, rng,
+                                     spec.replicas)
+    return cost if stable else math.inf, success
+
+
 def run_single_compare(
     spec: ExperimentSpec,
     h: float,
@@ -315,9 +335,12 @@ def run_single_compare(
     """Analog-optimal and coded-baseline costs over the power grid.
 
     The analog series carry the closed-form prediction and the simulated
-    cost; below the stabilizability threshold (a^2-1)/h^2 both are inf.  Each
-    coded scheme is simulated at every grid point regardless (an unstable
-    verdict is an inf cell, not an error).  The cells run two at a time on
+    cost; below the stabilizability threshold (a^2-1)/h^2 both are inf.  A
+    coded cell is inf where the exact word success rules its loop unstable,
+    and then it simulates nothing; elsewhere it is simulated, and an unstable
+    run is inf too (an unstable verdict is an inf cell, not an error).  The
+    sidecar gets each scheme's exact word success per grid point and the rate
+    its loop requires.  The cells run two at a time on
     the cell threads while the calling thread designs the analog loops
     and then collects the results in grid order; the first cell to raise, in
     grid order, raises here.
@@ -329,6 +352,7 @@ def run_single_compare(
     floor = snr_floor(spec.plant, h)
     names = ["analog_pred", "analog_sim", *schemes]
     cols: dict[str, list[float]] = {n: [] for n in names}
+    word_rates: dict[str, list[float]] = {name: [] for name in schemes}
     feasible_points = 0
     # per grid point: the prediction, the analog cell (None where nothing
     # runs) and the coded cells, every cell running on the cell threads
@@ -348,8 +372,8 @@ def run_single_compare(
                     sim = submit(_mean_cost, blocks)
             coded = [
                 submit(
-                    run_coded_control, spec.plant, noise, h, SCHEMES[name], spec.horizon,
-                    substream(spec.seed, _KIND_COMPARE, gi, 1 + si, _DRAW_CODED), spec.replicas,
+                    _coded_cost, spec, noise, h, SCHEMES[name],
+                    substream(spec.seed, _KIND_COMPARE, gi, 1 + si, _DRAW_CODED),
                 )
                 for si, name in enumerate(schemes)
             ]
@@ -359,8 +383,9 @@ def run_single_compare(
             cols["analog_pred"].append(pred)
             cols["analog_sim"].append(math.inf if sim is None else sim.result())
             for name, cell in zip(schemes, coded):
-                cost, stable = cell.result()
-                cols[name].append(cost if stable else math.inf)
+                cost, success = cell.result()
+                cols[name].append(cost)
+                word_rates[name].append(success)
     meta = {
         "seed": spec.seed,
         "replicas": spec.replicas,
@@ -368,6 +393,10 @@ def run_single_compare(
         "snr_floor": floor,
         "threshold_p0_w": floor * spec.sigma_z2,
         "feasible_points": feasible_points,
+        "coded_word_success": word_rates,
+        "coded_required_success": {
+            name: required_success_probability(spec.plant, SCHEMES[name]) for name in schemes
+        },
     }
     return SweepResult(
         x_name="p0_w",

@@ -7,6 +7,7 @@ import shlex
 import numpy as np
 import pytest
 
+from wncs import cli
 from wncs.cli import (
     EXIT_INFEASIBLE,
     EXIT_OK,
@@ -389,6 +390,15 @@ def test_verify_command_passes():
     assert run_main(["verify"]) == EXIT_OK
 
 
+def test_verify_coded_link_check_catches_a_wrong_exact_rate(monkeypatch):
+    # at 200k words, a word success 3 % low is 3 to 32 standard errors off
+    exact = cli.word_success
+    assert cli._check_coded_link()[0]
+    monkeypatch.setattr(cli, "word_success", lambda *args: 0.97 * exact(*args))
+    ok, detail = cli._check_coded_link()
+    assert not ok, detail
+
+
 #: (argv, exit code, CSV SHA-256, sidecar SHA-256) of small runs of each recipe
 _PINNED = [
     ("trace --horizon 40 --replicas 4", EXIT_OK,
@@ -399,10 +409,10 @@ _PINNED = [
      "984944e1d02e04bec9eaa0021ce036fc9bdc79f2ca9e95e1f78b08224f3c8e2b"),
     ("compare --grid '0:20:10 dBm' --horizon 30 --replicas 8", EXIT_OK,
      "7efdb6474f691dc9b54f6c5319b13d4a16137b2f841b51b3c2d1ae8aeb5f6d64",
-     "a0574a1b3b55014c528c080df473ea092b914d39e028c74a204e138e25d5f22a"),
+     "2b4785bb0854fd28b8514283cab041cefa0e06afbb1bd6a02d82197852b5ccc0"),
     ("compare --grid '-10:0:5 dBm' --horizon 20 --replicas 4", EXIT_INFEASIBLE,
      "27a1330e39e9ff31afd16c8c24b8e8661d71bbf5c1f6fef089d9a148e2201755",
-     "f34f3a2ffe6f20870e0745991c49a1008c3b102d35240c929b20dd840e794ca5"),
+     "16415163a290379bf321fc2fdb05254f52bb51dc5a1d88abbc03247a11cd87b9"),
     ("multi-slow --grid '0:4:2 dBm' --g-common 1000 --k-common -1 --horizon 30 --replicas 8",
      EXIT_OK,
      "bb9e7a1d3e34848723a77ef9587c27d38918962e702a0b00ab2de242a9b4d9ac",

@@ -18,9 +18,12 @@ from wncs.coded import (
     qam_modulate,
     required_success_probability,
     run_coded_control,
+    word_success,
 )
 from wncs.fading import substream
 from wncs.model import DIVERGENCE_GUARD, NoisePowers, PlantParams
+
+from test_acceptance import COMPARE_H, SIGMA_Z2, _exact_word_success, dbm
 
 PLANT = PlantParams(a=1.5, sigma_w2=0.1)
 
@@ -163,6 +166,40 @@ def test_word_success_extremes():
     assert estimate_word_success(scheme, loud, 0.01, substream(7, 2), words=2000) < 0.12
 
 
+def test_estimate_word_success_refuses_no_words():
+    noise = NoisePowers(sigma_z2=1e-7, p0=0.1)
+    for words in (0, -3):
+        with pytest.raises(ValueError, match="words"):
+            estimate_word_success(SCHEMES["bch7_4_qam16"], noise, 0.01, substream(7, 3), words)
+
+
+@pytest.mark.parametrize("name", SCHEMES)
+@pytest.mark.parametrize("p0_dbm", [0.9, 10.0, 20.0])
+def test_word_success_equals_the_acceptance_oracle(name, p0_dbm):
+    # the oracle sums the same erfc terms codeword by codeword in plain Python
+    noise = NoisePowers(sigma_z2=SIGMA_Z2, p0=dbm(p0_dbm))
+    exact = _exact_word_success(SCHEMES[name], noise.p0)
+    assert word_success(SCHEMES[name], noise, COMPARE_H) == pytest.approx(exact, rel=1e-12)
+
+
+def test_word_success_depends_on_the_gain_magnitude_only():
+    noise = NoisePowers(sigma_z2=1e-7, p0=dbm(10.0))
+    for scheme in (*SCHEMES.values(), OWN_SCHEME):
+        assert word_success(scheme, noise, -0.01) == word_success(scheme, noise, 0.01)
+
+
+@pytest.mark.parametrize("p0_dbm", [5.0, 10.0, 15.0])
+def test_word_success_of_a_padded_scheme_matches_the_link(p0_dbm):
+    # OWN_SCHEME's last symbol carries 3 padding bits, which never fail a word;
+    # 40000 link words put the estimate within 5 binomial standard errors
+    noise = NoisePowers(sigma_z2=1e-7, p0=dbm(p0_dbm))
+    words = 40_000
+    exact = word_success(OWN_SCHEME, noise, 0.01)
+    estimate = estimate_word_success(OWN_SCHEME, noise, 0.01, substream(7, 4), words)
+    assert 0.0 < exact < 1.0
+    assert abs(estimate - exact) <= 5.0 * math.sqrt(exact * (1.0 - exact) / words)
+
+
 def test_dead_beat_loop_costs_with_reliable_link():
     # near-noiseless link: d=1 resets every step, J -> sigma_w2; d=2 carries
     # one step of open-loop growth, J -> ((a^2+1) + (a^2(a^2+1)+1))/2 * sigma_w2
@@ -227,6 +264,8 @@ def test_link_refuses_a_code_too_long_to_tabulate():
     noise = NoisePowers(sigma_z2=1e-7, p0=0.1)
     with pytest.raises(ValueError, match="2\\^k"):
         run_coded_control(PLANT, noise, 0.01, scheme, horizon=16, rng=substream(0, 0))
+    with pytest.raises(ValueError, match="2\\^k"):
+        word_success(scheme, noise, 0.01)
 
 
 def _reference_link_success(sent, scheme, noise, h, rng):
@@ -270,6 +309,8 @@ def test_coded_link_refuses_a_dead_or_non_finite_gain(h):
         run_coded_control(PLANT, noise, h, scheme, horizon=10, rng=substream(0, 0))
     with pytest.raises(ValueError, match="channel gain"):
         estimate_word_success(scheme, noise, h, substream(0, 0), words=10)
+    with pytest.raises(ValueError, match="channel gain"):
+        word_success(scheme, noise, h)
 
 
 def _per_symbol_reference(noise, scheme, horizon, rng, replicas):

@@ -11,7 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from wncs import experiments
-from wncs.coded import CodingScheme
+from wncs.coded import SCHEMES, CodingScheme, required_success_probability, word_success
 from wncs.experiments import (
     ExperimentSpec,
     SweepResult,
@@ -130,6 +130,40 @@ def test_run_single_compare_columns_and_flags():
     assert result.bounded["analog_pred"][1]
     assert result.meta["feasible_points"] == 1
     assert result.meta["threshold_p0_w"] == pytest.approx(12500.0 * 1e-7, rel=1e-9)
+
+
+def test_compare_simulates_only_the_coded_cells_the_exact_verdict_leaves(monkeypatch):
+    # the default 0:40:5 dBm grid: 14 of the 36 coded cells sit below their
+    # scheme's exact knee (9.01 / 12.96 / 15.41 / 23.25 dBm) and run nothing
+    simulated, run = [], experiments.run_coded_control
+
+    def counted(plant, noise, h, scheme, *args):
+        simulated.append((noise.p0, scheme.name))
+        return run(plant, noise, h, scheme, *args)
+
+    monkeypatch.setattr(experiments, "run_coded_control", counted)
+    powers = tuple(1e-3 * 10.0 ** (dbm / 10.0) for dbm in range(0, 41, 5))
+    spec = make_spec(powers_w=powers, horizon=40, replicas=8)
+    result = run_single_compare(spec, h=0.01)
+    assert len(simulated) == 22
+    for name, scheme in SCHEMES.items():
+        required = required_success_probability(PLANT, scheme)
+        assert result.meta["coded_required_success"][name] == required
+        for i, p0 in enumerate(powers):
+            success = word_success(scheme, spec.noise_at(p0), 0.01)
+            assert result.meta["coded_word_success"][name][i] == success
+            assert ((p0, name) in simulated) == (success > required)
+            if success <= required:
+                assert result.series[name][i] == math.inf
+
+
+def test_a_coded_cell_the_exact_verdict_passes_still_needs_a_stable_run():
+    # at 40 dBm the d = 2 scheme's exact word success is 1, but a one-step
+    # horizon holds no whole epoch: no word is sent, and the run is unstable
+    spec = make_spec(powers_w=(10.0,), horizon=1, replicas=4)
+    result = run_single_compare(spec, h=0.01, schemes=("bch7_4_qam16",))
+    assert result.meta["coded_word_success"]["bch7_4_qam16"][0] == 1.0
+    assert result.series["bch7_4_qam16"] == (math.inf,)
 
 
 def test_run_single_compare_rejects_unknown_scheme():
