@@ -24,7 +24,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .model import GainPair, NoisePowers, PlantParams, require_positive
-from .slow_control import _BOUNDARY_RTOL, MultiDesign, SnrAllocation, _split_slack
+from .slow_control import (
+    _BOUNDARY_RTOL, _DesignFields, Infeasible, MultiDesign, SnrAllocation, _split_slack,
+)
 
 #: stabilizability constant for sign-only channel knowledge, 1 - 2/pi
 ETA = 1.0 - 2.0 / math.pi
@@ -88,31 +90,26 @@ def optimize_single_fast(
     """
     require_positive(plant.sigma_w2, "disturbance power")
     g0 = noise.gamma0 if gamma is None else float(gamma)
-    floor = fast_snr_floor(plant, sigma_h2)
+    s = float(require_positive(sigma_h2, "channel power"))
+    return FastSingleDesign(*_fast_design(plant, noise.ssr(plant), s, g0))
+
+
+def _fast_design(plant: PlantParams, ssr: float, s: float, g0: float) -> _DesignFields:
+    """``optimize_single_fast``'s fields at budget g0, on plain floats, for a checked s."""
+    floor = fast_snr_floor(plant, s)
     if g0 < floor:
-        raise ValueError(
+        raise Infeasible(
             f"infeasible: budget gamma={g0:.6g} is below the mean-square "
             f"stabilizability floor {floor:.6g}"
         )
-    a = plant.a
-    s = sigma_h2
     b = mean_channel_magnitude(s)
-    u = -b * a * g0 / (1.0 + s * g0)
+    u = -b * plant.a * g0 / (1.0 + s * g0)
     e_star = expected_ac2(plant, u, s)
     denom = (1.0 - e_star) * g0 - u * u
     if denom <= _BOUNDARY_RTOL * (1.0 - e_star) * g0:
-        return FastSingleDesign(
-            gains=None, gain_product=float(u), expected_ac2=float(e_star), j_ave=math.inf
-        )
-    ssr = noise.ssr(plant)
+        return None, u, e_star, math.inf
     k = -math.sqrt(denom / ssr)
-    g = u / k
-    return FastSingleDesign(
-        gains=GainPair(k=float(k), g=float(g)),
-        gain_product=float(u),
-        expected_ac2=float(e_star),
-        j_ave=float(g0 * plant.sigma_w2 / denom),
-    )
+    return GainPair(k=k, g=u / k), u, e_star, g0 * plant.sigma_w2 / denom
 
 
 def allocate_multi_fast(
@@ -136,7 +133,7 @@ def allocate_multi_fast(
     if not channel_powers:
         raise ValueError("allocate_multi_fast needs at least one plant")
     ids = tuple(pid for pid, _ in channel_powers)
-    ss = np.array([require_positive(v, "channel power") for _, v in channel_powers])
+    ss = np.array([require_positive(v, "channel power") for _, v in channel_powers], dtype=float)
     a = plant.a
     if not stabilizable_fast(plant):
         raise ValueError(
@@ -147,10 +144,7 @@ def allocate_multi_fast(
     gamma, s = _split_slack(floors, 1.0 / np.sqrt(ss), noise.gamma0)
     multiplier = None if s is None else (2.0 / math.pi) * (a / (1.0 - ETA * a * a) / s) ** 2
 
-    designs = [
-        optimize_single_fast(plant, noise, s, gamma=gam)
-        for s, gam in zip(ss, gamma)
-    ]
-    allocation = SnrAllocation(plant_ids=ids, gamma=tuple(map(float, gamma)), multiplier=multiplier)
-    gains = tuple(d.gains for d in designs)
-    return allocation, MultiDesign(ids, gains, tuple(d.j_ave for d in designs))
+    require_positive(plant.sigma_w2, "disturbance power")
+    shares, ssr = gamma.tolist(), noise.ssr(plant)
+    gains, _, _, costs = zip(*[_fast_design(plant, ssr, v, g) for v, g in zip(ss.tolist(), shares)])
+    return SnrAllocation(ids, tuple(shares), multiplier), MultiDesign(ids, gains, costs)

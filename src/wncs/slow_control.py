@@ -43,6 +43,10 @@ class Infeasible(ValueError):
     """The budget or shared factor admits no stabilizing design: a verdict, not bad input."""
 
 
+#: a single-plant design's fields in order, as the allocators build them per plant
+_DesignFields = tuple[Optional[GainPair], float, float, float]
+
+
 def snr_floor(plant: PlantParams, h: float) -> float:
     """Minimum SNR that admits any stabilizing design: (a^2 - 1)/h^2."""
     require_magnitude(h, "channel magnitude")
@@ -72,13 +76,19 @@ def optimize_single_slow(
 ) -> SlowSingleDesign:
     """Cost-optimal (K, G) for one plant under an SNR budget.
 
-    ``gamma`` overrides the budget (used by the multi-plant allocator to
-    design each plant at its allocated share); default is the full gamma0.
+    ``gamma`` overrides the budget (an allocation designs each plant at its
+    share with the same formula); default is the full gamma0.
     The returned design meets its SNR budget with equality.  With no
     disturbance there is no optimal pair (K -> -inf), so sigma_w2 = 0 is refused.
     """
     require_positive(plant.sigma_w2, "disturbance power")
     g0 = noise.gamma0 if gamma is None else float(gamma)
+    h = float(require_magnitude(h, "channel magnitude"))
+    return SlowSingleDesign(*_slow_design(plant, noise.ssr(plant), h, g0))
+
+
+def _slow_design(plant: PlantParams, ssr: float, h: float, g0: float) -> _DesignFields:
+    """``optimize_single_slow``'s fields at budget g0, on plain floats, for a checked h."""
     floor = snr_floor(plant, h)
     if g0 < floor:
         raise Infeasible(
@@ -97,15 +107,12 @@ def optimize_single_slow(
     # the product G K stays finite and the cost diverges (G -> inf)
     margin = h2g + 1.0 - a * a
     if margin <= _BOUNDARY_RTOL * (h2g + 1.0):
-        return SlowSingleDesign(
-            gains=None, a_c=a_c, j_ave=math.inf, gain_product=-(a * a - 1.0) / (a * h)
-        )
+        return None, a_c, math.inf, -(a * a - 1.0) / (a * h)
     j_ave = plant.sigma_w2 * (1.0 + h2g) / margin
-    ssr = noise.ssr(plant)
-    k = -np.sqrt(g0 * margin / (ssr * (h2g + 1.0)))
-    g = a * h * np.sqrt(g0 * ssr / ((h2g + 1.0) * margin))
-    gains = GainPair(k=float(k), g=float(g))
-    return SlowSingleDesign(gains=gains, a_c=a_c, j_ave=j_ave, gain_product=gains.product)
+    k = -math.sqrt(g0 * margin / (ssr * (h2g + 1.0)))
+    g = a * h * math.sqrt(g0 * ssr / ((h2g + 1.0) * margin))
+    gains = GainPair(k=k, g=g)
+    return gains, a_c, j_ave, gains.product
 
 
 def select_plants(
@@ -221,13 +228,10 @@ def allocate_multi_slow(
     gamma, s = _split_slack(floors, 1.0 / hs, noise.gamma0)
     multiplier = None if s is None else plant.sigma_w2 * (plant.a / s) ** 2
 
-    designs = [
-        optimize_single_slow(plant, noise, h, gamma=gam)
-        for h, gam in zip(hs, gamma)
-    ]
-    allocation = SnrAllocation(plant_ids=ids, gamma=tuple(map(float, gamma)), multiplier=multiplier)
-    gains = tuple(d.gains for d in designs)
-    return allocation, MultiDesign(ids, gains, tuple(d.j_ave for d in designs))
+    require_positive(plant.sigma_w2, "disturbance power")
+    shares, ssr = gamma.tolist(), noise.ssr(plant)
+    gains, _, costs, _ = zip(*[_slow_design(plant, ssr, h, g) for h, g in zip(hs.tolist(), shares)])
+    return SnrAllocation(ids, tuple(shares), multiplier), MultiDesign(ids, gains, costs)
 
 
 # ---------------------------------------------------------------------------
@@ -245,18 +249,14 @@ def _stable_quadratic_root(d: np.ndarray, c: np.ndarray, denom_scale: np.ndarray
     return np.where(d >= 0.0, -c / (t * denom_scale), -t / denom_scale)
 
 
-def _budget_products(a: float, hs: np.ndarray, lam: float) -> np.ndarray:
-    """Budget-tight products k~_i(lam): the stabilizing root of each plant's stationarity."""
-    d = (1.0 - a * a) * lam + hs**2
-    c = 4.0 * a * a * hs**2 * lam
-    return _stable_quadratic_root(d, c, 2.0 * a * hs * lam)
+def _budget_multiplier(
+    a: float, hs: np.ndarray, gamma_tilde: float, uncapped: float
+) -> tuple[float, np.ndarray]:
+    """The multiplier lam at which the budget-tight products k~_i(lam) spend gamma~, and k~.
 
-
-def _budget_multiplier(a: float, hs: np.ndarray, gamma_tilde: float, uncapped: float) -> float:
-    """The multiplier at which the summed SNR of ``_budget_products`` is gamma~.
-
-    The shares (a^2 - 1 + theta)/h_i^2 that sum to gamma~ lie strictly between
-    each floor and each uncapped SNR a^2/h_i^2, and plant i alone meets its
+    k~_i(lam) is the stabilizing root of plant i's stationarity.  The shares
+    (a^2 - 1 + theta)/h_i^2 that sum to gamma~ lie strictly between each
+    floor and each uncapped SNR a^2/h_i^2, and plant i alone meets its
     share at lam_i = scale h_i^2.  The summed SNR falls as lam grows, so
     [min lam_i, max lam_i] brackets the root.  Illinois regula falsi (Dowell &
     Jarratt, 1971) on log lam shrinks the bracket to a budget residual of
@@ -272,8 +272,14 @@ def _budget_multiplier(a: float, hs: np.ndarray, gamma_tilde: float, uncapped: f
     scale = (uncapped - gamma_tilde) / inv_h2 * (a * a + theta) ** 2
     scale /= (b + s) * (b * q + s) * (b * s + theta)
 
+    # the factors of k~_i(lam) that do not depend on lam, formed once
+    h2, c_unit, scale_unit = hs**2, 4.0 * a * a * hs**2, 2.0 * a * hs
+
+    def products(lam: float) -> np.ndarray:
+        return _stable_quadratic_root((1.0 - a * a) * lam + h2, c_unit * lam, scale_unit * lam)
+
     def residual(lam: float) -> float:
-        k_tilde = _budget_products(a, hs, lam)
+        k_tilde = products(lam)
         spent = float((k_tilde**2 / (1.0 - (a + hs * k_tilde) ** 2)).sum())
         return (spent - gamma_tilde) / gamma_tilde
 
@@ -296,7 +302,7 @@ def _budget_multiplier(a: float, hs: np.ndarray, gamma_tilde: float, uncapped: f
             hi, r_hi = lam, r
             r_lo /= 2.0 if kept == -1 else 1.0
             kept = -1
-    return best[1]
+    return best[1], products(best[1])
 
 
 @dataclass(frozen=True)
@@ -338,37 +344,36 @@ def optimize_identical_actuator(
     a = plant.a
     ssr = noise.ssr(plant)
     gamma_tilde = g_common**2 * noise.gamma0 / (g_common**2 + ssr)
-    floors = (a * a - 1.0) / hs**2
-    if floors.sum() > gamma_tilde:
+    floor_sum = ((a * a - 1.0) / hs**2).sum()
+    if floor_sum > gamma_tilde:
         raise Infeasible(
             f"infeasible: effective budget gamma~ = {gamma_tilde:.6g} is below "
-            f"the summed floors {floors.sum():.6g}"
+            f"the summed floors {floor_sum:.6g}"
         )
 
     unconstrained_snr = float((a * a / hs**2).sum())
     if gamma_tilde >= unconstrained_snr:
         k_tilde = -a / hs
         regime, multiplier = "unconstrained", None
-    elif gamma_tilde - floors.sum() <= _BOUNDARY_RTOL * gamma_tilde:
+    elif gamma_tilde - floor_sum <= _BOUNDARY_RTOL * gamma_tilde:
         # budget exactly on the floors: SNR-minimizing products
         k_tilde = -(a * a - 1.0) / (a * hs)
         regime, multiplier = "budget", None
     else:
-        multiplier = _budget_multiplier(a, hs, gamma_tilde, unconstrained_snr)
-        k_tilde = _budget_products(a, hs, multiplier)
+        multiplier, k_tilde = _budget_multiplier(a, hs, gamma_tilde, unconstrained_snr)
         regime = "budget"
 
     a_c = a + hs * k_tilde
     costs = noise.sigma_z2 * (g_common**2 + ssr) / (1.0 - a_c**2)
     return IdenticalActuatorDesign(
         plant_ids=ids,
-        k_tilde=tuple(map(float, k_tilde)),
-        k=tuple(float(kt / g_common) for kt in k_tilde),
+        k_tilde=tuple(k_tilde.tolist()),
+        k=tuple((k_tilde / g_common).tolist()),
         gamma_tilde=float(gamma_tilde),
         regime=regime,
         multiplier=multiplier,
-        closed_loop=tuple(map(float, a_c)),
-        predicted_costs=tuple(map(float, costs)),
+        closed_loop=tuple(a_c.tolist()),
+        predicted_costs=tuple(costs.tolist()),
     )
 
 

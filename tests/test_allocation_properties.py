@@ -5,10 +5,13 @@ summed stabilizability floors.  Block-fading magnitudes h lie in [1e-3, 0.1]
 and per-symbol channel powers sigma_h2 in [1e-6, 1e-2], both on a log
 lattice so no two plants share a channel.
 """
+import dataclasses
+import hashlib
 import math
 from typing import Callable, NamedTuple
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -94,6 +97,12 @@ def check_allocation(regime, instance):
     lam = alloc.multiplier
     for (_, c), g in zip(channels, gamma):
         assert abs(rg.share_at(plant, c, lam) - g) <= 1e-12 * g
+
+    # each plant's design is, bit for bit, the single-plant design at its share
+    for (_, c), share, gains, cost in zip(channels, alloc.gamma, design.gains,
+                                          design.predicted_costs):
+        single = rg.single(plant, noise, c, gamma=share)
+        assert (gains.k, gains.g, cost) == (single.gains.k, single.gains.g, single.j_ave)
 
 
 @PROPERTY_SETTINGS
@@ -201,3 +210,96 @@ def test_shared_actuator_properties(instance):
     # budget residual only to about 1e-8 of its own product, in both solvers
     oracle = stationary_products(a, hs, bisect_decreasing(residual))
     assert np.max(np.abs(k_tilde - oracle)) <= 1e-9 * np.max(np.abs(oracle))
+
+
+@pytest.mark.parametrize("regime, channels", [
+    ("slow", [(1, 2.0**-4), (2, 2.0**-6), (3, 2.0**-7)]),
+    ("fast", [(1, 2.0**-10), (2, 2.0**-12), (3, 2.0**-14)]),
+])
+def test_budget_on_the_summed_floors_matches_the_single_designs(regime, channels):
+    # with a = 1.25 the single designs' floors (a**2, eta a**2) equal the
+    # allocators' (a * a, eta * a * a), and a power-of-two noise power keeps
+    # gamma0 their sum in the allocators' order: a budget on the summed floors
+    rg = REGIMES[regime]
+    plant = PlantParams(a=1.25, sigma_w2=0.25)
+    gamma0 = sum(rg.floor(plant, c) for _, c in channels)
+    noise = NoisePowers(sigma_z2=0.125, p0=gamma0 * 0.125)
+    assert noise.gamma0 == gamma0
+    alloc, design = rg.allocate(channels, plant, noise)
+    assert alloc.multiplier is None
+    for (_, c), share, gains, cost in zip(channels, alloc.gamma, design.gains,
+                                          design.predicted_costs):
+        assert share == rg.floor(plant, c)
+        single = rg.single(plant, noise, c, gamma=share)
+        assert gains is None and single.gains is None
+        assert cost == single.j_ave == math.inf
+
+
+def numbers_in(value):
+    """Every number in a design result but its plant ids, walking dataclasses and tuples."""
+    if dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            if field.name != "plant_ids":
+                yield from numbers_in(getattr(value, field.name))
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from numbers_in(item)
+    elif isinstance(value, (int, float, np.number)) and not isinstance(value, bool):
+        yield value
+
+
+def test_every_design_holds_plain_floats():
+    plant = PlantParams(a=1.2, sigma_w2=0.1)
+    noise = NoisePowers(sigma_z2=SIGMA_Z2, p0=1e-2)
+    hs = np.array([0.01, 0.02, 0.05])  # numpy scalars in, plain floats out
+    powers = hs**2
+    results = [
+        optimize_single_slow(plant, noise, hs[0]),
+        optimize_single_slow(plant, noise, hs[0], gamma=snr_floor(plant, hs[0])),
+        optimize_single_fast(plant, noise, powers[0]),
+        optimize_single_fast(plant, noise, powers[0], gamma=fast_snr_floor(plant, powers[0])),
+        allocate_multi_slow(list(enumerate(hs, start=1)), plant, noise),
+        allocate_multi_fast(list(enumerate(powers, start=1)), plant, noise),
+        optimize_identical_actuator(list(enumerate(hs, start=1)), plant, noise, 400.0),
+        optimize_identical_actuator(list(enumerate(hs, start=1)), plant, noise, 1e6),
+    ]
+    assert {r.regime for r in results[-2:]} == {"budget", "unconstrained"}
+    for result in results:
+        types = {type(n) for n in numbers_in(result)}
+        assert types == {float}, (types, result)
+
+
+def golden_designs():
+    """A dozen seeded 16-loop designs: slow, fast and shared in both regimes."""
+    plant = PlantParams(a=1.3, sigma_w2=0.1)
+    ssr, g_common = plant.sigma_w2 / SIGMA_Z2, 1000.0
+    shrink = g_common**2 / (g_common**2 + ssr)
+    ids = range(1, 17)
+    for seed in (1, 2, 3):
+        rng = np.random.default_rng(seed)
+        hs = rng.rayleigh(scale=math.sqrt(0.5e-4), size=16)
+        powers = rng.exponential(1e-4, size=16)
+        slow_floors = [snr_floor(plant, h) for h in hs]
+        fast_floors = [fast_snr_floor(plant, v) for v in powers]
+        uncapped = math.fsum(plant.a**2 / hs**2)
+        yield allocate_multi_slow(list(zip(ids, hs.tolist())), plant,
+                                  NoisePowers(SIGMA_Z2, 3.0 * math.fsum(slow_floors) * SIGMA_Z2))
+        yield allocate_multi_fast(list(zip(ids, powers.tolist())), plant,
+                                  NoisePowers(SIGMA_Z2, 3.0 * math.fsum(fast_floors) * SIGMA_Z2))
+        for gamma_tilde in (math.fsum(slow_floors) + 0.3 * (uncapped - math.fsum(slow_floors)),
+                            1.5 * uncapped):
+            noise = NoisePowers(SIGMA_Z2, gamma_tilde / shrink * SIGMA_Z2)
+            yield optimize_identical_actuator(list(zip(ids, hs.tolist())), plant, noise, g_common)
+
+
+#: SHA-256 of the float.hex of every number in ``golden_designs``: any bit of
+#: any share, gain, product, closed loop, multiplier or cost moves it
+GOLDEN_SHA256 = "ea6e738d84dbc0525b6bb0cb60d370a53b207b488086806e6ed1f19f53c5706f"
+
+
+def test_golden_designs_are_bit_for_bit_unchanged():
+    designs = list(golden_designs())
+    assert len(designs) == 12
+    assert [d.regime for d in designs[2::4] + designs[3::4]] == ["budget"] * 3 + ["unconstrained"] * 3
+    text = "|".join(float(n).hex() for d in designs for n in numbers_in(d))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256

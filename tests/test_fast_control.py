@@ -16,7 +16,7 @@ from wncs.fast_control import (
     stabilizable_fast,
 )
 from wncs.model import NoisePowers, PlantParams
-from wncs.slow_control import select_plants
+from wncs.slow_control import Infeasible, select_plants
 
 PLANT = PlantParams(a=1.5, sigma_w2=0.1)
 NOISE = NoisePowers(sigma_z2=1e-7, p0=0.1)  # gamma0 = 1e6
@@ -145,6 +145,16 @@ def test_single_fast_boundary_budget_degenerates():
     assert math.isinf(design.j_ave)
     with pytest.raises(ValueError, match="floor"):
         optimize_single_fast(PLANT, NOISE, 1e-4, gamma=floor * 0.99)
+
+
+def test_single_fast_below_its_floor_is_infeasible():
+    # the same verdict type as the block-fading design, still a ValueError
+    floor = fast_snr_floor(PLANT, 1e-4)
+    with pytest.raises(Infeasible, match=r"below the mean-square stabilizability floor 68532\.8"):
+        optimize_single_fast(PLANT, NOISE, 1e-4, gamma=floor * 0.99)
+    # no budget stabilizes a >= 1/sqrt(1 - 2/pi) under sign-only knowledge
+    with pytest.raises(Infeasible, match="floor inf"):
+        optimize_single_fast(PlantParams(a=1.7, sigma_w2=0.1), NOISE, 1e-4)
 
 
 def test_select_plants_fast_best_channels_first():
