@@ -277,6 +277,9 @@ def _words_intact(
     The words are detected a chunk at a time, every real axis before any
     imaginary one: consecutive chunks of a normal draw equal the dense draw,
     so the chunk size changes no result.
+
+    Only the words holding a noise sample at or beyond ``_safe_radius`` run
+    the detection chain: a sample inside it detects as the level sent.
     """
     if not (math.isfinite(h) and h != 0.0):
         raise ValueError(f"channel gain must be finite and nonzero (got {h!r})")
@@ -285,6 +288,7 @@ def _words_intact(
     to_gray, from_gray = _gray_maps(levels)
     to_gray = to_gray.astype(table.dtype)  # detected labels at the table's width, not int64
     amplitude = (2.0 * from_gray - (levels - 1)) * c
+    tau = _safe_radius(levels, c, h)
     std = math.sqrt(noise.sigma_z2)
     flat = words.reshape(-1)
     # code bits wrong per word, summed as a matmul, far faster than sum() over
@@ -292,23 +296,57 @@ def _words_intact(
     # uint8 count cannot wrap
     flips = np.zeros(flat.shape, dtype=np.uint8)
     ones = np.ones(mask.shape[0] * mask.itemsize, dtype=np.uint8)
+    # std z is normal(0, std)'s 0 + std z but for the sign of a zero, which
+    # no detected level depends on
+    buf = np.empty((min(flat.size, _LINK_WORDS), len(mask)))
     for axis in (0, 1):
         for start in range(0, flat.size, _LINK_WORDS):
-            labels = table[flat[start : start + _LINK_WORDS], :, axis]
-            # in place, in qam_detect's order: ((h amp + noise) / h / c + L - 1) / 2
-            y = amplitude[labels]
-            y *= h
-            y += rng.normal(0.0, std, y.shape)
-            y /= h
-            y /= c
-            y += levels - 1
-            y /= 2.0
-            np.clip(np.rint(y, out=y), 0, levels - 1, out=y)
-            errors = to_gray[y.astype(np.intp)]
-            errors ^= labels
-            errors &= mask[:, axis]
-            flips[start : start + _LINK_WORDS] += _POPCOUNT[errors.view(np.uint8)] @ ones
+            chunk = flat[start : start + _LINK_WORDS]
+            n = buf[: chunk.size]
+            rng.standard_normal(out=n)
+            n *= std
+            # each word holding a sample at or beyond the radius, once
+            rows = np.flatnonzero(np.abs(n) >= tau) // len(mask)
+            rows = rows[np.diff(rows, prepend=-1) != 0]
+            if rows.size:
+                labels = table[chunk[rows], :, axis]
+                y = amplitude[labels]
+                y *= h
+                y += n[rows]
+                errors = to_gray[_detect(y, levels, c, h)]
+                errors ^= labels
+                errors &= mask[:, axis]
+                flips[start + rows] += _POPCOUNT[errors.view(np.uint8)] @ ones
     return (flips <= 1).reshape(words.shape)
+
+
+def _detect(y: np.ndarray, levels: int, c: float, h: float) -> np.ndarray:
+    """Detected level of each received h amp + n, in place, in qam_detect's order."""
+    y /= h
+    y /= c
+    y += levels - 1
+    y /= 2.0
+    np.clip(np.rint(y, out=y), 0, levels - 1, out=y)
+    return y.astype(np.intp)
+
+
+def _safe_radius(levels: int, c: float, h: float) -> float:
+    """A noise magnitude tau such that every |n| <= tau detects as the level sent.
+
+    Each step of the detection chain, rounding included, is monotone in the
+    noise sample n (decreasing for h < 0), so if every level detects as
+    itself at n = -tau and at n = +tau it does so for all n in between.  The
+    radius starts just inside the decision half-width |h| c and is halved
+    until both ends pass; it is 0 if none does, and then the link detects
+    every sample.
+    """
+    amp_h = (2.0 * np.arange(levels) - (levels - 1)) * c * h
+    tau = abs(h) * c * (1.0 - 1e-9)
+    while math.isfinite(tau) and tau > 0.0:
+        if (_detect(amp_h + np.array([[-tau], [tau]]), levels, c, h) == np.arange(levels)).all():
+            return tau
+        tau *= 0.5
+    return 0.0
 
 
 def word_success(scheme: CodingScheme, noise: NoisePowers, h: float) -> float:
@@ -409,8 +447,13 @@ def run_coded_control(
     # the kernel steps time-major noise; each chunk is drawn replica-major,
     # as the dense draw is, and written into its columns
     n_t = np.empty((horizon, replicas))
+    stage = np.empty((min(_NOISE_ROWS, replicas), horizon))
     for start in range(0, replicas, _NOISE_ROWS):
-        n = rng.normal(0.0, std, (min(_NOISE_ROWS, replicas - start), horizon))
+        # std z, as normal(0, std) draws it but for the sign of a zero, which
+        # no cost depends on
+        n = stage[: replicas - start]
+        rng.standard_normal(out=n)
+        n *= std
         # (rows, epochs, d) view of the whole epochs: writes land in n
         epoch_n = n[:, : n_epochs * d].reshape(len(n), n_epochs, d)
         open_loop = epoch_n[..., :-1] @ powers

@@ -47,7 +47,7 @@ def expected_ac2(plant: PlantParams, gain_product: float, sigma_h2: float) -> fl
 
 def stabilizable_fast(plant: PlantParams) -> bool:
     """Whether sign-only knowledge can achieve E[A_c^2] < 1 at any SNR."""
-    return plant.a**2 * ETA < 1.0
+    return ETA * (plant.a * plant.a) < 1.0
 
 
 def fast_snr_floor(plant: PlantParams, sigma_h2: float) -> float:
@@ -55,7 +55,8 @@ def fast_snr_floor(plant: PlantParams, sigma_h2: float) -> float:
     require_positive(sigma_h2, "channel power")
     if not stabilizable_fast(plant):
         return math.inf
-    return (plant.a**2 - 1.0) / ((1.0 - ETA * plant.a**2) * sigma_h2)
+    a = plant.a
+    return (a * a - 1.0) / ((1.0 - ETA * (a * a)) * sigma_h2)
 
 
 @dataclass(frozen=True)
@@ -136,7 +137,7 @@ def allocate_multi_fast(
     ss = np.array([require_positive(v, "channel power") for _, v in channel_powers], dtype=float)
     a = plant.a
     if not stabilizable_fast(plant):
-        raise ValueError(
+        raise Infeasible(
             f"plant with a={a!r} cannot be mean-square stabilized under "
             f"per-symbol fading (a^2 (1 - 2/pi) >= 1)"
         )

@@ -50,7 +50,7 @@ _DesignFields = tuple[Optional[GainPair], float, float, float]
 def snr_floor(plant: PlantParams, h: float) -> float:
     """Minimum SNR that admits any stabilizing design: (a^2 - 1)/h^2."""
     require_magnitude(h, "channel magnitude")
-    return (plant.a**2 - 1.0) / h**2
+    return (plant.a * plant.a - 1.0) / (h * h)
 
 
 @dataclass(frozen=True)

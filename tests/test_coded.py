@@ -301,6 +301,57 @@ def test_link_matches_the_codec_chain(scheme, p0_dbm, h):
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
+@pytest.mark.parametrize("bits", sorted({s.bits_per_symbol for s in (*SCHEMES.values(), OWN_SCHEME)}))
+@pytest.mark.parametrize("p0_dbm", [0.1, 10.0, 40.0])
+@pytest.mark.parametrize("h", [0.01, -0.01, 3e-5, -7.0])
+def test_every_level_detects_as_sent_at_the_safe_radius(bits, p0_dbm, h):
+    # the codec's own chain, at noise +-tau on either axis, returns every
+    # symbol's bits: inside the radius no sample can flip a bit
+    levels, c = coded._axis_scale(bits, dbm(p0_dbm))
+    tau = coded._safe_radius(levels, c, h)
+    assert 0.5 * abs(h) * c <= tau <= abs(h) * c
+    patterns = all_messages(bits)
+    tx = qam_modulate(patterns, bits, dbm(p0_dbm))
+    for re_sign in (-1.0, 1.0):
+        for im_sign in (-1.0, 1.0):
+            rx = h * tx + re_sign * tau + 1j * (im_sign * tau)
+            assert_array_equal(qam_detect(rx, bits, dbm(p0_dbm), h), patterns)
+
+
+def _assert_link_matches_the_chain(scheme, noise, h, words=(300, 40)):
+    """The label-table link and the codec chain give equal flags from equal draws."""
+    got_rng, want_rng = substream(3, 0), substream(3, 0)
+    sent = got_rng.integers(0, 2, size=(*words, scheme.k), dtype=np.uint8)
+    want_rng.integers(0, 2, size=sent.shape, dtype=np.uint8)
+    got = _link_success(sent, scheme, noise, h, got_rng)
+    want = _reference_link_success(sent, scheme, noise, h, want_rng)
+    assert_array_equal(got, want)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    return want
+
+
+@pytest.mark.parametrize("scheme", [*SCHEMES.values(), OWN_SCHEME], ids=lambda s: s.name)
+@pytest.mark.parametrize("p0_dbm", [20.0, 30.0, 40.0])
+@pytest.mark.parametrize("h", [0.01, -0.01])
+def test_link_matches_the_codec_chain_where_the_radius_holds_most_samples(scheme, p0_dbm, h):
+    # from 20 dBm most noise samples, and from 30 dBm nearly all, lie inside
+    # the safe radius, so most words skip the detection chain and at 40 dBm
+    # a chunk can have no word to detect at all
+    want = _assert_link_matches_the_chain(scheme, NoisePowers(sigma_z2=1e-7, p0=dbm(p0_dbm)), h)
+    assert want.any()
+
+
+@pytest.mark.parametrize("scheme", [*SCHEMES.values(), OWN_SCHEME], ids=lambda s: s.name)
+@pytest.mark.parametrize("h", [5e-324, -5e-324])
+def test_link_matches_the_codec_chain_where_the_radius_falls_to_zero(scheme, h):
+    # h c rounds to 0 at the smallest subnormal gain: no radius is proven and
+    # every sample runs the chain, whose y / h overflows alike on both sides
+    noise = NoisePowers(sigma_z2=1e-7, p0=0.1)
+    assert coded._safe_radius(*coded._axis_scale(scheme.bits_per_symbol, noise.p0), h) == 0.0
+    with np.errstate(over="ignore"):
+        _assert_link_matches_the_chain(scheme, noise, h, words=(50, 40))
+
+
 @pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf, 0.0])
 def test_coded_link_refuses_a_dead_or_non_finite_gain(h):
     noise = NoisePowers(sigma_z2=1e-7, p0=0.1)
@@ -350,6 +401,19 @@ def test_coded_loop_matches_per_symbol_reference(name, p0, horizon):
     scheme = SCHEMES[name]
     got = run_coded_control(PLANT, noise, 0.01, scheme, horizon, substream(5, 0), replicas=200)
     want = _per_symbol_reference(noise, scheme, horizon, substream(5, 0), replicas=200)
+    assert got[0] == pytest.approx(want[0], rel=1e-12)
+    assert got[1] == want[1]
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMES))
+@pytest.mark.parametrize("replicas, horizon", [(130, 101), (130, 1), (50, 101)])
+def test_coded_loop_matches_the_reference_across_noise_stage_fills(name, replicas, horizon):
+    # 130 replicas leave a last plant-noise chunk of 2 rows, 50 fill the
+    # stage only partly, and a 1-step horizon is shorter than every epoch
+    noise = NoisePowers(sigma_z2=1e-7, p0=1.0)
+    scheme = SCHEMES[name]
+    got = run_coded_control(PLANT, noise, 0.01, scheme, horizon, substream(5, 2), replicas)
+    want = _per_symbol_reference(noise, scheme, horizon, substream(5, 2), replicas)
     assert got[0] == pytest.approx(want[0], rel=1e-12)
     assert got[1] == want[1]
 

@@ -240,6 +240,19 @@ def test_fast_allocation_infeasible_raises():
         allocate_multi_fast([(1, 1e-4), (2, 4e-4)], PLANT, poor)
 
 
+@pytest.mark.parametrize(
+    "design",
+    [lambda plant: optimize_single_fast(plant, NOISE, 1e-4),
+     lambda plant: allocate_multi_fast([(1, 1e-4), (2, 4e-4)], plant, NOISE)],
+    ids=["single", "allocation"],
+)
+def test_an_unstabilizable_plant_is_infeasible_at_every_entry_point(design):
+    # no budget stabilizes a >= 1/sqrt(1 - 2/pi) under sign-only knowledge:
+    # a verdict, the same type as any other infeasible budget
+    with pytest.raises(Infeasible):
+        design(PlantParams(a=1.7, sigma_w2=0.1))
+
+
 def test_sign_flip_controls_simulated_growth():
     # with the flip the reference design holds E[x^2] bounded; without any
     # channel knowledge the same budget cannot avoid mean-square growth

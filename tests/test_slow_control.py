@@ -221,6 +221,20 @@ def test_allocation_budget_on_floors_pins_shares():
     assert all(math.isinf(j) for j in design.predicted_costs)
 
 
+def test_allocation_on_the_summed_floors_admits_every_share():
+    # a Rayleigh magnitude (E[h^2] = 1e-4) whose pow square is an ulp under
+    # h * h: the allocator and the per-plant check must compute one floor, or
+    # a budget exactly on the summed floors refuses the plant its own share
+    h = 0.014339446624214748
+    assert h**2 < h * h
+    channels = [(1, h), (2, 0.01)]
+    floors = tuple(snr_floor(PLANT, v) for _, v in channels)
+    noise = NoisePowers(sigma_z2=1e-7, p0=sum(floors) * 1e-7)
+    alloc, design = allocate_multi_slow(channels, PLANT, noise)
+    assert alloc.gamma == floors
+    assert all(gains is None for gains in design.gains)
+
+
 def test_allocation_single_plant_reduces_to_single_design():
     alloc, design = allocate_multi_slow([(7, 0.01)], PLANT, NOISE)
     single = optimize_single_slow(PLANT, NOISE, 0.01)
