@@ -632,7 +632,17 @@ def cmd_verify() -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with status 2 on bad usage; this toolkit reserves 2."""
+    """argparse exits with status 2 on bad usage; this toolkit reserves 2.
+
+    argparse takes a token that starts with '-' for an option unless it looks
+    like a negative number, and its own test for that refuses '-1e2', '-0.5,0.6'
+    and '-40dBm'.  No wncs option starts with '-' and a digit or a point, so
+    here every such token is a value.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?[0-9]")
 
     def error(self, message: str):  # noqa: D401 - argparse contract
         self.print_usage(sys.stderr)

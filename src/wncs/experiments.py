@@ -35,7 +35,8 @@ from .model import (
     require_positive,
     simulate_loop,
 )
-from .slow_control import allocate_multi_slow, optimize_single_slow, select_plants, snr_floor
+from .slow_control import allocate_multi_slow, optimize_single_slow, select_plants, slow_floor
+from .slow_control import snr_floor, summed_floor
 from .slow_control import Infeasible, optimize_identical_actuator, optimize_identical_controller
 
 if TYPE_CHECKING:
@@ -76,10 +77,15 @@ class ExperimentSpec:
             require_positive(p, "grid power (watts)")
         if any(b <= a for a, b in zip(self.powers_w, self.powers_w[1:])):
             raise ValueError("power grid must be strictly increasing")
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1 (got {self.horizon})")
+        # a block then holds at least one replica's whole horizon
+        if not 1 <= self.horizon <= _BLOCK_ELEMENTS:
+            raise ValueError(
+                f"horizon must be between 1 and {_BLOCK_ELEMENTS} (got {self.horizon})"
+            )
         if self.replicas < 1:
             raise ValueError(f"replicas must be >= 1 (got {self.replicas})")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0 (got {self.seed})")
 
     def noise_at(self, p0: float) -> NoisePowers:
         return NoisePowers(sigma_z2=self.sigma_z2, p0=p0)
@@ -175,7 +181,7 @@ def _simulated_blocks(
     but for the sign of a zero, so these are the values of per-purpose
     ``normal`` draws.  Every draw runs on the thread that takes the blocks.
     """
-    rows = max(1, _BLOCK_ELEMENTS // spec.horizon)
+    rows = _BLOCK_ELEMENTS // spec.horizon
     z_rng = substream(spec.seed, *key, _DRAW_Z)
     w_rng = substream(spec.seed, *key, _DRAW_W)
     z_std, w_std = math.sqrt(spec.sigma_z2), math.sqrt(spec.plant.sigma_w2)
@@ -233,10 +239,14 @@ def implied_trace_gains(
     to the bare x(t+1) = a_c x(t) + w(t) recursion.
     """
     require_magnitude(h, "channel magnitude")
-    if not math.isfinite(a_c):
-        raise ValueError(f"closed-loop factor must be finite (got {a_c!r})")
+    gap = a_c - plant.a
+    # a float ** raises where * gives inf: refuse a factor whose gap overflows
+    if not math.isfinite(gap * gap):
+        raise ValueError(
+            f"closed-loop factor must be finite, and so must (a_c - a)^2 (got {a_c!r})"
+        )
     ssr = noise.ssr(plant)
-    headroom = (1.0 - a_c * a_c) * noise.gamma0 - (a_c - plant.a) ** 2 / h**2
+    headroom = (1.0 - a_c * a_c) * noise.gamma0 - gap**2 / h**2
     if headroom <= 0.0:
         return None
     # with no disturbance the SNR is split-independent; any k realizes it
@@ -441,7 +451,8 @@ def run_multi_sweep(
 
     floor_of = snr_floor if slow else fast_snr_floor
     allocate = allocate_multi_slow if slow else allocate_multi_fast
-    floors_total = sum(floor_of(spec.plant, v) for _, v in channels)
+    # the allocator's floors, each checked, and its sum: a point past the gate is allocated
+    floors_total = summed_floor(np.array([floor_of(spec.plant, v) for _, v in channels]))
 
     # per feasible grid point: the allocation, the design and each plant's
     # cell (None where nothing runs); None at an infeasible point
@@ -570,7 +581,6 @@ def run_selection_sweep(
         raise ValueError("every M0 must be >= 1")
     labels = [f"m{m0}_avg_selected" for m0 in m0_values]
     _refuse_clashes(m0_values, labels, "M0 values")
-    a = spec.plant.a
     series: dict[str, tuple[float, ...]] = {}
     for mi, (m0, label) in enumerate(zip(m0_values, labels)):
         gains = np.stack(
@@ -585,7 +595,7 @@ def run_selection_sweep(
             axis=1,
         )
         with np.errstate(divide="ignore", over="ignore"):
-            floors = (a * a - 1.0) / gains**2
+            floors = slow_floor(spec.plant.a, gains)
         if not np.isfinite(floors).all():
             raise ValueError(
                 f"mean power gain {mean_power_gain!r} is too small: a drawn channel's "

@@ -25,7 +25,7 @@ import numpy as np
 
 from .model import GainPair, NoisePowers, PlantParams, require_positive
 from .slow_control import (
-    _BOUNDARY_RTOL, _DesignFields, Infeasible, MultiDesign, SnrAllocation, _split_slack,
+    _BOUNDARY_RTOL, _DesignFields, MultiDesign, SnrAllocation, _require_budget, _split_slack,
 )
 
 #: stabilizability constant for sign-only channel knowledge, 1 - 2/pi
@@ -45,18 +45,21 @@ def expected_ac2(plant: PlantParams, gain_product: float, sigma_h2: float) -> fl
     return sigma_h2 * u * u + 2.0 * b * plant.a * u + plant.a**2
 
 
+def fast_floor(a: float, sigma_h2: "float | np.ndarray") -> "float | np.ndarray":
+    """The fast-fading floor (a^2 - 1)/((1 - eta a^2) sigma_h2), at one power or an array."""
+    # no budget stabilizes a when 1 - eta a^2 <= 0: then every floor is inf
+    margin = 1.0 - ETA * a * a
+    return (a * a - 1.0) / (margin * sigma_h2) if margin > 0.0 else sigma_h2 * math.inf
+
+
 def stabilizable_fast(plant: PlantParams) -> bool:
-    """Whether sign-only knowledge can achieve E[A_c^2] < 1 at any SNR."""
-    return ETA * (plant.a * plant.a) < 1.0
+    """Whether sign-only knowledge can achieve E[A_c^2] < 1 at any SNR: a finite floor."""
+    return math.isfinite(fast_floor(plant.a, 1.0))
 
 
 def fast_snr_floor(plant: PlantParams, sigma_h2: float) -> float:
-    """Minimum SNR admitting a mean-square stabilizing design; inf if none does."""
-    require_positive(sigma_h2, "channel power")
-    if not stabilizable_fast(plant):
-        return math.inf
-    a = plant.a
-    return (a * a - 1.0) / ((1.0 - ETA * (a * a)) * sigma_h2)
+    """Minimum SNR admitting a mean-square stabilizing design at one checked power, or inf."""
+    return fast_floor(plant.a, require_positive(sigma_h2, "channel power"))
 
 
 @dataclass(frozen=True)
@@ -97,12 +100,7 @@ def optimize_single_fast(
 
 def _fast_design(plant: PlantParams, ssr: float, s: float, g0: float) -> _DesignFields:
     """``optimize_single_fast``'s fields at budget g0, on plain floats, for a checked s."""
-    floor = fast_snr_floor(plant, s)
-    if g0 < floor:
-        raise Infeasible(
-            f"infeasible: budget gamma={g0:.6g} is below the mean-square "
-            f"stabilizability floor {floor:.6g}"
-        )
+    _require_budget(g0, fast_snr_floor(plant, s), "mean-square stabilizability floor")
     b = mean_channel_magnitude(s)
     u = -b * plant.a * g0 / (1.0 + s * g0)
     e_star = expected_ac2(plant, u, s)
@@ -136,13 +134,8 @@ def allocate_multi_fast(
     ids = tuple(pid for pid, _ in channel_powers)
     ss = np.array([require_positive(v, "channel power") for _, v in channel_powers], dtype=float)
     a = plant.a
-    if not stabilizable_fast(plant):
-        raise Infeasible(
-            f"plant with a={a!r} cannot be mean-square stabilized under "
-            f"per-symbol fading (a^2 (1 - 2/pi) >= 1)"
-        )
-    floors = (a * a - 1.0) / ((1.0 - ETA * a * a) * ss)
-    gamma, s = _split_slack(floors, 1.0 / np.sqrt(ss), noise.gamma0)
+    # an unstabilizable plant's floors are inf, so the split refuses it
+    gamma, s = _split_slack(fast_floor(a, ss), 1.0 / np.sqrt(ss), noise.gamma0)
     multiplier = None if s is None else (2.0 / math.pi) * (a / (1.0 - ETA * a * a) / s) ** 2
 
     require_positive(plant.sigma_w2, "disturbance power")

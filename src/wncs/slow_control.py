@@ -47,10 +47,25 @@ class Infeasible(ValueError):
 _DesignFields = tuple[Optional[GainPair], float, float, float]
 
 
+def slow_floor(a: float, h: "float | np.ndarray") -> "float | np.ndarray":
+    """The slow-fading floor (a^2 - 1)/h^2 of gain a, at one magnitude h or an array of them."""
+    return (a * a - 1.0) / (h * h)
+
+
 def snr_floor(plant: PlantParams, h: float) -> float:
-    """Minimum SNR that admits any stabilizing design: (a^2 - 1)/h^2."""
-    require_magnitude(h, "channel magnitude")
-    return (plant.a * plant.a - 1.0) / (h * h)
+    """Minimum SNR that admits any stabilizing design over one checked magnitude h."""
+    return slow_floor(plant.a, require_magnitude(h, "channel magnitude"))
+
+
+def summed_floor(floors: np.ndarray) -> float:
+    """The least budget that covers ``floors``: the one sum every shared-budget verdict uses."""
+    return float(floors.sum())
+
+
+def _require_budget(budget: float, floor: float, what: str) -> None:
+    """The one verdict on a floor: Infeasible, naming the ``what``, when ``budget`` is below it."""
+    if budget < floor:
+        raise Infeasible(f"infeasible: budget {budget:.6g} is below the {what} {floor:.6g}")
 
 
 @dataclass(frozen=True)
@@ -89,12 +104,7 @@ def optimize_single_slow(
 
 def _slow_design(plant: PlantParams, ssr: float, h: float, g0: float) -> _DesignFields:
     """``optimize_single_slow``'s fields at budget g0, on plain floats, for a checked h."""
-    floor = snr_floor(plant, h)
-    if g0 < floor:
-        raise Infeasible(
-            f"infeasible: budget gamma={g0:.6g} is below the stabilizability "
-            f"floor (a^2-1)/h^2 = {floor:.6g}"
-        )
+    _require_budget(g0, snr_floor(plant, h), "stabilizability floor (a^2-1)/h^2 =")
     a = plant.a
     h2g = h * h * g0
     # (h2g + 1) * margin below is about h2g^2: refuse a channel that overflows it
@@ -171,14 +181,11 @@ def _split_slack(
     slack per unit weight s.  s is None when nothing is split: one plant takes
     the whole budget, and a budget on the summed floors pins every share.
     """
-    slack = gamma0 - floors.sum()
-    if slack < 0.0:
-        raise Infeasible(
-            f"infeasible: summed stabilizability floors {floors.sum():.6g} "
-            f"exceed the budget gamma0 = {gamma0:.6g}"
-        )
+    total = summed_floor(floors)
+    _require_budget(gamma0, total, "summed stabilizability floors")
     if len(floors) == 1:
         return np.array([gamma0]), None
+    slack = gamma0 - total
     if slack <= _BOUNDARY_RTOL * gamma0:
         return floors.copy(), None
     s = float(slack / weights.sum())
@@ -224,8 +231,7 @@ def allocate_multi_slow(
     channel-inverting: larger h_i, smaller gamma_i.
     """
     ids, hs = _channel_magnitudes(channel_gains, "allocate_multi_slow", noise.gamma0, "h^2 gamma0")
-    floors = (plant.a * plant.a - 1.0) / hs**2
-    gamma, s = _split_slack(floors, 1.0 / hs, noise.gamma0)
+    gamma, s = _split_slack(slow_floor(plant.a, hs), 1.0 / hs, noise.gamma0)
     multiplier = None if s is None else plant.sigma_w2 * (plant.a / s) ** 2
 
     require_positive(plant.sigma_w2, "disturbance power")
@@ -337,19 +343,15 @@ def optimize_identical_actuator(
     otherwise k~_i follows the budget-tight stationary form, whose multiplier
     solves the summed-SNR equation (``_budget_multiplier``).
     """
-    require_positive(g_common, "shared actuator factor")
+    require_magnitude(g_common, "shared actuator factor")
     ids, hs = _channel_magnitudes(
         channel_gains, "optimize_identical_actuator", noise.gamma0, "h^2 gamma0"
     )
     a = plant.a
     ssr = noise.ssr(plant)
     gamma_tilde = g_common**2 * noise.gamma0 / (g_common**2 + ssr)
-    floor_sum = ((a * a - 1.0) / hs**2).sum()
-    if floor_sum > gamma_tilde:
-        raise Infeasible(
-            f"infeasible: effective budget gamma~ = {gamma_tilde:.6g} is below "
-            f"the summed floors {floor_sum:.6g}"
-        )
+    floor_sum = summed_floor(slow_floor(a, hs))
+    _require_budget(gamma_tilde, floor_sum, "summed floors of the shared-actuator design")
 
     unconstrained_snr = float((a * a / hs**2).sum())
     if gamma_tilde >= unconstrained_snr:

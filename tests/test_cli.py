@@ -279,6 +279,9 @@ def test_usage_errors_exit_1(tmp_path):
         ["compare", "--sigma-w2", "0"],
         ["multi-slow", "--sigma-w2", "0"],
         ["multi-fast", "--sigma-w2", "0"],
+        # a float ** raises OverflowError where * gives inf
+        ["trace", "--a-c", "1e200"],
+        ["multi-slow", "--grid", "20 dBm", "--g-common", "1e300"],
     ],
     ids=" ".join,
 )
@@ -290,6 +293,46 @@ def test_non_finite_input_is_a_usage_error(tmp_path, capsys, argv):
     assert main([*argv, "--out", str(out)]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "recipe, flag, value, rest",
+    [
+        ("trace", "--a-c", "-0.5,0.6", []),
+        ("multi-slow", "--k-common", "-1e2", ["--grid", "20 dBm"]),
+        ("compare", "--sigma-z2", "-40dBm", ["--grid", "20 dBm"]),
+    ],
+    ids=["trace", "multi-slow", "compare"],
+)
+def test_a_value_that_starts_with_a_minus_follows_its_flag(tmp_path, monkeypatch, recipe,
+                                                           flag, value, rest):
+    # argparse alone reads only '-1' and '-0.5' as values; here every number
+    # its setting parses may follow its flag, as in the --flag=value form
+    small = ["--horizon", "10", "--replicas", "2", *rest, "--out", "run.csv"]
+    outputs = []
+    for name, pair in (("spaced", [flag, value]), ("joined", [f"{flag}={value}"])):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        assert main([recipe, *pair, *small]) == EXIT_OK
+        outputs.append([(tmp_path / name / f).read_bytes()
+                        for f in ("run.csv", "run.csv.meta.json")])
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "argv, refusal",
+    [
+        (["--seed", "-1"], "seed must be >= 0 (got -1)"),
+        (["--horizon", "262145"], "horizon must be between 1 and 262144 (got 262145)"),
+    ],
+    ids=["seed", "horizon"],
+)
+def test_a_setting_out_of_range_is_refused_by_name(tmp_path, capsys, argv, refusal):
+    out = tmp_path / "x.csv"
+    assert main(["select-sweep", *argv, "--realizations", "10", "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert refusal in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -419,7 +462,7 @@ _PINNED = [
      "78ca5d378ed7e4c88f739c9fd593e79a1d153065c46af89e87381ec9ec5f2cf5"),
     ("multi-fast --grid '8:12:2 dBm' --horizon 30 --replicas 8", EXIT_OK,
      "586e7e4b1a1737612e79b4c663b63b1747c222e68ee1b9c4270cf11b3fdc2fdf",
-     "6e2d1488f87f723480817798302fdcadda3370ea62a727f81405c5e17d921153"),
+     "f5d6c28da9e512bfb6666c74dab7f1340b388bb2cccbaeee96df91fbd7734b1a"),
     ("select-sweep --grid '0:10:5 dBm' --m0 2,3 --realizations 200", EXIT_OK,
      "a18303df6a5b0e69539cf8e160dc6cff8383243780c2a5b15df8988fa332ddfe",
      "725c2c07671ba8b2d082520542aea2233112c21a9a455260ce0a84e26dd5bdef"),

@@ -210,6 +210,37 @@ def test_run_multi_sweep_fast_reference_allocation():
         run_multi_sweep(spec, ((1, 1e-4), (-1, 4e-4)), regime="fast")
 
 
+def _allocated_on_the_reported_floors(channels, regime, plant=PLANT):
+    """Whether a grid point exactly on a sweep's own ``floors_total`` is allocated."""
+    # with sigma_z2 = 1 W the budget gamma0 is p0 exactly
+    spec = make_spec(plant=plant, sigma_z2=1.0, powers_w=(1.0,), horizon=1, replicas=1)
+    total = run_multi_sweep(spec, channels, regime).meta["floors_total"]
+    on_floors = ExperimentSpec(plant, 1.0, (total,), horizon=1, replicas=1)
+    return run_multi_sweep(on_floors, channels, regime).meta["feasible_points"] == 1
+
+
+def test_a_point_on_the_reported_floors_is_allocated():
+    # the gate, the sidecar and the allocator share one floor array and one
+    # sum, so a point that passes the gate is never refused.  From 8 plants on
+    # numpy's pairwise sum is not the left-to-right one, and at a = 1.439 the
+    # two groupings of eta a^2 give floors an ulp apart
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        hs = np.abs(rng.normal(0.0, math.sqrt(0.5e-4), (9, 2)) @ [1.0, 1j])
+        assert _allocated_on_the_reported_floors(tuple(enumerate(hs.tolist(), 1)), "slow")
+    fast_pair = ((1, 1e-4), (2, 4e-4))
+    assert _allocated_on_the_reported_floors(fast_pair, "fast", PlantParams(1.439, 0.1))
+
+
+def test_spec_refuses_a_negative_seed_and_a_horizon_past_one_block():
+    # a block then always holds at least one replica's whole horizon
+    make_spec(horizon=experiments._BLOCK_ELEMENTS, replicas=1)
+    with pytest.raises(ValueError, match=r"horizon must be between 1 and 262144 \(got 262145\)"):
+        make_spec(horizon=experiments._BLOCK_ELEMENTS + 1)
+    with pytest.raises(ValueError, match=r"seed must be >= 0 \(got -1\)"):
+        make_spec(seed=-1)
+
+
 def test_run_multi_sweep_deterministic():
     spec = make_spec(powers_w=(0.1,), horizon=100, replicas=50)
     a = run_multi_sweep(spec, ((1, 0.01), (2, 0.02)), regime="slow")

@@ -226,6 +226,18 @@ def test_fast_allocation_equalizes_marginal_cost():
         assert_allclose(grads, grads[0], rtol=1e-3)
 
 
+def test_fast_allocation_on_the_summed_floors_admits_every_share():
+    # at a = 1.439, eta (a a) and (eta a) a are an ulp apart: the allocator and
+    # the per-plant check must compute one floor, or a budget exactly on the
+    # summed floors refuses a plant its own share
+    plant = PlantParams(a=1.439, sigma_w2=0.1)
+    channels = [(1, 1e-4), (2, 4e-4)]
+    floors = tuple(fast_snr_floor(plant, s) for _, s in channels)
+    alloc, design = allocate_multi_fast(channels, plant, NoisePowers(1.0, sum(floors)))
+    assert alloc.gamma == floors
+    assert all(gains is None for gains in design.gains)
+
+
 def test_fast_allocation_single_plant_reduces_to_single_design():
     alloc, design = allocate_multi_fast([(3, 1e-4)], PLANT, NOISE)
     single = optimize_single_fast(PLANT, NOISE, 1e-4)
