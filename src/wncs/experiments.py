@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import math
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -40,7 +39,7 @@ from .slow_control import snr_floor, summed_floor
 from .slow_control import Infeasible, optimize_identical_actuator, optimize_identical_controller
 
 if TYPE_CHECKING:
-    from concurrent.futures import Future, ThreadPoolExecutor
+    from concurrent.futures import ThreadPoolExecutor
 
 # substream key vocabulary: kind of recipe, then purpose of the draw
 _KIND_TRACE, _KIND_COMPARE, _KIND_MULTI_SLOW, _KIND_MULTI_FAST, _KIND_SELECT = range(5)
@@ -139,25 +138,22 @@ def _pool() -> ThreadPoolExecutor:
         return _draw_pool
 
 
-@contextmanager
-def _cells() -> Iterator[Callable[..., Future]]:
-    """A ``submit(fn, *args)`` that runs a recipe's cell on the cell threads.
+def _run_cells(cells: Sequence[Optional[tuple]]) -> list[float]:
+    """Each cell's cost in list order: ``(fn, *args)`` runs on the cell threads, None is inf.
 
-    On leaving, also by an exception, the cells not yet started never start,
-    and the block is left only once no cell is running.
+    The first cell to raise, in list order, raises here; then the cells not
+    yet started never start, and the call returns only once no cell runs.
     """
-    futures: list[Future] = []
-
-    def submit(fn: Callable, *args) -> Future:
-        futures.append(_pool().submit(fn, *args))
-        return futures[-1]
-
+    futures = []
     try:
-        yield submit
+        for cell in cells:
+            futures.append(None if cell is None else _pool().submit(*cell))
+        return [math.inf if future is None else future.result() for future in futures]
     finally:
-        for future in futures:
+        running = [future for future in futures if future is not None]
+        for future in running:
             future.cancel()
-        for future in futures:
+        for future in running:
             if not future.cancelled():
                 future.exception()
 
@@ -321,20 +317,11 @@ def run_trace(
 def _coded_cost(
     spec: ExperimentSpec, noise: NoisePowers, h: float, scheme: CodingScheme,
     rng: np.random.Generator,
-) -> tuple[float, float]:
-    """One coded cell: its cost, inf where the loop is unstable, and its exact word success.
-
-    A word success at or below the rate that the dead-beat recursion requires
-    makes the loop mean-square unstable (Sinopoli et al., IEEE TAC 2004): the
-    cell is inf and draws nothing.  Otherwise the loop is simulated, and its
-    own verdict stands.
-    """
-    success = word_success(scheme, noise, h)
-    if success <= required_success_probability(spec.plant, scheme):
-        return math.inf, success
+) -> float:
+    """One coded cell's simulated cost, inf where its run is unstable."""
     cost, stable = run_coded_control(spec.plant, noise, h, scheme, spec.horizon, rng,
                                      spec.replicas)
-    return cost if stable else math.inf, success
+    return cost if stable else math.inf
 
 
 def run_single_compare(
@@ -346,56 +333,51 @@ def run_single_compare(
 
     The analog series carry the closed-form prediction and the simulated
     cost; below the stabilizability threshold (a^2-1)/h^2 both are inf.  A
-    coded cell is inf where the exact word success rules its loop unstable,
-    and then it simulates nothing; elsewhere it is simulated, and an unstable
-    run is inf too (an unstable verdict is an inf cell, not an error).  The
-    sidecar gets each scheme's exact word success per grid point and the rate
-    its loop requires.  The cells run two at a time on
-    the cell threads while the calling thread designs the analog loops
-    and then collects the results in grid order; the first cell to raise, in
-    grid order, raises here.
+    word success at or below the rate that the dead-beat recursion requires
+    makes a coded loop mean-square unstable (Sinopoli et al., IEEE TAC 2004):
+    that cell is inf and simulates nothing.  Elsewhere it is simulated, and
+    an unstable run is inf too (an unstable verdict is an inf cell, not an
+    error).  The sidecar gets each scheme's exact word success per grid point
+    and the rate its loop requires.  The calling thread designs every grid
+    point and makes every exact verdict; then the cells run two at a time on
+    the cell threads, and the first cell to raise, in grid order, raises here.
     """
     unknown = [s for s in schemes if s not in SCHEMES]
     if unknown:
         raise ValueError(f"unknown coding scheme(s): {unknown}")
     _refuse_clashes(schemes, schemes, "coding schemes")
     floor = snr_floor(spec.plant, h)
+    required = {name: required_success_probability(spec.plant, SCHEMES[name]) for name in schemes}
     names = ["analog_pred", "analog_sim", *schemes]
     cols: dict[str, list[float]] = {n: [] for n in names}
     word_rates: dict[str, list[float]] = {name: [] for name in schemes}
     feasible_points = 0
-    # per grid point: the prediction, the analog cell (None where nothing
-    # runs) and the coded cells, every cell running on the cell threads
-    points: list[tuple[float, Optional[Future], list[Future]]] = []
-    with _cells() as submit:
-        for gi, p0 in enumerate(spec.powers_w):
-            noise = spec.noise_at(p0)
-            pred, sim = math.inf, None
-            if noise.gamma0 >= floor:
-                feasible_points += 1
-                design = optimize_single_slow(spec.plant, noise, h)
-                pred = design.j_ave
-                # at a boundary point no pair is realizable: the cost is unbounded in the limit
-                if design.gains is not None:
-                    key = (_KIND_COMPARE, gi, 0)
-                    blocks = _simulated_blocks(spec, key, design.gains.g, design.a_c)
-                    sim = submit(_mean_cost, blocks)
-            coded = [
-                submit(
-                    _coded_cost, spec, noise, h, SCHEMES[name],
-                    substream(spec.seed, _KIND_COMPARE, gi, 1 + si, _DRAW_CODED),
-                )
-                for si, name in enumerate(schemes)
-            ]
-            points.append((pred, sim, coded))
-        # each cell has its own substreams, so the threads change no result
-        for pred, sim, coded in points:
-            cols["analog_pred"].append(pred)
-            cols["analog_sim"].append(math.inf if sim is None else sim.result())
-            for name, cell in zip(schemes, coded):
-                cost, success = cell.result()
-                cols[name].append(cost)
-                word_rates[name].append(success)
+    # per grid point: the analog cell, then each scheme's; None where nothing runs
+    cells: list[Optional[tuple]] = []
+    for gi, p0 in enumerate(spec.powers_w):
+        noise = spec.noise_at(p0)
+        pred, sim = math.inf, None
+        if noise.gamma0 >= floor:
+            feasible_points += 1
+            design = optimize_single_slow(spec.plant, noise, h)
+            pred = design.j_ave
+            # at a boundary point no pair is realizable: the cost is unbounded in the limit
+            if design.gains is not None:
+                blocks = _simulated_blocks(spec, (_KIND_COMPARE, gi, 0), design.gains.g, design.a_c)
+                sim = (_mean_cost, blocks)
+        cols["analog_pred"].append(pred)
+        cells.append(sim)
+        for si, name in enumerate(schemes):
+            success = word_success(SCHEMES[name], noise, h)
+            word_rates[name].append(success)
+            key = (_KIND_COMPARE, gi, 1 + si, _DRAW_CODED)
+            cells.append((_coded_cost, spec, noise, h, SCHEMES[name], substream(spec.seed, *key))
+                         if success > required[name] else None)
+    # each cell has its own substreams, so the threads change no result
+    costs = iter(_run_cells(cells))
+    for _ in spec.powers_w:
+        for name in names[1:]:
+            cols[name].append(next(costs))
     meta = {
         "seed": spec.seed,
         "replicas": spec.replicas,
@@ -404,9 +386,7 @@ def run_single_compare(
         "threshold_p0_w": floor * spec.sigma_z2,
         "feasible_points": feasible_points,
         "coded_word_success": word_rates,
-        "coded_required_success": {
-            name: required_success_probability(spec.plant, SCHEMES[name]) for name in schemes
-        },
+        "coded_required_success": required,
     }
     return SweepResult(
         x_name="p0_w",
@@ -454,55 +434,54 @@ def run_multi_sweep(
     # the allocator's floors, each checked, and its sum: a point past the gate is allocated
     floors_total = summed_floor(np.array([floor_of(spec.plant, v) for _, v in channels]))
 
-    # per feasible grid point: the allocation, the design and each plant's
-    # cell (None where nothing runs); None at an infeasible point
+    # per grid point: the allocation and its design, None where infeasible;
+    # per feasible point, each plant's cell, None where nothing runs
     points: list[Optional[tuple]] = []
-    with _cells() as submit:
-        for gi, p0 in enumerate(spec.powers_w):
-            noise = spec.noise_at(p0)
-            if noise.gamma0 < floors_total:
-                points.append(None)
+    cells: list[Optional[tuple]] = []
+    for gi, p0 in enumerate(spec.powers_w):
+        noise = spec.noise_at(p0)
+        if noise.gamma0 < floors_total:
+            points.append(None)
+            continue
+        alloc, design = allocate(channels, spec.plant, noise)
+        points.append((alloc, design))
+        for (pid, ch), gains in zip(channels, design.gains):
+            # a boundary share has gains only as a limit: nothing to run
+            if gains is None:
+                cells.append(None)
                 continue
-            alloc, design = allocate(channels, spec.plant, noise)
-            cells: list[Optional[Future]] = []
-            for (pid, ch), gains in zip(channels, design.gains):
-                # a boundary share has gains only as a limit: nothing to run
-                if gains is None:
-                    cells.append(None)
-                    continue
-                a_c = spec.plant.a + gains.g * ch * gains.k if slow else spec.plant.a
-                fading = None if slow else (gains.product, ch)
-                blocks = _simulated_blocks(spec, (kind, gi, pid), gains.g, a_c, fading)
-                cells.append(submit(_mean_cost, blocks))
-            points.append((alloc, design, cells))
-        # collected in grid and plant order: the totals add up as they always have
-        for point in points:
-            if point is None:
-                for n in names:
-                    cols[n].append(math.inf)
-                allocations.append(None)
-                continue
-            feasible_points += 1
-            alloc, design, cells = point
-            row = {"j_total_pred": 0.0, "j_total_sim": 0.0}
-            for pid, gamma_j, gains, j_pred, cell in zip(
-                ids, alloc.gamma, design.gains, design.predicted_costs, cells
-            ):
-                k, g = (math.inf, math.inf) if gains is None else (gains.k, gains.g)
-                sim = math.inf if cell is None else cell.result()
-                row.update({f"p{pid}_w": gamma_j * spec.sigma_z2, f"k{pid}": k, f"g{pid}": g,
-                            f"j{pid}_pred": j_pred, f"j{pid}_sim": sim})
-                row["j_total_pred"] += j_pred
-                row["j_total_sim"] += sim
+            a_c = spec.plant.a + gains.g * ch * gains.k if slow else spec.plant.a
+            fading = None if slow else (gains.product, ch)
+            blocks = _simulated_blocks(spec, (kind, gi, pid), gains.g, a_c, fading)
+            cells.append((_mean_cost, blocks))
+    # read back in grid and plant order: the totals add up as they always have
+    costs = iter(_run_cells(cells))
+    for point in points:
+        if point is None:
             for n in names:
-                cols[n].append(row[n])
-            allocations.append(
-                {
-                    "gamma": list(alloc.gamma),
-                    "multiplier": alloc.multiplier,
-                    "plant_ids": list(alloc.plant_ids),
-                }
-            )
+                cols[n].append(math.inf)
+            allocations.append(None)
+            continue
+        feasible_points += 1
+        alloc, design = point
+        row = {"j_total_pred": 0.0, "j_total_sim": 0.0}
+        for pid, gamma_j, gains, j_pred in zip(ids, alloc.gamma, design.gains,
+                                                design.predicted_costs):
+            k, g = (math.inf, math.inf) if gains is None else (gains.k, gains.g)
+            sim = next(costs)
+            row.update({f"p{pid}_w": gamma_j * spec.sigma_z2, f"k{pid}": k, f"g{pid}": g,
+                        f"j{pid}_pred": j_pred, f"j{pid}_sim": sim})
+            row["j_total_pred"] += j_pred
+            row["j_total_sim"] += sim
+        for n in names:
+            cols[n].append(row[n])
+        allocations.append(
+            {
+                "gamma": list(alloc.gamma),
+                "multiplier": alloc.multiplier,
+                "plant_ids": list(alloc.plant_ids),
+            }
+        )
     meta = {
         "seed": spec.seed,
         "replicas": spec.replicas,

@@ -32,10 +32,16 @@ from .slow_control import (
 ETA = 1.0 - 2.0 / math.pi
 
 
+def require_channel_power(sigma_h2: float) -> float:
+    """``sigma_h2`` itself when it is finite, > 0 and 2 sigma_h2 is finite; else ValueError."""
+    if require_positive(sigma_h2, "channel power") * 2.0 == math.inf:
+        raise ValueError(f"channel power is too large: 2 sigma_h2 overflows (got {sigma_h2!r})")
+    return sigma_h2
+
+
 def mean_channel_magnitude(sigma_h2: float) -> float:
     """E|h| for h ~ N(0, sigma_h2): sqrt(2 sigma_h2 / pi)."""
-    require_positive(sigma_h2, "channel power")
-    return math.sqrt(2.0 * sigma_h2 / math.pi)
+    return math.sqrt(2.0 * require_channel_power(sigma_h2) / math.pi)
 
 
 def expected_ac2(plant: PlantParams, gain_product: float, sigma_h2: float) -> float:
@@ -47,9 +53,13 @@ def expected_ac2(plant: PlantParams, gain_product: float, sigma_h2: float) -> fl
 
 def fast_floor(a: float, sigma_h2: "float | np.ndarray") -> "float | np.ndarray":
     """The fast-fading floor (a^2 - 1)/((1 - eta a^2) sigma_h2), at one power or an array."""
-    # no budget stabilizes a when 1 - eta a^2 <= 0: then every floor is inf
-    margin = 1.0 - ETA * a * a
-    return (a * a - 1.0) / (margin * sigma_h2) if margin > 0.0 else sigma_h2 * math.inf
+    # no budget stabilizes a when 1 - eta a^2 <= 0, nor when a tiny sigma_h2
+    # underflows the denominator to 0: then the floor is inf
+    denominator = (1.0 - ETA * a * a) * sigma_h2
+    if isinstance(denominator, float):
+        return (a * a - 1.0) / denominator if denominator > 0.0 else math.inf
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.where(denominator > 0.0, (a * a - 1.0) / denominator, math.inf)
 
 
 def stabilizable_fast(plant: PlantParams) -> bool:
@@ -59,7 +69,7 @@ def stabilizable_fast(plant: PlantParams) -> bool:
 
 def fast_snr_floor(plant: PlantParams, sigma_h2: float) -> float:
     """Minimum SNR admitting a mean-square stabilizing design at one checked power, or inf."""
-    return fast_floor(plant.a, require_positive(sigma_h2, "channel power"))
+    return fast_floor(plant.a, require_channel_power(sigma_h2))
 
 
 @dataclass(frozen=True)
@@ -94,7 +104,7 @@ def optimize_single_fast(
     """
     require_positive(plant.sigma_w2, "disturbance power")
     g0 = noise.gamma0 if gamma is None else float(gamma)
-    s = float(require_positive(sigma_h2, "channel power"))
+    s = float(require_channel_power(sigma_h2))
     return FastSingleDesign(*_fast_design(plant, noise.ssr(plant), s, g0))
 
 
@@ -132,7 +142,7 @@ def allocate_multi_fast(
     if not channel_powers:
         raise ValueError("allocate_multi_fast needs at least one plant")
     ids = tuple(pid for pid, _ in channel_powers)
-    ss = np.array([require_positive(v, "channel power") for _, v in channel_powers], dtype=float)
+    ss = np.array([require_channel_power(v) for _, v in channel_powers], dtype=float)
     a = plant.a
     # an unstabilizable plant's floors are inf, so the split refuses it
     gamma, s = _split_slack(fast_floor(a, ss), 1.0 / np.sqrt(ss), noise.gamma0)

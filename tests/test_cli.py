@@ -337,6 +337,31 @@ def test_a_setting_out_of_range_is_refused_by_name(tmp_path, capsys, argv, refus
 
 
 @pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        # (1 - eta a^2) sigma_h2 underflows to 0: plant 1's floor is inf
+        (["--sigma-h2", "5e-324,4e-4"], EXIT_INFEASIBLE, "no feasible grid point"),
+        # 2 sigma_h2 overflows: E|h| and so every design would be nan
+        (["--sigma-h2", "1e308,4e-4", "--grid", "20 dBm"], EXIT_USAGE,
+         "channel power is too large: 2 sigma_h2 overflows (got 1e+308)"),
+    ],
+    ids=["tiny", "huge"],
+)
+def test_a_channel_power_past_the_float_range_is_no_traceback(tmp_path, capsys, argv, code,
+                                                              message):
+    out = tmp_path / "x.csv"
+    small = ["--horizon", "10", "--replicas", "2", "--out", str(out)]
+    assert main(["multi-fast", *argv, *small]) == code
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    if code == EXIT_INFEASIBLE:
+        assert all(cell == "INF" for row in out.read_text().splitlines()[1:]
+                   for cell in row.split(",")[1:])
+    else:
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "argv, clash",
     [
         (["trace", "--a-c", "0.6,0.6000001"], "0.6 and 0.6000001 share the column label 'ac0.6'"),

@@ -350,8 +350,10 @@ def test_no_cell_submits_to_the_pool(monkeypatch):
     run_single_compare(spec, h=0.01)
     run_multi_sweep(spec, ((1, 0.01), (2, 0.02)), regime="slow")
     run_multi_sweep(spec, ((1, 1e-4), (2, 4e-4)), regime="fast")
-    # 2 points of 1 analog and 4 coded cells, then 2 points of 2 plants, twice
-    assert submitters == [threading.current_thread().name] * 18
+    # 2 points of 1 analog and 4 coded cells, less the 4 coded cells whose
+    # exact verdict is unstable (3 at 10 dBm, 1 at 20 dBm), then 2 points of
+    # 2 plants, twice
+    assert submitters == [threading.current_thread().name] * 14
 
     def no_pool():
         raise AssertionError("a cell used the pool")
@@ -406,11 +408,14 @@ def test_concurrent_compares_equal_their_sequential_results():
 
 
 def test_a_failing_compare_cell_raises_and_leaves_no_cell_running(monkeypatch):
-    # (31, 26) is too long for the link's label table: its cells raise at once,
-    # while each other cell is held back 0.1 s on its thread
-    too_long = CodingScheme("h31", n=31, k=26, generator=0b100101, bits_per_symbol=2)
-    monkeypatch.setitem(experiments.SCHEMES, too_long.name, too_long)
-    pool, submitted = experiments._pool(), []
+    # the bch7_4_qam256 loop raises on its thread, while each cell is held
+    # back 0.1 s there; from 17 dBm up the exact verdict runs every coded cell
+    pool, submitted, run = experiments._pool(), [], experiments.run_coded_control
+
+    def failing_loop(plant, noise, h, scheme, *args):
+        if scheme.name == "bch7_4_qam256":
+            raise RuntimeError("the bch7_4_qam256 loop failed")
+        return run(plant, noise, h, scheme, *args)
 
     class SlowPool:
         @staticmethod
@@ -419,13 +424,41 @@ def test_a_failing_compare_cell_raises_and_leaves_no_cell_running(monkeypatch):
             return submitted[-1]
 
     monkeypatch.setattr(experiments, "_pool", lambda: SlowPool)
-    spec = make_spec(powers_w=(0.01, 0.02, 0.05, 0.1), horizon=60, replicas=20)
-    with pytest.raises(ValueError, match="2\\^k"):
-        run_single_compare(spec, h=0.01, schemes=("bch7_4_qam16", "h31", "bch7_4_qam256"))
+    monkeypatch.setattr(experiments, "run_coded_control", failing_loop)
+    spec = make_spec(powers_w=(0.05, 0.1, 0.2, 0.5), horizon=60, replicas=20)
+    with pytest.raises(RuntimeError, match="bch7_4_qam256"):
+        run_single_compare(spec, h=0.01,
+                           schemes=("bch7_4_qam16", "bch7_4_qam256", "bch15_11_qam16"))
     # 4 analog and 12 coded cells: the ones after the failure never started
     assert len(submitted) == 16
     assert all(future.done() for future in submitted)
     assert any(future.cancelled() for future in submitted)
+
+
+def test_a_scheme_the_link_refuses_raises_before_any_cell_runs(monkeypatch):
+    # (31, 26) is too long for the link's label table: its exact verdict
+    # raises on the calling thread, before a single cell is submitted
+    too_long = CodingScheme("h31", n=31, k=26, generator=0b100101, bits_per_symbol=2)
+    monkeypatch.setitem(experiments.SCHEMES, too_long.name, too_long)
+
+    def no_pool():
+        raise AssertionError("a cell was submitted")
+
+    monkeypatch.setattr(experiments, "_pool", no_pool)
+    spec = make_spec(powers_w=(0.01, 0.1), horizon=60, replicas=20)
+    with pytest.raises(ValueError, match="2\\^k"):
+        run_single_compare(spec, h=0.01, schemes=("bch7_4_qam16", "h31"))
+
+
+def test_a_none_cell_costs_inf_and_costs_come_back_in_list_order():
+    # the first cell finishes last, and each None is inf without a thread
+    def cost(value, delay):
+        time.sleep(delay)
+        return value
+
+    cells = [(cost, 1.0, 0.2), None, (cost, 2.0, 0.1), (cost, 3.0, 0.0), None]
+    assert experiments._run_cells(cells) == [1.0, math.inf, 2.0, 3.0, math.inf]
+    assert experiments._run_cells([None, None]) == [math.inf, math.inf]
 
 
 def test_a_failing_multi_sweep_cell_raises_and_leaves_no_cell_running(monkeypatch):

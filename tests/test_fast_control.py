@@ -96,6 +96,31 @@ def test_fast_snr_floor_values():
             fast_snr_floor(PLANT, sigma_h2)
 
 
+def test_a_channel_power_that_underflows_the_floor_has_an_inf_floor(recwarn):
+    # (1 - eta a^2) * 5e-324 underflows to 0: every entry point reads an inf
+    # floor, and none divides by zero or warns
+    assert fast_snr_floor(PLANT, 5e-324) == math.inf
+    with pytest.raises(Infeasible, match="floor inf"):
+        optimize_single_fast(PLANT, NOISE, 5e-324)
+    with pytest.raises(Infeasible, match="floors inf"):
+        allocate_multi_fast([(1, 5e-324), (2, 4e-4)], PLANT, NOISE)
+    assert not recwarn.list
+
+
+def test_a_channel_power_whose_double_overflows_is_refused_by_name():
+    # 2 sigma_h2 in E|h| = sqrt(2 sigma_h2 / pi) overflows from ~9e307
+    for call in (
+        lambda: mean_channel_magnitude(1e308),
+        lambda: fast_snr_floor(PLANT, 1e308),
+        lambda: optimize_single_fast(PLANT, NOISE, 1e308),
+        lambda: allocate_multi_fast([(1, 1e308), (2, 4e-4)], PLANT, NOISE),
+    ):
+        with pytest.raises(ValueError, match="channel power is too large"):
+            call()
+    # the largest power below the bound keeps the formula as it is
+    assert mean_channel_magnitude(8.9e307) == math.sqrt(2.0 * 8.9e307 / math.pi)
+
+
 def test_single_fast_reference_instance():
     design = optimize_single_fast(PLANT, NOISE, 1e-4)
     assert design.gain_product == pytest.approx(-118.4977070499305, rel=1e-12)
