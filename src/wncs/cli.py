@@ -19,7 +19,8 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import replace
+from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -47,7 +48,7 @@ from .fast_control import (
     stabilizable_fast,
 )
 from .model import NoisePowers, PlantParams
-from .slow_control import allocate_multi_slow, optimize_single_slow, snr_floor
+from .slow_control import allocate_multi_slow, optimize_single_slow, snr_floor, summed_floor
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -180,7 +181,7 @@ _GRID_DEFAULTS = {
 
 
 #: every setting, keyed by its config-file key, which is also its flag's dest:
-#: (RunConfig field, default, parser, flag help).  Flags beat the file, the
+#: (config field, default, parser, flag help).  Flags beat the file, the
 #: file beats the default; a callable default takes the recipe name.  ``trace``
 #: reads its one budget from p0, the rest a grid.  Run sizes and recipe
 #: keywords default to what ExperimentSpec and the recipes say.
@@ -231,75 +232,51 @@ def _plants(channels: Sequence[float]) -> tuple[tuple[int, float], ...]:
     return tuple(enumerate(channels, start=1))
 
 
-#: subcommand -> (help, its own (flag, setting key) pairs, the recipe run on a RunConfig)
+def _spec(config: SimpleNamespace) -> ExperimentSpec:
+    """The plant, noise, grid and run sizes of a resolved configuration."""
+    return ExperimentSpec(
+        plant=PlantParams(a=config.a, sigma_w2=config.sigma_w2),
+        sigma_z2=config.sigma_z2_w,
+        powers_w=config.powers_w,
+        horizon=config.horizon,
+        replicas=config.replicas,
+        seed=config.seed,
+    )
+
+
+#: subcommand -> (help, its own (flag, setting key) pairs, the recipe run on a parse_config result)
 _RECIPES: dict[str, tuple[str, tuple[tuple[str, str], ...], Callable]] = {
     "trace": (
         "state and running-cost series at fixed closed-loop factors",
         (("--p0", "p0"), ("--h", "h"), ("--a-c", "a_c"), ("--x0", "x0")),
-        lambda c: run_trace(c.spec(), c.a_c, c.h, x0=c.x0),
+        lambda c: run_trace(_spec(c), c.a_c, c.h, x0=c.x0),
     ),
     "compare": (
         "analog loop vs coded baselines over a power grid",
         (("--grid", "grid"), ("--h", "h"), ("--schemes", "schemes")),
-        lambda c: run_single_compare(c.spec(), c.h, schemes=c.schemes),
+        lambda c: run_single_compare(_spec(c), c.h, schemes=c.schemes),
     ),
     "multi-slow": (
         "two-plus-plant allocation sweep, block fading",
         (("--grid", "grid"), ("--h", "channels"), ("--g-common", "g_common"),
          ("--k-common", "k_common")),
         lambda c: add_shared_gain_series(
-            run_multi_sweep(c.spec(), _plants(c.channel_gains), regime="slow"),
-            c.spec(), _plants(c.channel_gains), c.g_common, c.k_common),
+            run_multi_sweep(_spec(c), _plants(c.channel_gains), regime="slow"),
+            _spec(c), _plants(c.channel_gains), c.g_common, c.k_common),
     ),
     "multi-fast": (
         "two-plus-plant allocation sweep, per-symbol fading",
         (("--grid", "grid"), ("--sigma-h2", "sigma_h2")),
-        lambda c: run_multi_sweep(c.spec(), _plants(c.sigma_h2), regime="fast"),
+        lambda c: run_multi_sweep(_spec(c), _plants(c.sigma_h2), regime="fast"),
     ),
     "select-sweep": (
         "average supportable plant count under Rayleigh draws",
         (("--grid", "grid"), ("--m0", "m0"), ("--realizations", "realizations"),
          ("--mean-gain", "mean_gain")),
-        lambda c: run_selection_sweep(c.spec(), m0_values=c.m0, mean_power_gain=c.mean_gain,
+        lambda c: run_selection_sweep(_spec(c), m0_values=c.m0, mean_power_gain=c.mean_gain,
                                       realizations=c.realizations),
     ),
 }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved experiment configuration (flags > file > defaults)."""
-
-    kind: str
-    a: float
-    sigma_w2: float
-    sigma_z2_w: float
-    powers_w: tuple[float, ...]
-    horizon: int
-    replicas: int
-    seed: int
-    out: str
-    h: float
-    channel_gains: tuple[float, ...]
-    sigma_h2: tuple[float, ...]
-    a_c: tuple[float, ...]
-    x0: float
-    m0: tuple[int, ...]
-    realizations: int
-    mean_gain: float
-    schemes: tuple[str, ...]
-    g_common: Optional[float]
-    k_common: Optional[float]
-
-    def spec(self) -> ExperimentSpec:
-        return ExperimentSpec(
-            plant=PlantParams(a=self.a, sigma_w2=self.sigma_w2),
-            sigma_z2=self.sigma_z2_w,
-            powers_w=self.powers_w,
-            horizon=self.horizon,
-            replicas=self.replicas,
-            seed=self.seed,
-        )
 
 
 def _load_config_file(path: str) -> dict:
@@ -320,8 +297,11 @@ def _load_config_file(path: str) -> dict:
     return raw
 
 
-def parse_config(kind: str, args: argparse.Namespace) -> RunConfig:
-    """Merge built-in defaults, the optional config file and explicit flags."""
+def parse_config(kind: str, args: argparse.Namespace) -> SimpleNamespace:
+    """Merge built-in defaults, the optional config file and explicit flags.
+
+    The result holds ``kind`` and one attribute per field ``_SETTINGS`` names.
+    """
     file_cfg = _load_config_file(args.config) if args.config else {}
     own = {key for _, key in _RECIPES[kind][1]}
     # every setting is resolved, so the sidecar records them all, but of two
@@ -341,8 +321,8 @@ def parse_config(kind: str, args: argparse.Namespace) -> RunConfig:
             fields[field] = None if value is None else parse(value)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"setting {key} = {value!r}: {exc}") from exc
-    config = RunConfig(kind=kind, **fields)
-    config.spec()  # validates the plant, noise, grid and run sizes early
+    config = SimpleNamespace(kind=kind, **fields)
+    _spec(config)  # validates the plant, noise, grid and run sizes early
     return config
 
 
@@ -355,7 +335,7 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def emit_csv(result: SweepResult, path: str, config: Optional[RunConfig] = None) -> None:
+def emit_csv(result: SweepResult, path: str, config: Optional[SimpleNamespace] = None) -> None:
     """Write the result table as CSV plus a <path>.meta.json sidecar.
 
     Unbounded cells become the INF token, and non-finite meta values null, so
@@ -380,7 +360,7 @@ def emit_csv(result: SweepResult, path: str, config: Optional[RunConfig] = None)
         "meta": json.loads(json.dumps(result.meta), parse_constant=lambda _: None),
     }
     if config is not None:
-        cfg = asdict(config)
+        cfg = vars(config)
         canonical = json.dumps(cfg, sort_keys=True)
         sidecar["config"] = cfg
         sidecar["config_sha256"] = hashlib.sha256(canonical.encode()).hexdigest()
@@ -398,7 +378,7 @@ def _write(path: str, text: str) -> None:
         raise ValueError(f"cannot write {path!r}: {exc}") from exc
 
 
-def _finish(result: SweepResult, config: RunConfig) -> int:
+def _finish(result: SweepResult, config: SimpleNamespace) -> int:
     emit_csv(result, config.out, config)
     print(f"wrote {config.out} ({len(result.x)} rows, {len(result.series)} series)")
     feasible = result.meta.get("feasible_points")
@@ -579,13 +559,13 @@ def _check_sim_vs_prediction() -> tuple[bool, str]:
 
 
 def _check_thresholds() -> tuple[bool, str]:
-    a2 = _VERIFY_PLANT.a**2
-    single = (a2 - 1.0) / 0.01**2 * 1e-7
-    pair_slow = ((a2 - 1.0) / 0.01**2 + (a2 - 1.0) / 0.02**2) * 1e-7
-    pair_fast = sum(
-        (a2 - 1.0) / ((1.0 - ETA * a2) * s) for s in (1e-4, 4e-4)
-    ) * 1e-7
-    got = tuple(watts_to_dbm(w) for w in (single, pair_slow, pair_fast))
+    """The knees from the library's floors, as the sweeps gate on them, vs quoted values."""
+    floors = (
+        [snr_floor(_VERIFY_PLANT, 0.01)],
+        [snr_floor(_VERIFY_PLANT, h) for h in (0.01, 0.02)],
+        [fast_snr_floor(_VERIFY_PLANT, s) for s in (1e-4, 4e-4)],
+    )
+    got = tuple(watts_to_dbm(summed_floor(np.array(f)) * _VERIFY_NOISE.sigma_z2) for f in floors)
     expected = (0.9691001, 1.9382003, 9.3280992)
     ok = all(abs(g - e) < 1e-3 for g, e in zip(got, expected))
     detail = (

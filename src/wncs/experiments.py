@@ -588,5 +588,7 @@ def run_selection_sweep(
         "realizations": realizations,
         "mean_power_gain": mean_power_gain,
         "m0_values": list(m0_values),
+        # a grid point where some M0 admits a plant in some realization
+        "feasible_points": sum(any(row) for row in zip(*series.values())),
     }
     return SweepResult(x_name="p0_w", x=spec.powers_w, series=series, meta=meta)

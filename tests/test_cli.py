@@ -209,6 +209,28 @@ def test_select_sweep_command(tmp_path):
     assert header == "p0_w,m2_avg_selected,m3_avg_selected"
 
 
+def test_select_sweep_with_no_plant_admitted_exits_2(tmp_path, capsys):
+    # at -40..-30 dBm no drawn channel's floor fits the budget: the table is
+    # all 0.0, which is the selection sweep's "no feasible grid point"
+    out = tmp_path / "select.csv"
+    code = run_main(["select-sweep", "--grid", "-40:-30:5 dBm", "--realizations", "50",
+                     "--out", str(out)])
+    assert code == EXIT_INFEASIBLE
+    assert "no feasible grid point" in capsys.readouterr().err
+    rows = [line.split(",")[1:] for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 3 and all(float(cell) == 0.0 for row in rows for cell in row)
+    sidecar = json.loads((tmp_path / "select.csv.meta.json").read_text())
+    assert sidecar["meta"]["feasible_points"] == 0
+
+
+def test_sidecar_config_is_kind_plus_the_settings_fields(tmp_path):
+    out = tmp_path / "t.csv"
+    assert run_main(["trace", "--horizon", "10", "--replicas", "2", "--out", str(out)]) == EXIT_OK
+    config = json.loads((tmp_path / "t.csv.meta.json").read_text())["config"]
+    assert config["kind"] == "trace"
+    assert set(config) == {"kind"} | {field for field, *_ in cli._SETTINGS.values()}
+
+
 def test_config_file_layering(tmp_path):
     cfg = tmp_path / "run.yaml"
     cfg.write_text("a: 1.4\nreplicas: 6\nhorizon: 30\nh: 0.02\n")
@@ -467,6 +489,16 @@ def test_verify_coded_link_check_catches_a_wrong_exact_rate(monkeypatch):
     assert not ok, detail
 
 
+def test_verify_threshold_check_catches_a_wrong_floor(monkeypatch):
+    # the knees come from the floors the sweeps gate on, so a floor 1 % high
+    # moves the single-loop knee by 0.043 dB, past the 1e-3 dB tolerance
+    floor = cli.snr_floor
+    assert cli._check_thresholds()[0]
+    monkeypatch.setattr(cli, "snr_floor", lambda *args: 1.01 * floor(*args))
+    ok, detail = cli._check_thresholds()
+    assert not ok, detail
+
+
 #: (argv, exit code, CSV SHA-256, sidecar SHA-256) of small runs of each recipe
 _PINNED = [
     ("trace --horizon 40 --replicas 4", EXIT_OK,
@@ -490,7 +522,7 @@ _PINNED = [
      "f5d6c28da9e512bfb6666c74dab7f1340b388bb2cccbaeee96df91fbd7734b1a"),
     ("select-sweep --grid '0:10:5 dBm' --m0 2,3 --realizations 200", EXIT_OK,
      "a18303df6a5b0e69539cf8e160dc6cff8383243780c2a5b15df8988fa332ddfe",
-     "725c2c07671ba8b2d082520542aea2233112c21a9a455260ce0a84e26dd5bdef"),
+     "bbe8a4b79670f9f745c7952641966eed21fbae0ecea8e283763e17a6f2498318"),
 ]
 
 
