@@ -291,7 +291,7 @@ def _load_config_file(path: str) -> dict:
         return {}
     if not isinstance(raw, dict):
         raise ValueError(f"config {path!r} must be a mapping of settings")
-    unknown = sorted(set(raw) - set(_SETTINGS))
+    unknown = sorted(repr(key) for key in raw if key not in _SETTINGS)
     if unknown:
         raise ValueError(f"config {path!r} has unknown field(s): {', '.join(unknown)}")
     return raw

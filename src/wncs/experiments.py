@@ -13,9 +13,8 @@ boundary.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -38,9 +37,6 @@ from .slow_control import allocate_multi_slow, optimize_single_slow, select_plan
 from .slow_control import snr_floor, summed_floor
 from .slow_control import Infeasible, optimize_identical_actuator, optimize_identical_controller
 
-if TYPE_CHECKING:
-    from concurrent.futures import ThreadPoolExecutor
-
 # substream key vocabulary: kind of recipe, then purpose of the draw
 _KIND_TRACE, _KIND_COMPARE, _KIND_MULTI_SLOW, _KIND_MULTI_FAST, _KIND_SELECT = range(5)
 _DRAW_Z, _DRAW_W, _DRAW_H, _DRAW_CODED = range(4)
@@ -48,13 +44,9 @@ _DRAW_Z, _DRAW_W, _DRAW_H, _DRAW_CODED = range(4)
 #: replica-steps drawn and simulated at a time, whatever the replica count;
 #: a block's rows are this over the horizon
 _BLOCK_ELEMENTS = 1 << 18
-#: cell threads, which run the recipes' simulation cells (``run_single_compare``'s
-#: and ``run_multi_sweep``'s) two at a time: a constant, whatever the replica
-#: count, and no option sets it
+#: cell threads, which run every recipe's simulation cells two at a time: a
+#: constant, whatever the replica count, and no option sets it
 _DRAW_THREADS = 2
-
-_draw_pool: Optional[ThreadPoolExecutor] = None
-_draw_pool_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -126,36 +118,22 @@ def _refuse_clashes(values: Sequence, labels: Sequence[str], what: str) -> None:
         seen[label] = value
 
 
-def _pool() -> ThreadPoolExecutor:
-    """The cell threads that run every caller's cells, started on first use."""
-    global _draw_pool
-    with _draw_pool_lock:
-        if _draw_pool is None:
-            # imported here, so that a recipe that runs no cells never loads it
-            from concurrent.futures import ThreadPoolExecutor
+def _run_cells(cells: Sequence[Optional[tuple]]) -> list:
+    """Each cell's result in list order: ``(fn, *args)`` runs on a cell thread, None is inf.
 
-            _draw_pool = ThreadPoolExecutor(_DRAW_THREADS, thread_name_prefix="wncs-draw")
-        return _draw_pool
-
-
-def _run_cells(cells: Sequence[Optional[tuple]]) -> list[float]:
-    """Each cell's cost in list order: ``(fn, *args)`` runs on the cell threads, None is inf.
-
-    The first cell to raise, in list order, raises here; then the cells not
-    yet started never start, and the call returns only once no cell runs.
+    The cell threads live for this call.  The first cell to raise, in list
+    order, raises here; then the cells not yet started never start, and the
+    call returns only once its threads have ended.
     """
-    futures = []
+    # imported here, so that a recipe that runs no cells never loads it
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(_DRAW_THREADS)
     try:
-        for cell in cells:
-            futures.append(None if cell is None else _pool().submit(*cell))
+        futures = [None if cell is None else pool.submit(*cell) for cell in cells]
         return [math.inf if future is None else future.result() for future in futures]
     finally:
-        running = [future for future in futures if future is not None]
-        for future in running:
-            future.cancel()
-        for future in running:
-            if not future.cancelled():
-                future.exception()
+        pool.shutdown(cancel_futures=True)
 
 
 def _simulated_blocks(
@@ -250,6 +228,22 @@ def implied_trace_gains(
     return GainPair(k=k, g=(a_c - plant.a) / (h * k))
 
 
+def _trace_sums(
+    spec: ExperimentSpec, idx: int, g: float, a_c: float, x0: float
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """One trace cell: replica 0's states, each step's sum of squares, and no replica diverged."""
+    first, sum_sq, ok = None, np.zeros(spec.horizon), True
+    for states, diverged in _simulated_blocks(spec, (_KIND_TRACE, idx), g, a_c, x0=x0):
+        # replica-major and contiguous: the next block overwrites the
+        # kernel's slot, and the sum below must see dense rows
+        states = states.T.copy()
+        first = states[0] if first is None else first
+        # rows summed in dense row order: the block size changes no bit
+        sum_sq = np.add.reduce(np.concatenate([sum_sq[None], states**2]), axis=0)
+        ok = ok and not bool(diverged.any())
+    return first, sum_sq, ok
+
+
 def run_trace(
     spec: ExperimentSpec,
     a_c_values: Sequence[float],
@@ -263,7 +257,8 @@ def run_trace(
     x series shows replica 0's trajectory; the j series is the running cost
     averaged across replicas, transient included.  A state past the
     divergence guard is inf, and so is every running cost of a factor with a
-    diverged replica.
+    diverged replica.  The calling thread finds every factor's gains; then
+    the factors' cells run two at a time on the cell threads.
     """
     if not math.isfinite(x0):
         raise ValueError(f"initial state must be finite (got {x0!r})")
@@ -275,18 +270,12 @@ def run_trace(
     series: dict[str, tuple[float, ...]] = {}
     gains_used: dict[str, Optional[tuple[float, float]]] = {}
     predicted: dict[str, float] = {}
-    for idx, (a_c, label) in enumerate(zip(a_c_values, labels)):
-        gains = implied_trace_gains(spec.plant, noise, h, a_c)
-        g = gains.g if gains is not None else 0.0
-        first, sum_sq, ok = None, np.zeros(spec.horizon), True
-        for states, diverged in _simulated_blocks(spec, (_KIND_TRACE, idx), g, a_c, x0=x0):
-            # replica-major and contiguous: the next block overwrites the
-            # kernel's slot, and the sum below must see dense rows
-            states = states.T.copy()
-            first = states[0] if first is None else first
-            # rows summed in dense row order: the block size changes no bit
-            sum_sq = np.add.reduce(np.concatenate([sum_sq[None], states**2]), axis=0)
-            ok = ok and not bool(diverged.any())
+    all_gains = [implied_trace_gains(spec.plant, noise, h, a_c) for a_c in a_c_values]
+    cells = [(_trace_sums, spec, idx, 0.0 if gains is None else gains.g, a_c, x0)
+             for idx, (a_c, gains) in enumerate(zip(a_c_values, all_gains))]
+    # read back in factor order
+    for a_c, label, gains, (first, sum_sq, ok) in zip(a_c_values, labels, all_gains,
+                                                      _run_cells(cells)):
         running = np.cumsum(sum_sq / spec.replicas) / np.arange(1, spec.horizon + 1)
         shown = np.where(np.abs(first) < DIVERGENCE_GUARD, first, math.inf)
         series[f"x_{label}"] = tuple(shown.tolist())

@@ -84,13 +84,18 @@ class NoisePowers:
     def __post_init__(self) -> None:
         require_positive(self.sigma_z2, "channel noise power")
         require_positive(self.p0, "power budget")
+        if not math.isfinite(self.gamma0):
+            raise ValueError(f"SNR budget p0/sigma_z2 = {self.p0!r}/{self.sigma_z2!r} overflows")
 
     @property
     def gamma0(self) -> float:
         return self.p0 / self.sigma_z2
 
     def ssr(self, plant: PlantParams) -> float:
-        return plant.sigma_w2 / self.sigma_z2
+        ratio = plant.sigma_w2 / self.sigma_z2
+        if not math.isfinite(ratio):
+            raise ValueError(f"sigma_w2/sigma_z2 = {plant.sigma_w2!r}/{self.sigma_z2!r} overflows")
+        return ratio
 
 
 @dataclass(frozen=True)

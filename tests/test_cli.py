@@ -248,10 +248,23 @@ def test_config_file_layering(tmp_path):
     assert sidecar["config"]["horizon"] == 30
 
 
-def test_config_file_unknown_key_is_usage_error(tmp_path):
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ("a: 1.4\nwhat_is_this: 1\n", "'what_is_this'"),
+        # YAML keys that are not strings, alone or beside a string key
+        ("1: 2\n", "1"),
+        ("true: 2\n", "True"),
+        ("null: 2\n", "None"),
+        ("1: 2\nwhat_is_this: 1\n", "'what_is_this', 1"),
+    ],
+    ids=["str", "int", "bool", "null", "int-and-str"],
+)
+def test_config_file_unknown_key_is_usage_error(tmp_path, capsys, text, named):
     cfg = tmp_path / "run.yaml"
-    cfg.write_text("a: 1.4\nwhat_is_this: 1\n")
+    cfg.write_text(text)
     assert run_main(["compare", "--config", str(cfg)]) == EXIT_USAGE
+    assert capsys.readouterr().err.rstrip().endswith(f"unknown field(s): {named}")
 
 
 def test_usage_errors_exit_1(tmp_path):
@@ -304,6 +317,13 @@ def test_usage_errors_exit_1(tmp_path):
         # a float ** raises OverflowError where * gives inf
         ["trace", "--a-c", "1e200"],
         ["multi-slow", "--grid", "20 dBm", "--g-common", "1e300"],
+        # finite settings whose ratios p0/sigma_z2 and sigma_w2/sigma_z2 overflow
+        ["multi-fast", "--grid", "1e308 W"],
+        ["trace", "--p0", "1e308 W"],
+        ["compare", "--sigma-w2", "1e308"],
+        ["multi-slow", "--sigma-w2", "1e308"],
+        ["multi-fast", "--sigma-w2", "1e308"],
+        ["trace", "--sigma-w2", "1e308"],
     ],
     ids=" ".join,
 )
@@ -316,6 +336,12 @@ def test_non_finite_input_is_a_usage_error(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_an_snr_budget_that_overflows_is_refused_by_name(tmp_path, capsys):
+    # refused for the ratio it overflows, not blamed on the channel magnitude
+    assert main(["compare", "--grid", "1e308 W", "--out", str(tmp_path / "x.csv")]) == EXIT_USAGE
+    assert "SNR budget p0/sigma_z2 = 1e+308/1e-07 overflows" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

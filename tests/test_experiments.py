@@ -1,4 +1,5 @@
 """Experiment recipes: traces, comparisons, allocation sweeps, selection."""
+import concurrent.futures
 import math
 import sys
 import threading
@@ -333,41 +334,68 @@ def test_a_diverged_block_makes_the_cost_inf_and_draws_no_more(monkeypatch, fadi
     assert len(taken) == 1
 
 
+def hook_cell_pools(monkeypatch, submit):
+    """Route each submit of every cell pool that ``_run_cells`` makes through
+    ``submit(pool_submit, fn, *args)``."""
+
+    class HookedPool(ThreadPoolExecutor):
+        def submit(self, fn, *args):
+            return submit(super().submit, fn, *args)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", HookedPool)
+
+
+def hold_back_cells(monkeypatch):
+    """Hold each cell back 0.1 s on its thread; the list of their futures."""
+    submitted = []
+
+    def slow(pool_submit, fn, *args):
+        submitted.append(pool_submit(lambda: (time.sleep(0.1), fn(*args))[1]))
+        return submitted[-1]
+
+    hook_cell_pools(monkeypatch, slow)
+    return submitted
+
+
+def forbid_cell_pools(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a cell used the pool")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+
+
 def test_no_cell_submits_to_the_pool(monkeypatch):
-    # a cell that submitted to the pool and waited could hold both threads:
-    # only the calling thread submits, and a fast-fading cell run on its own
-    # never touches the pool
-    pool, submitters = experiments._pool(), []
+    # only the calling thread submits cells, and a fast-fading cell run on
+    # its own never touches a pool
+    submitters = []
 
-    class WatchedPool:
-        @staticmethod
-        def submit(fn, *args):
-            submitters.append(threading.current_thread().name)
-            return pool.submit(fn, *args)
+    def watched(pool_submit, fn, *args):
+        submitters.append(threading.current_thread().name)
+        return pool_submit(fn, *args)
 
-    monkeypatch.setattr(experiments, "_pool", lambda: WatchedPool)
+    hook_cell_pools(monkeypatch, watched)
     spec = make_spec(powers_w=(0.01, 0.1), horizon=60, replicas=20)
     run_single_compare(spec, h=0.01)
     run_multi_sweep(spec, ((1, 0.01), (2, 0.02)), regime="slow")
     run_multi_sweep(spec, ((1, 1e-4), (2, 4e-4)), regime="fast")
+    factors = (0.5, 0.9, 1.01)
+    run_trace(spec, factors, h=0.01)
     # 2 points of 1 analog and 4 coded cells, less the 4 coded cells whose
     # exact verdict is unstable (3 at 10 dBm, 1 at 20 dBm), then 2 points of
-    # 2 plants, twice
-    assert submitters == [threading.current_thread().name] * 14
+    # 2 plants, twice, then one cell per trace factor
+    assert submitters == [threading.current_thread().name] * (14 + len(factors))
 
-    def no_pool():
-        raise AssertionError("a cell used the pool")
-
-    monkeypatch.setattr(experiments, "_pool", no_pool)
+    forbid_cell_pools(monkeypatch)
     monkeypatch.setattr(experiments, "_BLOCK_ELEMENTS", 7 * spec.horizon)
     blocks = experiments._simulated_blocks(spec, (0, 0), 100.0, 1.5, fading=(-100.0, 1e-4))
     assert math.isfinite(experiments._mean_cost(blocks))
 
 
 def test_concurrent_sweeps_equal_their_sequential_results(monkeypatch):
-    # four library callers queue their cells, 3 feasible points of 2 plants
-    # and 8 blocks a cell each, on the same two threads, with the interpreter
-    # switching threads far more often than by default
+    # four library callers run their cells, 3 feasible points of 2 plants
+    # and 8 blocks a cell each, at once, each caller on its own two cell
+    # threads, with the interpreter switching threads far more often than by
+    # default
     monkeypatch.setattr(experiments, "_BLOCK_ELEMENTS", 7 * 60)
     jobs = [
         (make_spec(powers_w=(1e-3, 0.02, 0.05, 0.1), horizon=60, replicas=50, seed=seed),
@@ -388,8 +416,9 @@ def test_concurrent_sweeps_equal_their_sequential_results(monkeypatch):
 
 
 def test_concurrent_compares_equal_their_sequential_results():
-    # four library callers queue their cells on the same two threads, with
-    # the interpreter switching threads far more often than by default
+    # four library callers run their cells at once, each caller on its own
+    # two cell threads, with the interpreter switching threads far more often
+    # than by default
     specs = [
         make_spec(powers_w=(5e-4, 0.01, 0.1), horizon=60, replicas=50, seed=seed)
         for seed in range(4)
@@ -410,20 +439,13 @@ def test_concurrent_compares_equal_their_sequential_results():
 def test_a_failing_compare_cell_raises_and_leaves_no_cell_running(monkeypatch):
     # the bch7_4_qam256 loop raises on its thread, while each cell is held
     # back 0.1 s there; from 17 dBm up the exact verdict runs every coded cell
-    pool, submitted, run = experiments._pool(), [], experiments.run_coded_control
+    submitted, run = hold_back_cells(monkeypatch), experiments.run_coded_control
 
     def failing_loop(plant, noise, h, scheme, *args):
         if scheme.name == "bch7_4_qam256":
             raise RuntimeError("the bch7_4_qam256 loop failed")
         return run(plant, noise, h, scheme, *args)
 
-    class SlowPool:
-        @staticmethod
-        def submit(fn, *args):
-            submitted.append(pool.submit(lambda: (time.sleep(0.1), fn(*args))[1]))
-            return submitted[-1]
-
-    monkeypatch.setattr(experiments, "_pool", lambda: SlowPool)
     monkeypatch.setattr(experiments, "run_coded_control", failing_loop)
     spec = make_spec(powers_w=(0.05, 0.1, 0.2, 0.5), horizon=60, replicas=20)
     with pytest.raises(RuntimeError, match="bch7_4_qam256"):
@@ -440,11 +462,7 @@ def test_a_scheme_the_link_refuses_raises_before_any_cell_runs(monkeypatch):
     # raises on the calling thread, before a single cell is submitted
     too_long = CodingScheme("h31", n=31, k=26, generator=0b100101, bits_per_symbol=2)
     monkeypatch.setitem(experiments.SCHEMES, too_long.name, too_long)
-
-    def no_pool():
-        raise AssertionError("a cell was submitted")
-
-    monkeypatch.setattr(experiments, "_pool", no_pool)
+    forbid_cell_pools(monkeypatch)
     spec = make_spec(powers_w=(0.01, 0.1), horizon=60, replicas=20)
     with pytest.raises(ValueError, match="2\\^k"):
         run_single_compare(spec, h=0.01, schemes=("bch7_4_qam16", "h31"))
@@ -464,7 +482,7 @@ def test_a_none_cell_costs_inf_and_costs_come_back_in_list_order():
 def test_a_failing_multi_sweep_cell_raises_and_leaves_no_cell_running(monkeypatch):
     # plant 2's cells raise on their first draw, while each cell is held back
     # 0.1 s on its thread
-    pool, submitted = experiments._pool(), []
+    submitted = hold_back_cells(monkeypatch)
 
     def failing_substream(seed, *key):
         # key is (kind, grid index, plant id, purpose)
@@ -472,13 +490,6 @@ def test_a_failing_multi_sweep_cell_raises_and_leaves_no_cell_running(monkeypatc
             raise RuntimeError("plant 2's draw failed")
         return substream(seed, *key)
 
-    class SlowPool:
-        @staticmethod
-        def submit(fn, *args):
-            submitted.append(pool.submit(lambda: (time.sleep(0.1), fn(*args))[1]))
-            return submitted[-1]
-
-    monkeypatch.setattr(experiments, "_pool", lambda: SlowPool)
     monkeypatch.setattr(experiments, "substream", failing_substream)
     spec = make_spec(powers_w=(0.01, 0.02, 0.05, 0.1), horizon=60, replicas=20)
     with pytest.raises(RuntimeError, match="plant 2"):
@@ -487,6 +498,46 @@ def test_a_failing_multi_sweep_cell_raises_and_leaves_no_cell_running(monkeypatc
     assert len(submitted) == 8
     assert all(future.done() for future in submitted)
     assert any(future.cancelled() for future in submitted)
+
+
+def test_a_failing_trace_cell_raises_and_leaves_no_cell_running(monkeypatch):
+    # factor 1's cell raises on its first draw, while each cell is held back
+    # 0.1 s on its thread
+    submitted = hold_back_cells(monkeypatch)
+
+    def failing_substream(seed, *key):
+        # key is (kind, factor index, purpose)
+        if key[1] == 1:
+            raise RuntimeError("factor 1's draw failed")
+        return substream(seed, *key)
+
+    monkeypatch.setattr(experiments, "substream", failing_substream)
+    spec = make_spec(horizon=60, replicas=20)
+    with pytest.raises(RuntimeError, match="factor 1"):
+        run_trace(spec, (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9), h=0.01)
+    # 8 factors: the ones after the failure never started
+    assert len(submitted) == 8
+    assert all(future.done() for future in submitted)
+    assert any(future.cancelled() for future in submitted)
+
+
+def test_no_cell_thread_outlives_the_runner():
+    # the runner's threads end before it returns, and before it raises
+    ran_on = []
+
+    def cost(value):
+        ran_on.append(threading.current_thread())
+        time.sleep(0.05)
+        if value is None:
+            raise RuntimeError("the cell failed")
+        return value
+
+    assert experiments._run_cells([(cost, 1.0), (cost, 2.0), (cost, 3.0)]) == [1.0, 2.0, 3.0]
+    assert ran_on and not any(thread.is_alive() for thread in ran_on)
+    ran_on.clear()
+    with pytest.raises(RuntimeError, match="the cell failed"):
+        experiments._run_cells([(cost, 1.0), (cost, None), (cost, 2.0), (cost, 3.0)])
+    assert ran_on and not any(thread.is_alive() for thread in ran_on)
 
 
 def test_run_selection_sweep_monotone_and_bounded():

@@ -43,6 +43,11 @@ def test_noise_powers_validation_and_derived_ratios():
     for sigma_z2, p0 in [(math.nan, 0.1), (math.inf, 0.1), (1e-7, math.nan), (1e-7, math.inf)]:
         with pytest.raises(ValueError, match="finite"):
             NoisePowers(sigma_z2=sigma_z2, p0=p0)
+    # finite powers whose ratios overflow are refused by the ratio's name
+    with pytest.raises(ValueError, match="p0/sigma_z2"):
+        NoisePowers(sigma_z2=1e-7, p0=1e308)
+    with pytest.raises(ValueError, match="sigma_w2/sigma_z2"):
+        noise.ssr(PlantParams(a=1.5, sigma_w2=1e308))
 
 
 def test_gain_pair_product():
