@@ -63,11 +63,15 @@ INF_TOKEN = "INF"
 # unit parsing
 # ---------------------------------------------------------------------------
 
-_POWER_RE = re.compile(r"^\s*([+-]?[0-9.eE+-]+)\s*(dbm|mw|w)\s*$", re.IGNORECASE)
+#: power text: its numbers, then one unit, with or without a space before it
+_POWER_RE = re.compile(r"^\s*(.+?)\s*(dbm|mw|w)\s*$", re.IGNORECASE)
 
 
 def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
+
+
+_TO_WATTS = {"dbm": dbm_to_watts, "mw": lambda v: v * 1e-3, "w": float}
 
 
 def watts_to_dbm(watts: float) -> float:
@@ -77,57 +81,38 @@ def watts_to_dbm(watts: float) -> float:
 
 
 def parse_power(text: str) -> float:
-    """One power value with a mandatory unit -> watts.
+    """One power value with a mandatory unit -> watts: a one-point power grid."""
+    watts = parse_power_grid(text)
+    if len(watts) != 1:
+        raise ValueError(f"expected one power, got {len(watts)} in {text!r}")
+    return watts[0]
 
-    Accepts dBm, W and mW; a bare number is rejected so a config cannot
-    silently mix scales.
+
+def parse_power_grid(text: str) -> tuple[float, ...]:
+    """Power text -> watts in the order written (``ExperimentSpec`` checks it).
+
+    One number, a range 'start:stop:step' (inclusive of stop when it lands on
+    the lattice) or a comma list '1,4,7', then one unit for every number:
+    dBm, W or mW.  A bare number is refused so a config cannot mix scales.
     """
     if not isinstance(text, str):
         raise ValueError(f"power {text!r} is missing a unit (write e.g. '{text} dBm' or '{text} W')")
     m = _POWER_RE.match(text)
     if not m:
-        raise ValueError(f"cannot parse power {text!r}; expected '<value> dBm|W|mW'")
-    value = float(m.group(1))
-    unit = m.group(2).lower()
-    if unit == "dbm":
-        return dbm_to_watts(value)
-    if unit == "mw":
-        return value * 1e-3
-    return value
-
-
-def parse_power_grid(text: str) -> tuple[float, ...]:
-    """A power grid -> strictly increasing watts.
-
-    Either 'start:stop:step <unit>' (inclusive of stop when it lands on the
-    lattice) or a comma list '1,4,7 <unit>'.  The single trailing unit applies
-    to every number.
-    """
-    if not isinstance(text, str):
-        raise ValueError(f"power grid {text!r} is missing a unit")
-    parts = text.strip().rsplit(None, 1)
-    if len(parts) != 2:
-        raise ValueError(f"cannot parse power grid {text!r}; expected '<values> dBm|W|mW'")
-    body, unit = parts
+        raise ValueError(f"cannot parse power {text!r}; expected '<values> dBm|W|mW'")
+    body, unit = m.groups()
     if ":" in body:
-        pieces = body.split(":")
-        if len(pieces) != 3:
-            raise ValueError(f"grid range {body!r} must be start:stop:step")
-        start, stop, step = (float(p) for p in pieces)
-        if not all(map(math.isfinite, (start, stop, step))):
-            raise ValueError(f"grid range {body!r} must have finite start, stop and step")
+        try:
+            start, stop, step = map(_real, body.split(":"))
+        except ValueError as exc:
+            raise ValueError(f"grid range {body!r} must have finite start, stop and step") from exc
         if step <= 0.0 or stop < start:
             raise ValueError(f"grid range {body!r} must have step > 0 and stop >= start")
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
         values = [start + i * step for i in range(count)]
     else:
-        values = [float(p) for p in body.split(",") if p.strip()]
-        if not values:
-            raise ValueError(f"empty power grid {text!r}")
-    watts = tuple(parse_power(f"{v!r} {unit}") for v in values)
-    if any(b <= a for a, b in zip(watts, watts[1:])):
-        raise ValueError(f"power grid {text!r} is not strictly increasing")
-    return watts
+        values = _list_of(_real)(body)
+    return tuple(map(_TO_WATTS[unit.lower()], values))
 
 
 # ---------------------------------------------------------------------------
@@ -510,19 +495,19 @@ def _check_codecs() -> tuple[bool, str]:
             decoded, _ = bch_decode(corrupted, scheme)
             if not np.array_equal(decoded, messages):
                 return False, f"{scheme.name}: flip at bit {pos} not corrected"
-        # Gray labelling: axis-adjacent levels differ in exactly one bit
-        m = scheme.bits_per_symbol // 2
-        levels = 1 << m
-        gray = np.arange(levels) ^ (np.arange(levels) >> 1)
-        if not np.all([bin(a ^ b).count("1") == 1 for a, b in zip(gray, gray[1:])]):
-            return False, f"{scheme.name}: Gray adjacency broken"
         bits = ((np.arange(1 << scheme.bits_per_symbol)[:, None]
                  >> np.arange(scheme.bits_per_symbol - 1, -1, -1)) & 1).astype(np.uint8)
         symbols = qam_modulate(bits, scheme.bits_per_symbol, 1.0)
+        # Gray labelling: the labels of axis-adjacent points differ in exactly one bit
+        grid = np.lexsort((symbols.imag.ravel(), symbols.real.ravel()))
+        grid = grid.reshape(1 << (scheme.bits_per_symbol // 2), -1)
+        steps = [*(grid[1:] ^ grid[:-1]).flat, *(grid[:, 1:] ^ grid[:, :-1]).flat]
+        if not all(bin(step).count("1") == 1 for step in steps):
+            return False, f"{scheme.name}: Gray adjacency broken"
         back = qam_detect(symbols, scheme.bits_per_symbol, 1.0, 1.0)
         if not np.array_equal(back, bits):
             return False, f"{scheme.name}: noiseless QAM round-trip failed"
-    return True, "all codewords correct every single-bit error; QAM round-trips clean"
+    return True, "all codewords correct every single-bit error; QAM is Gray and round-trips clean"
 
 
 def _check_coded_link() -> tuple[bool, str]:

@@ -336,17 +336,15 @@ def _safe_radius(levels: int, c: float, h: float) -> float:
     Each step of the detection chain, rounding included, is monotone in the
     noise sample n (decreasing for h < 0), so if every level detects as
     itself at n = -tau and at n = +tau it does so for all n in between.  The
-    radius starts just inside the decision half-width |h| c and is halved
-    until both ends pass; it is 0 if none does, and then the link detects
-    every sample.
+    radius is just inside the decision half-width |h| c when both ends pass
+    there, and 0 otherwise, and then the link detects every sample.
     """
     amp_h = (2.0 * np.arange(levels) - (levels - 1)) * c * h
     tau = abs(h) * c * (1.0 - 1e-9)
-    while math.isfinite(tau) and tau > 0.0:
-        if (_detect(amp_h + np.array([[-tau], [tau]]), levels, c, h) == np.arange(levels)).all():
-            return tau
-        tau *= 0.5
-    return 0.0
+    if not (math.isfinite(tau) and tau > 0.0):
+        return 0.0
+    ends = _detect(amp_h + np.array([[-tau], [tau]]), levels, c, h)
+    return tau if (ends == np.arange(levels)).all() else 0.0
 
 
 def word_success(scheme: CodingScheme, noise: NoisePowers, h: float) -> float:

@@ -27,6 +27,7 @@ from .model import (
     GainPair,
     NoisePowers,
     PlantParams,
+    gains_overflow,
     mean_square_per_replica,
     predicted_cost_slow,
     require_magnitude,
@@ -225,7 +226,10 @@ def implied_trace_gains(
         return None
     # with no disturbance the SNR is split-independent; any k realizes it
     k = -1.0 if ssr == 0.0 else -math.sqrt(headroom / ssr)
-    return GainPair(k=k, g=(a_c - plant.a) / (h * k))
+    g = gap / (h * k)
+    if not (math.isfinite(k) and math.isfinite(g)):
+        raise gains_overflow(k, g, ssr)
+    return GainPair(k=k, g=g)
 
 
 def _trace_sums(

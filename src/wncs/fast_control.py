@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import GainPair, NoisePowers, PlantParams, require_positive
+from .model import GainPair, NoisePowers, PlantParams, gains_overflow, require_positive
 from .slow_control import (
     _BOUNDARY_RTOL, _DesignFields, MultiDesign, SnrAllocation, _require_budget, _split_slack,
 )
@@ -118,7 +118,10 @@ def _fast_design(plant: PlantParams, ssr: float, s: float, g0: float) -> _Design
     if denom <= _BOUNDARY_RTOL * (1.0 - e_star) * g0:
         return None, u, e_star, math.inf
     k = -math.sqrt(denom / ssr)
-    return GainPair(k=k, g=u / k), u, e_star, g0 * plant.sigma_w2 / denom
+    g = u / k
+    if not (math.isfinite(k) and math.isfinite(g)):
+        raise gains_overflow(k, g, ssr)
+    return GainPair(k=k, g=g), u, e_star, g0 * plant.sigma_w2 / denom
 
 
 def allocate_multi_fast(

@@ -114,6 +114,12 @@ class GainPair:
         return self.g * self.k
 
 
+def gains_overflow(k: float, g: float, ssr: float) -> ValueError:
+    """The refusal of a design whose k or g is not finite, naming sigma_w2/sigma_z2."""
+    return ValueError(f"the design's gains k = {k!r}, g = {g!r} are not finite: the disturbance-"
+                      f"to-noise ratio sigma_w2/sigma_z2 = {ssr!r} is out of range for the budget")
+
+
 def predicted_cost_slow(
     plant: PlantParams, noise: NoisePowers, gains: GainPair, h: float
 ) -> float:

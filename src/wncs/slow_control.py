@@ -30,7 +30,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import GainPair, NoisePowers, PlantParams, require_magnitude, require_positive
+from .model import GainPair, NoisePowers, PlantParams, gains_overflow, require_magnitude
+from .model import require_positive
 
 #: relative slack below which a budget is treated as sitting exactly on a floor
 _BOUNDARY_RTOL = 1e-12
@@ -121,6 +122,8 @@ def _slow_design(plant: PlantParams, ssr: float, h: float, g0: float) -> _Design
     j_ave = plant.sigma_w2 * (1.0 + h2g) / margin
     k = -math.sqrt(g0 * margin / (ssr * (h2g + 1.0)))
     g = a * h * math.sqrt(g0 * ssr / ((h2g + 1.0) * margin))
+    if not (math.isfinite(k) and math.isfinite(g)):
+        raise gains_overflow(k, g, ssr)
     gains = GainPair(k=k, g=g)
     return gains, a_c, j_ave, gains.product
 

@@ -7,7 +7,7 @@ import shlex
 import numpy as np
 import pytest
 
-from wncs import cli
+from wncs import cli, coded
 from wncs.cli import (
     EXIT_INFEASIBLE,
     EXIT_OK,
@@ -74,6 +74,21 @@ def test_parse_power_grid_rejects_disorder():
     for body in ("0:inf:1", "-inf:0:1", "nan:0:1", "0:10:inf"):
         with pytest.raises(ValueError, match=f"grid range '{body}' must have finite"):
             parse_power_grid(f"{body} dBm")
+
+
+def test_power_text_has_one_grammar():
+    # a single power is a one-point grid: the space before the unit is
+    # optional in both, and the order written is kept for the recipes to check
+    for spaced in ("20 dBm", "0.1 W", "0:40:5 dBm", "1,100 mW"):
+        assert parse_power_grid(spaced.replace(" ", "")) == parse_power_grid(spaced)
+    assert parse_power("20dBm") == parse_power_grid("20 dBm")[0]
+    assert parse_power_grid("2,1 dBm") == (dbm_to_watts(2.0), dbm_to_watts(1.0))
+    with pytest.raises(ValueError, match="expected one power, got 2"):
+        parse_power("1,2 W")
+    for bad, refusal in (("nan,1 W", "not a finite number"), (", dBm", "the list is empty"),
+                         (20, "missing a unit")):
+        with pytest.raises(ValueError, match=refusal):
+            parse_power_grid(bad)
 
 
 def _tiny_result():
@@ -338,6 +353,60 @@ def test_non_finite_input_is_a_usage_error(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["multi-slow", "--grid", "20 dBm"],
+        ["multi-fast", "--grid", "20 dBm"],
+        ["trace"],
+    ],
+    ids=" ".join,
+)
+def test_a_disturbance_power_whose_gains_overflow_is_refused_by_name(tmp_path, capsys, argv):
+    # sigma_w2/sigma_z2 = 1e-313 is subnormal and k = -inf: refused, not an
+    # INF gain column with exit 0
+    out = tmp_path / "x.csv"
+    small = ["--sigma-w2", "1e-320", "--horizon", "5", "--replicas", "3", "--out", str(out)]
+    assert main([*argv, *small]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "gains k = -inf" in err and "sigma_w2/sigma_z2 = 9.999888672e-314" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "grid, config",
+    [("1,1 W", False), ("2,1 dBm", False), ("2,1 dBm", True)],
+    ids=["equal", "decreasing", "decreasing-in-config"],
+)
+def test_a_grid_out_of_order_is_refused_by_the_recipe(tmp_path, capsys, grid, config):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(f'grid: "{grid}"\n')
+    out = tmp_path / "x.csv"
+    source = ["--config", str(cfg)] if config else ["--grid", grid]
+    assert main(["compare", *source, "--out", str(out)]) == EXIT_USAGE
+    assert "power grid must be strictly increasing" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "spaced, config",
+    [("20 dBm", False), ("0.1 W", False), ("0:40:5 dBm", False), ("0:40:5 dBm", True)],
+    ids=["dbm", "watts", "range", "range-in-config"],
+)
+def test_a_grid_reads_the_same_without_a_space_before_its_unit(tmp_path, monkeypatch, spaced,
+                                                                 config):
+    outputs = []
+    for name, grid in (("spaced", spaced), ("joined", spaced.replace(" ", ""))):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        (tmp_path / name / "run.yaml").write_text(f'grid: "{grid}"\n')
+        source = ["--config", "run.yaml"] if config else ["--grid", grid]
+        assert main(["compare", *source, "--horizon", "10", "--replicas", "2",
+                     "--out", "run.csv"]) == EXIT_OK
+        outputs.append((tmp_path / name / "run.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_an_snr_budget_that_overflows_is_refused_by_name(tmp_path, capsys):
     # refused for the ratio it overflows, not blamed on the channel magnitude
     assert main(["compare", "--grid", "1e308 W", "--out", str(tmp_path / "x.csv")]) == EXIT_USAGE
@@ -513,6 +582,15 @@ def test_verify_coded_link_check_catches_a_wrong_exact_rate(monkeypatch):
     monkeypatch.setattr(cli, "word_success", lambda *args: 0.97 * exact(*args))
     ok, detail = cli._check_coded_link()
     assert not ok, detail
+
+
+def test_verify_codec_check_reads_the_library_gray_labels(monkeypatch):
+    # natural binary labels still round-trip, but adjacent levels differ in
+    # two bits from 1 to 2: the check must read the library's constellation
+    assert cli._check_codecs()[0]
+    monkeypatch.setattr(coded, "_gray_maps", lambda levels: (np.arange(levels),) * 2)
+    ok, detail = cli._check_codecs()
+    assert not ok and "Gray adjacency broken" in detail
 
 
 def test_verify_threshold_check_catches_a_wrong_floor(monkeypatch):

@@ -24,6 +24,7 @@ from wncs.experiments import (
 )
 from wncs.fading import substream
 from wncs.model import DIVERGENCE_GUARD, NoisePowers, PlantParams
+from wncs.fast_control import optimize_single_fast
 from wncs.slow_control import optimize_single_slow
 
 PLANT = PlantParams(a=1.5, sigma_w2=0.1)
@@ -66,6 +67,23 @@ def test_implied_trace_gains_unreachable_factor():
     # reachable factor under a starving budget is also None
     poor = NoisePowers(sigma_z2=1e-7, p0=1e-6)
     assert implied_trace_gains(PLANT, poor, 0.01, a_c=0.1) is None
+
+
+@pytest.mark.parametrize(
+    "design, sigma_w2",
+    [
+        (lambda plant, noise: optimize_single_slow(plant, noise, 0.01), 1e-320),
+        (lambda plant, noise: optimize_single_fast(plant, noise, 1e-4), 1e-320),
+        (lambda plant, noise: implied_trace_gains(plant, noise, 0.01, a_c=0.6), 1e-320),
+        (lambda plant, noise: optimize_single_slow(plant, noise, 0.01), 1e300),
+    ],
+    ids=["slow", "fast", "trace", "slow-huge"],
+)
+def test_a_design_whose_gains_overflow_is_refused_by_name(design, sigma_w2):
+    # sigma_w2/sigma_z2 is subnormal, so k overflows, or so large that the
+    # slow design's g does: refused, not an infinite gain and a nan cost
+    with pytest.raises(ValueError, match=r"gains k = .* are not finite: .* sigma_w2/sigma_z2"):
+        design(PlantParams(a=1.5, sigma_w2=sigma_w2), NoisePowers(sigma_z2=1e-7, p0=0.1))
 
 
 def test_run_trace_structure_and_series():
