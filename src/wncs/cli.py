@@ -63,8 +63,14 @@ INF_TOKEN = "INF"
 # unit parsing
 # ---------------------------------------------------------------------------
 
+#: a power unit, which power text writes once, after its last number
+_UNIT_RE = re.compile(r"dbm|mw|w", re.IGNORECASE)
 #: power text: its numbers, then one unit, with or without a space before it
-_POWER_RE = re.compile(r"^\s*(.+?)\s*(dbm|mw|w)\s*$", re.IGNORECASE)
+_POWER_RE = re.compile(rf"^\s*(.+?)\s*({_UNIT_RE.pattern})\s*$", re.IGNORECASE)
+#: how power text is written, told to whoever writes it another way
+_ONE_UNIT = "power text is one string with one unit after its last number, e.g. '20,30 dBm'"
+#: the most points a grid range may hold, which bounds the list built from it
+MAX_GRID_POINTS = 10_000
 
 
 def dbm_to_watts(dbm: float) -> float:
@@ -92,15 +98,20 @@ def parse_power_grid(text: str) -> tuple[float, ...]:
     """Power text -> watts in the order written (``ExperimentSpec`` checks it).
 
     One number, a range 'start:stop:step' (inclusive of stop when it lands on
-    the lattice) or a comma list '1,4,7', then one unit for every number:
-    dBm, W or mW.  A bare number is refused so a config cannot mix scales.
+    the lattice, and of at most ``MAX_GRID_POINTS`` points) or a comma list
+    '1,4,7', then one unit for every number: dBm, W or mW.  A bare number is
+    refused so a config cannot mix scales.
     """
+    if isinstance(text, (list, tuple)):
+        raise ValueError(f"power {text!r} is a list: {_ONE_UNIT}")
     if not isinstance(text, str):
         raise ValueError(f"power {text!r} is missing a unit (write e.g. '{text} dBm' or '{text} W')")
     m = _POWER_RE.match(text)
     if not m:
         raise ValueError(f"cannot parse power {text!r}; expected '<values> dBm|W|mW'")
     body, unit = m.groups()
+    if _UNIT_RE.search(body):
+        raise ValueError(f"power {text!r} has a unit before its last number: {_ONE_UNIT}")
     if ":" in body:
         try:
             start, stop, step = map(_real, body.split(":"))
@@ -108,8 +119,11 @@ def parse_power_grid(text: str) -> tuple[float, ...]:
             raise ValueError(f"grid range {body!r} must have finite start, stop and step") from exc
         if step <= 0.0 or stop < start:
             raise ValueError(f"grid range {body!r} must have step > 0 and stop >= start")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
-        values = [start + i * step for i in range(count)]
+        # counted before a point is built; an overflowing count is refused too
+        span = (stop - start) / step + 1e-9
+        if not span < MAX_GRID_POINTS:
+            raise ValueError(f"grid range {body!r} holds more than {MAX_GRID_POINTS} points")
+        values = [start + i * step for i in range(int(math.floor(span)) + 1)]
     else:
         values = _list_of(_real)(body)
     return tuple(map(_TO_WATTS[unit.lower()], values))

@@ -119,20 +119,21 @@ def _refuse_clashes(values: Sequence, labels: Sequence[str], what: str) -> None:
         seen[label] = value
 
 
-def _run_cells(cells: Sequence[Optional[tuple]]) -> list:
-    """Each cell's result in list order: ``(fn, *args)`` runs on a cell thread, None is inf.
+def _run_cells(cells: dict) -> dict:
+    """Each cell's result under its key: a cell ``(fn, *args)`` runs on a cell thread.
 
-    The cell threads live for this call.  The first cell to raise, in list
-    order, raises here; then the cells not yet started never start, and the
-    call returns only once its threads have ended.
+    Cells are submitted in the map's order, and the cell threads live for
+    this call.  The first cell to raise, in that order, raises here; then the
+    cells not yet started never start, and the call returns only once its
+    threads have ended.
     """
     # imported here, so that a recipe that runs no cells never loads it
     from concurrent.futures import ThreadPoolExecutor
 
     pool = ThreadPoolExecutor(_DRAW_THREADS)
     try:
-        futures = [None if cell is None else pool.submit(*cell) for cell in cells]
-        return [math.inf if future is None else future.result() for future in futures]
+        futures = {key: pool.submit(*cell) for key, cell in cells.items()}
+        return {key: future.result() for key, future in futures.items()}
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -275,11 +276,10 @@ def run_trace(
     gains_used: dict[str, Optional[tuple[float, float]]] = {}
     predicted: dict[str, float] = {}
     all_gains = [implied_trace_gains(spec.plant, noise, h, a_c) for a_c in a_c_values]
-    cells = [(_trace_sums, spec, idx, 0.0 if gains is None else gains.g, a_c, x0)
-             for idx, (a_c, gains) in enumerate(zip(a_c_values, all_gains))]
-    # read back in factor order
-    for a_c, label, gains, (first, sum_sq, ok) in zip(a_c_values, labels, all_gains,
-                                                      _run_cells(cells)):
+    sums = _run_cells({idx: (_trace_sums, spec, idx, 0.0 if gains is None else gains.g, a_c, x0)
+                       for idx, (a_c, gains) in enumerate(zip(a_c_values, all_gains))})
+    for idx, (a_c, label, gains) in enumerate(zip(a_c_values, labels, all_gains)):
+        first, sum_sq, ok = sums[idx]
         running = np.cumsum(sum_sq / spec.replicas) / np.arange(1, spec.horizon + 1)
         shown = np.where(np.abs(first) < DIVERGENCE_GUARD, first, math.inf)
         series[f"x_{label}"] = tuple(shown.tolist())
@@ -342,35 +342,31 @@ def run_single_compare(
     floor = snr_floor(spec.plant, h)
     required = {name: required_success_probability(spec.plant, SCHEMES[name]) for name in schemes}
     names = ["analog_pred", "analog_sim", *schemes]
-    cols: dict[str, list[float]] = {n: [] for n in names}
+    cols = {n: [math.inf] * len(spec.powers_w) for n in names}
     word_rates: dict[str, list[float]] = {name: [] for name in schemes}
     feasible_points = 0
-    # per grid point: the analog cell, then each scheme's; None where nothing runs
-    cells: list[Optional[tuple]] = []
+    # each cell keyed by the (column, grid index) its cost fills; a cell
+    # that does not run leaves its inf
+    cells: dict[tuple[str, int], tuple] = {}
     for gi, p0 in enumerate(spec.powers_w):
         noise = spec.noise_at(p0)
-        pred, sim = math.inf, None
         if noise.gamma0 >= floor:
             feasible_points += 1
             design = optimize_single_slow(spec.plant, noise, h)
-            pred = design.j_ave
+            cols["analog_pred"][gi] = design.j_ave
             # at a boundary point no pair is realizable: the cost is unbounded in the limit
             if design.gains is not None:
                 blocks = _simulated_blocks(spec, (_KIND_COMPARE, gi, 0), design.gains.g, design.a_c)
-                sim = (_mean_cost, blocks)
-        cols["analog_pred"].append(pred)
-        cells.append(sim)
+                cells["analog_sim", gi] = (_mean_cost, blocks)
         for si, name in enumerate(schemes):
             success = word_success(SCHEMES[name], noise, h)
             word_rates[name].append(success)
-            key = (_KIND_COMPARE, gi, 1 + si, _DRAW_CODED)
-            cells.append((_coded_cost, spec, noise, h, SCHEMES[name], substream(spec.seed, *key))
-                         if success > required[name] else None)
+            if success > required[name]:
+                rng = substream(spec.seed, _KIND_COMPARE, gi, 1 + si, _DRAW_CODED)
+                cells[name, gi] = (_coded_cost, spec, noise, h, SCHEMES[name], rng)
     # each cell has its own substreams, so the threads change no result
-    costs = iter(_run_cells(cells))
-    for _ in spec.powers_w:
-        for name in names[1:]:
-            cols[name].append(next(costs))
+    for (name, gi), cost in _run_cells(cells).items():
+        cols[name][gi] = cost
     meta = {
         "seed": spec.seed,
         "replicas": spec.replicas,
@@ -418,63 +414,44 @@ def run_multi_sweep(
     for pid in ids:
         names += [f"p{pid}_w", f"k{pid}", f"g{pid}", f"j{pid}_pred", f"j{pid}_sim"]
     names += ["j_total_pred", "j_total_sim"]
-    cols: dict[str, list[float]] = {n: [] for n in names}
+    cols = {n: [math.inf] * len(spec.powers_w) for n in names}
     allocations: list[Optional[dict]] = []
-    feasible_points = 0
 
     floor_of = snr_floor if slow else fast_snr_floor
     allocate = allocate_multi_slow if slow else allocate_multi_fast
     # the allocator's floors, each checked, and its sum: a point past the gate is allocated
     floors_total = summed_floor(np.array([floor_of(spec.plant, v) for _, v in channels]))
 
-    # per grid point: the allocation and its design, None where infeasible;
-    # per feasible point, each plant's cell, None where nothing runs
-    points: list[Optional[tuple]] = []
-    cells: list[Optional[tuple]] = []
+    # each cell keyed by the (column, grid index) its cost fills; an
+    # infeasible point, or a share with nothing to run, leaves its inf
+    cells: dict[tuple[str, int], tuple] = {}
     for gi, p0 in enumerate(spec.powers_w):
         noise = spec.noise_at(p0)
         if noise.gamma0 < floors_total:
-            points.append(None)
+            allocations.append(None)
             continue
         alloc, design = allocate(channels, spec.plant, noise)
-        points.append((alloc, design))
-        for (pid, ch), gains in zip(channels, design.gains):
+        allocations.append({"gamma": list(alloc.gamma), "multiplier": alloc.multiplier,
+                            "plant_ids": list(alloc.plant_ids)})
+        cols["j_total_pred"][gi] = design.total_cost
+        for (pid, ch), gamma_j, gains, j_pred in zip(channels, alloc.gamma, design.gains,
+                                                     design.predicted_costs):
+            cols[f"p{pid}_w"][gi] = gamma_j * spec.sigma_z2
+            cols[f"j{pid}_pred"][gi] = j_pred
             # a boundary share has gains only as a limit: nothing to run
             if gains is None:
-                cells.append(None)
                 continue
+            cols[f"k{pid}"][gi], cols[f"g{pid}"][gi] = gains.k, gains.g
             a_c = spec.plant.a + gains.g * ch * gains.k if slow else spec.plant.a
             fading = None if slow else (gains.product, ch)
             blocks = _simulated_blocks(spec, (kind, gi, pid), gains.g, a_c, fading)
-            cells.append((_mean_cost, blocks))
-    # read back in grid and plant order: the totals add up as they always have
-    costs = iter(_run_cells(cells))
-    for point in points:
-        if point is None:
-            for n in names:
-                cols[n].append(math.inf)
-            allocations.append(None)
-            continue
-        feasible_points += 1
-        alloc, design = point
-        row = {"j_total_pred": 0.0, "j_total_sim": 0.0}
-        for pid, gamma_j, gains, j_pred in zip(ids, alloc.gamma, design.gains,
-                                                design.predicted_costs):
-            k, g = (math.inf, math.inf) if gains is None else (gains.k, gains.g)
-            sim = next(costs)
-            row.update({f"p{pid}_w": gamma_j * spec.sigma_z2, f"k{pid}": k, f"g{pid}": g,
-                        f"j{pid}_pred": j_pred, f"j{pid}_sim": sim})
-            row["j_total_pred"] += j_pred
-            row["j_total_sim"] += sim
-        for n in names:
-            cols[n].append(row[n])
-        allocations.append(
-            {
-                "gamma": list(alloc.gamma),
-                "multiplier": alloc.multiplier,
-                "plant_ids": list(alloc.plant_ids),
-            }
-        )
+            cells[f"j{pid}_sim", gi] = (_mean_cost, blocks)
+    for (name, gi), cost in _run_cells(cells).items():
+        cols[name][gi] = cost
+    # each feasible point's total, summed in plant order
+    for gi, alloc in enumerate(allocations):
+        if alloc is not None:
+            cols["j_total_sim"][gi] = sum(cols[f"j{pid}_sim"][gi] for pid in ids)
     meta = {
         "seed": spec.seed,
         "replicas": spec.replicas,
@@ -482,7 +459,7 @@ def run_multi_sweep(
         "channels": [list(c) for c in channels],
         "floors_total": floors_total,
         "threshold_p0_w": floors_total * spec.sigma_z2,
-        "feasible_points": feasible_points,
+        "feasible_points": sum(alloc is not None for alloc in allocations),
         "allocations": allocations,
     }
     return SweepResult(

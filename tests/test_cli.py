@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import shlex
+import time
 
 import numpy as np
 import pytest
@@ -85,10 +86,22 @@ def test_power_text_has_one_grammar():
     assert parse_power_grid("2,1 dBm") == (dbm_to_watts(2.0), dbm_to_watts(1.0))
     with pytest.raises(ValueError, match="expected one power, got 2"):
         parse_power("1,2 W")
+    # one unit after the last number, in one string: a unit per number is refused
+    one_unit = "one string with one unit after its last number"
     for bad, refusal in (("nan,1 W", "not a finite number"), (", dBm", "the list is empty"),
-                         (20, "missing a unit")):
+                         (20, "missing a unit"), ("20 dBm,30 dBm", one_unit),
+                         ("20dBm, 30dBm", one_unit), ("0 dBm:10 dBm:5 dBm", one_unit),
+                         (["20 dBm", "30 dBm"], one_unit), ([20, 30], one_unit)):
         with pytest.raises(ValueError, match=refusal):
             parse_power_grid(bad)
+
+
+def test_a_grid_range_holds_a_bounded_count_of_points():
+    # the count is refused before a point is built, an overflowing one too
+    for body in ("0:1:1e-5", "0:1e308:1e-308", "-1e308:1e308:1"):
+        with pytest.raises(ValueError, match=f"grid range '{body}' holds more than 10000 points"):
+            parse_power_grid(f"{body} dBm")
+    assert len(parse_power_grid(f"1:{cli.MAX_GRID_POINTS}:1 W")) == cli.MAX_GRID_POINTS
 
 
 def _tiny_result():
@@ -405,6 +418,34 @@ def test_a_grid_reads_the_same_without_a_space_before_its_unit(tmp_path, monkeyp
                      "--out", "run.csv"]) == EXIT_OK
         outputs.append((tmp_path / name / "run.csv").read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_a_grid_range_of_too_many_points_is_refused_at_once(tmp_path, capsys):
+    # a 1e300-point range is refused by its count, not built until memory runs out
+    started = time.perf_counter()
+    out = tmp_path / "x.csv"
+    assert main(["compare", "--grid", "0:1:1e-300 dBm", "--out", str(out)]) == EXIT_USAGE
+    assert time.perf_counter() - started < 1.0
+    assert "grid range '0:1:1e-300' holds more than 10000 points" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "grid, config",
+    [("20 dBm,30 dBm", False), ("20dBm, 30dBm", False), ("[20 dBm, 30 dBm]", True),
+     ("[20, 30]", True)],
+    ids=["flag-spaced", "flag-joined", "config-list", "config-bare-list"],
+)
+def test_a_grid_with_a_unit_per_number_is_refused_with_the_grammar(tmp_path, capsys, grid,
+                                                                     config):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(f"grid: {grid}\n")
+    out = tmp_path / "x.csv"
+    source = ["--config", str(cfg)] if config else ["--grid", grid]
+    assert main(["compare", *source, "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "one string with one unit after its last number, e.g. '20,30 dBm'" in err
+    assert not out.exists()
 
 
 def test_an_snr_budget_that_overflows_is_refused_by_name(tmp_path, capsys):

@@ -486,15 +486,16 @@ def test_a_scheme_the_link_refuses_raises_before_any_cell_runs(monkeypatch):
         run_single_compare(spec, h=0.01, schemes=("bch7_4_qam16", "h31"))
 
 
-def test_a_none_cell_costs_inf_and_costs_come_back_in_list_order():
-    # the first cell finishes last, and each None is inf without a thread
+def test_costs_land_under_their_keys_though_the_first_cell_finishes_last():
     def cost(value, delay):
         time.sleep(delay)
         return value
 
-    cells = [(cost, 1.0, 0.2), None, (cost, 2.0, 0.1), (cost, 3.0, 0.0), None]
-    assert experiments._run_cells(cells) == [1.0, math.inf, 2.0, 3.0, math.inf]
-    assert experiments._run_cells([None, None]) == [math.inf, math.inf]
+    cells = {("j1_sim", 2): (cost, 1.0, 0.2), ("j1_sim", 0): (cost, 2.0, 0.1), 7: (cost, 3.0, 0.0)}
+    costs = experiments._run_cells(cells)
+    assert costs == {("j1_sim", 2): 1.0, ("j1_sim", 0): 2.0, 7: 3.0}
+    assert list(costs) == list(cells)
+    assert experiments._run_cells({}) == {}
 
 
 def test_a_failing_multi_sweep_cell_raises_and_leaves_no_cell_running(monkeypatch):
@@ -550,11 +551,13 @@ def test_no_cell_thread_outlives_the_runner():
             raise RuntimeError("the cell failed")
         return value
 
-    assert experiments._run_cells([(cost, 1.0), (cost, 2.0), (cost, 3.0)]) == [1.0, 2.0, 3.0]
+    cells = {"a": (cost, 1.0), "b": (cost, 2.0), "c": (cost, 3.0)}
+    assert experiments._run_cells(cells) == {"a": 1.0, "b": 2.0, "c": 3.0}
     assert ran_on and not any(thread.is_alive() for thread in ran_on)
     ran_on.clear()
     with pytest.raises(RuntimeError, match="the cell failed"):
-        experiments._run_cells([(cost, 1.0), (cost, None), (cost, 2.0), (cost, 3.0)])
+        experiments._run_cells({"a": (cost, 1.0), "b": (cost, None), "c": (cost, 2.0),
+                                "d": (cost, 3.0)})
     assert ran_on and not any(thread.is_alive() for thread in ran_on)
 
 
