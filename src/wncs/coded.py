@@ -24,7 +24,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import NoisePowers, PlantParams, mean_square_per_replica, simulate_loop
+from .model import NoisePowers, PlantParams, divergence_guard, mean_square_per_replica
+from .model import simulate_loop
 
 
 @dataclass(frozen=True)
@@ -242,8 +243,12 @@ _LINK_WORDS = 1 << 15
 #: each chunk takes whole 32-bit words from the generator and the chunks
 #: equal one dense uint8 draw
 _MESSAGE_ROWS = 64
-#: replicas whose plant noise is drawn and combined at a time
+#: replicas whose epochs' plant noise is combined at a time: the open-loop
+#: sums stay this small
 _NOISE_ROWS = 64
+#: replicas the kernel steps at a time: a wider array's columns leave the
+#: cache between steps
+_STEP_ROWS = 1024
 
 
 def _message_weights(scheme: CodingScheme) -> np.ndarray:
@@ -442,27 +447,27 @@ def run_coded_control(
 
     a, std = plant.a, math.sqrt(plant.sigma_w2)
     powers = a ** np.arange(d - 2, -1, -1)
-    # the kernel steps time-major noise; each chunk is drawn replica-major,
-    # as the dense draw is, and written into its columns
-    n_t = np.empty((horizon, replicas))
-    stage = np.empty((min(_NOISE_ROWS, replicas), horizon))
+    # std z, as normal(0, std) draws it but for the sign of a zero, which no
+    # cost depends on, in the layout the kernel steps
+    n_t = rng.standard_normal((replicas, horizon))
+    n_t *= std
+    # (replicas, epochs, d) view of the whole epochs: writes land in n_t
+    epoch_n = n_t[:, : n_epochs * d].reshape(replicas, n_epochs, d)
     for start in range(0, replicas, _NOISE_ROWS):
-        # std z, as normal(0, std) draws it but for the sign of a zero, which
-        # no cost depends on
-        n = stage[: replicas - start]
-        rng.standard_normal(out=n)
-        n *= std
-        # (rows, epochs, d) view of the whole epochs: writes land in n
-        epoch_n = n[:, : n_epochs * d].reshape(len(n), n_epochs, d)
-        open_loop = epoch_n[..., :-1] @ powers
-        where = success[start : start + len(n)]
-        np.add(epoch_n[..., -1], a * open_loop, out=epoch_n[..., -1], where=where)
-        n_t[:, start : start + len(n)] = n.T
-    reset = np.zeros((horizon, replicas), dtype=bool)
-    reset[d - 1 : n_epochs * d : d] = success.T
-    states, diverged = simulate_loop(a, n_t, reset=reset)
+        rows = slice(start, start + _NOISE_ROWS)
+        open_loop = epoch_n[rows, :, :-1] @ powers
+        np.add(epoch_n[rows, :, -1], a * open_loop, out=epoch_n[rows, :, -1], where=success[rows])
+    # every step carries the state but a decoded epoch's last
+    carry = np.ones((min(replicas, _STEP_ROWS), horizon), dtype=bool)
+    diverged = False
+    for start in range(0, replicas, _STEP_ROWS):
+        rows = slice(start, start + _STEP_ROWS)
+        block = carry[: min(_STEP_ROWS, replicas - start)]
+        np.logical_not(success[rows], out=block[:, d - 1 : n_epochs * d : d])
+        diverged |= simulate_loop(a, n_t[rows], divergence_guard(std), carry=block)[1].any()
 
-    cost = float(mean_square_per_replica(states).mean())
+    with np.errstate(over="ignore"):
+        cost = float(mean_square_per_replica(n_t).mean())
     p_hat = float(success.mean()) if success.size else 0.0
     supportable = p_hat > required_success_probability(plant, scheme)
-    return cost, supportable and not bool(diverged.any())
+    return cost, supportable and not diverged

@@ -23,10 +23,11 @@ from .coded import required_success_probability, word_success
 from .fading import rayleigh_gain_samples, substream
 from .fast_control import allocate_multi_fast, fast_snr_floor
 from .model import (
-    DIVERGENCE_GUARD,
+    _REDUCE_ROWS,
     GainPair,
     NoisePowers,
     PlantParams,
+    divergence_guard,
     gains_overflow,
     mean_square_per_replica,
     predicted_cost_slow,
@@ -138,6 +139,11 @@ def _run_cells(cells: dict) -> dict:
         pool.shutdown(cancel_futures=True)
 
 
+def _noise_guard(spec: ExperimentSpec, g: float) -> float:
+    """The divergence guard of a loop whose per-step noise is g z + w."""
+    return divergence_guard(math.sqrt(g * g * spec.sigma_z2 + spec.plant.sigma_w2))
+
+
 def _simulated_blocks(
     spec: ExperimentSpec, key: tuple[int, ...], g: float, a_c: float,
     fading: Optional[tuple[float, float]] = None, x0: float = 0.0,
@@ -151,42 +157,38 @@ def _simulated_blocks(
     dense (replicas, horizon) draw, so the block size changes no result.
 
     Each stream's block is one ``standard_normal`` call into a replica-major
-    (rows, T) stage, which is scaled there and written into a time-major
-    (T, rows) slot: the noise as z s_z g + w s_w and the factors as
-    a_c + gk |h s_h|.  A ``normal(0, s)`` draw is 0 + s n, the same value
-    but for the sign of a zero, so these are the values of per-purpose
+    (rows, T) array, the kernel's layout, and is scaled there: z s_z g is the
+    noise, w s_w is added to it from a second array, which h then fills with
+    the factors a_c + gk |h s_h|.  A ``normal(0, s)`` draw is 0 + s n, the same
+    value but for the sign of a zero, so these are the values of per-purpose
     ``normal`` draws.  Every draw runs on the thread that takes the blocks.
     """
     rows = _BLOCK_ELEMENTS // spec.horizon
     z_rng = substream(spec.seed, *key, _DRAW_Z)
     w_rng = substream(spec.seed, *key, _DRAW_W)
     z_std, w_std = math.sqrt(spec.sigma_z2), math.sqrt(spec.plant.sigma_w2)
-    stage = np.empty((min(rows, spec.replicas), spec.horizon))
-    noise_slot = np.empty(stage.shape[::-1])
+    pair = np.empty((2, min(rows, spec.replicas), spec.horizon))
     if fading is not None:
         product, sigma_h2 = fading
-        h_rng = substream(spec.seed, *key, _DRAW_H)
-        h_std = math.sqrt(sigma_h2)
-        factor_slot = np.empty_like(noise_slot)
+        h_rng, h_std = substream(spec.seed, *key, _DRAW_H), math.sqrt(sigma_h2)
 
     for start in range(0, spec.replicas, rows):
-        size = min(rows, spec.replicas - start)
-        drawn, noise = stage[:size], noise_slot[:, :size]
-        z_rng.standard_normal(out=drawn)
-        drawn *= z_std
-        np.multiply(drawn, g, out=noise.T)
-        w_rng.standard_normal(out=drawn)
-        drawn *= w_std
-        np.add(noise.T, drawn, out=noise.T)
+        noise, second = pair[:, : min(rows, spec.replicas - start)]
+        z_rng.standard_normal(out=noise)
+        noise *= z_std
+        noise *= g
+        w_rng.standard_normal(out=second)
+        second *= w_std
+        noise += second
         coeff: "float | np.ndarray" = a_c
         if fading is not None:
-            coeff = factor_slot[:, :size]
-            h_rng.standard_normal(out=drawn)
-            drawn *= h_std
-            np.abs(drawn, out=drawn)
-            drawn *= product
-            np.add(drawn, a_c, out=coeff.T)
-        yield simulate_loop(coeff, noise, x0)
+            coeff = second
+            h_rng.standard_normal(out=coeff)
+            coeff *= h_std
+            np.abs(coeff, out=coeff)
+            coeff *= product
+            coeff += a_c
+        yield simulate_loop(coeff, noise, _noise_guard(spec, g), x0)
 
 
 def _mean_cost(blocks: Iterator[tuple[np.ndarray, np.ndarray]]) -> float:
@@ -196,7 +198,8 @@ def _mean_cost(blocks: Iterator[tuple[np.ndarray, np.ndarray]]) -> float:
         if diverged.any():
             return math.inf
         per_replica.append(mean_square_per_replica(states))
-    return float(np.concatenate(per_replica).mean())
+    with np.errstate(over="ignore"):  # a cost past the largest float is inf
+        return float(np.concatenate(per_replica).mean())
 
 
 # ---------------------------------------------------------------------------
@@ -236,17 +239,23 @@ def implied_trace_gains(
 def _trace_sums(
     spec: ExperimentSpec, idx: int, g: float, a_c: float, x0: float
 ) -> tuple[np.ndarray, np.ndarray, bool]:
-    """One trace cell: replica 0's states, each step's sum of squares, and no replica diverged."""
+    """One trace cell: replica 0's states (inf past the guard), the running
+    cost averaged across replicas, and whether no replica diverged."""
     first, sum_sq, ok = None, np.zeros(spec.horizon), True
     for states, diverged in _simulated_blocks(spec, (_KIND_TRACE, idx), g, a_c, x0=x0):
-        # replica-major and contiguous: the next block overwrites the
-        # kernel's slot, and the sum below must see dense rows
-        states = states.T.copy()
-        first = states[0] if first is None else first
-        # rows summed in dense row order: the block size changes no bit
-        sum_sq = np.add.reduce(np.concatenate([sum_sq[None], states**2]), axis=0)
+        if first is None:
+            first = np.where(np.abs(states[0]) < _noise_guard(spec, g), states[0], math.inf)
+        # squares summed in dense row order, a few rows at a time: the block
+        # size changes no bit.  A sum past the largest float is inf
+        with np.errstate(over="ignore"):
+            np.square(states, out=states)
+            for start in range(0, len(states), _REDUCE_ROWS):
+                rows = np.concatenate([sum_sq[None], states[start : start + _REDUCE_ROWS]])
+                sum_sq = np.add.reduce(rows, axis=0)
         ok = ok and not bool(diverged.any())
-    return first, sum_sq, ok
+    with np.errstate(over="ignore"):
+        running = np.cumsum(sum_sq / spec.replicas) / np.arange(1, spec.horizon + 1)
+    return first, running, ok
 
 
 def run_trace(
@@ -279,10 +288,8 @@ def run_trace(
     sums = _run_cells({idx: (_trace_sums, spec, idx, 0.0 if gains is None else gains.g, a_c, x0)
                        for idx, (a_c, gains) in enumerate(zip(a_c_values, all_gains))})
     for idx, (a_c, label, gains) in enumerate(zip(a_c_values, labels, all_gains)):
-        first, sum_sq, ok = sums[idx]
-        running = np.cumsum(sum_sq / spec.replicas) / np.arange(1, spec.horizon + 1)
-        shown = np.where(np.abs(first) < DIVERGENCE_GUARD, first, math.inf)
-        series[f"x_{label}"] = tuple(shown.tolist())
+        first, running, ok = sums[idx]
+        series[f"x_{label}"] = tuple(first.tolist())
         series[f"j_{label}"] = tuple(running.tolist()) if ok else (math.inf,) * spec.horizon
         gains_used[label] = None if gains is None else (gains.k, gains.g)
         if gains is None:

@@ -135,57 +135,58 @@ def predicted_cost_slow(
     return (gains.g**2 * noise.sigma_z2 + plant.sigma_w2) / (1.0 - a_c**2)
 
 
+def divergence_guard(noise_std: float) -> float:
+    """DIVERGENCE_GUARD times a loop's per-step noise std, if above 1: states scale with it."""
+    return min(DIVERGENCE_GUARD * max(1.0, noise_std), float(np.finfo(float).max))
+
+
 def simulate_loop(
-    coeff: "float | np.ndarray", noise: np.ndarray, x0: float = 0.0,
-    reset: "np.ndarray | None" = None,
+    coeff: "float | np.ndarray", noise: np.ndarray, guard: float, x0: float = 0.0,
+    carry: "np.ndarray | None" = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Run x(t+1) = c_t x(t) + n_t over a time-major (T, replicas) noise block, from x0.
+    """Run x(t+1) = c_t x(t) + n_t over a replica-major (replicas, T) noise block, from x0.
 
     ``coeff`` is one closed-loop factor for every step (slow fading) or a
-    (T, replicas) array of per-step factors (fast fading).  ``reset`` is an
-    optional (T, replicas) mask of steps whose factor is 0 instead (the coded
-    loop's decoded epochs), where the state restarts from n_t alone.  Time-major
-    rows keep every step's reads and writes contiguous.  Each state overwrites
-    the noise row it has just used, so ``noise`` holds the states on return.
-    States beyond the divergence guard are clamped and flagged; returns
-    (``noise``, now the time-major states, and diverged-per-replica).
+    (replicas, T) array of per-step factors (fast fading).  ``carry`` is an
+    optional (replicas, T) mask of the steps that carry the state; at every
+    other step (the coded loop's decoded epochs) the state restarts from n_t
+    alone.  Step t reads and writes column t, in the layout every stream is
+    drawn in, and each state overwrites the noise it has just used.  States
+    beyond ``guard`` are clamped and flagged; returns (``noise``, now the
+    states, and diverged-per-replica).
     """
-    horizon, replicas = noise.shape
+    replicas, horizon = noise.shape
     per_step = not np.isscalar(coeff)
     x = np.full(replicas, float(x0))
     scratch = np.empty(replicas)
     diverged = np.zeros(replicas, dtype=bool)
-    # a state near the float limit overflows the guard's sum of squares to
-    # inf, which still passes the guard: the clamp below is the answer to it
+    # a state near the float limit overflows the sum of squares to inf, which
+    # passes even a guard whose square is inf: the clamp below answers it
     with np.errstate(over="ignore"):
         for t in range(horizon):
-            row = noise[t]
-            np.multiply(x, coeff[t] if per_step else coeff, out=scratch)
-            # n_t + c_t x(t) in place of n_t; a reset step keeps n_t alone
-            np.add(row, scratch, out=row, where=True if reset is None else ~reset[t])
-            # one call per step: the squares sum past the guard's square whenever
-            # a state passes the guard (and, harmlessly, sometimes when none does)
-            if row @ row > DIVERGENCE_GUARD**2:
-                diverged |= np.abs(row, out=scratch) > DIVERGENCE_GUARD
-                np.clip(row, -DIVERGENCE_GUARD, DIVERGENCE_GUARD, out=row)
-            x = row
+            col = noise[:, t]
+            np.multiply(x, coeff[:, t] if per_step else coeff, out=scratch)
+            # n_t + c_t x(t) in place of n_t; a step that does not carry keeps n_t alone
+            np.add(col, scratch, out=col, where=True if carry is None else carry[:, t])
+            # one call per step: the squares sum to at least the guard's square
+            # whenever a state passes it (and, harmlessly, sometimes when none does)
+            if col @ col >= guard * guard:
+                diverged |= np.abs(col, out=scratch) > guard
+                np.clip(col, -guard, guard, out=col)
+            x = col
     return noise, diverged
 
 
-#: replicas transposed and reduced at a time: the copy stays this small
+#: replicas whose squares are summed across replicas at a time: each copy
+#: stays this small
 _REDUCE_ROWS = 64
 
 
 def mean_square_per_replica(states: np.ndarray) -> np.ndarray:
-    """Time average of x(t)^2 for each replica of time-major (T, replicas) states.
+    """Time average of x(t)^2 for each replica of replica-major (replicas, T) states.
 
-    Each replica's squares are summed as one contiguous row, as they would be
-    in a replica-major array, so the result does not depend on the layout.
+    The states are squared in place, and each replica's squares are summed as
+    one contiguous row; a mean past the largest float is inf.
     """
-    horizon, replicas = states.shape
-    means = np.empty(replicas)
-    rows = np.empty((min(replicas, _REDUCE_ROWS), horizon))
-    for start in range(0, replicas, _REDUCE_ROWS):
-        chunk = np.square(states[:, start : start + _REDUCE_ROWS].T, out=rows[: replicas - start])
-        means[start : start + len(chunk)] = np.mean(chunk, axis=1)
-    return means
+    with np.errstate(over="ignore"):
+        return np.mean(np.square(states, out=states), axis=1)

@@ -187,6 +187,51 @@ def test_trace_from_a_huge_state_is_clamped_without_a_warning(tmp_path):
     assert all(row[i] == INF_TOKEN for row in rows for i in costs)
 
 
+def test_compare_with_a_large_disturbance_simulates_every_stable_coded_loop(tmp_path):
+    # every state scales with the disturbance's std (1e11), so a guard of a
+    # fixed 1e12 flagged the stable coded loops as diverged; the guard is
+    # relative, and each coded cell is INF only where its exact verdict is
+    out = tmp_path / "cmp.csv"
+    args = ["compare", "--grid", "20 dBm", "--sigma-w2", "1e22", "--out", str(out)]
+    assert run_main(args) == EXIT_OK
+    header, row = [line.split(",") for line in out.read_text().splitlines()]
+    cells = dict(zip(header, row))
+    assert float(cells["analog_sim"]) == pytest.approx(float(cells["analog_pred"]), rel=0.05)
+    meta = json.loads((tmp_path / "cmp.csv.meta.json").read_text())["meta"]
+    stable = {name: rates[0] > meta["coded_required_success"][name]
+              for name, rates in meta["coded_word_success"].items()}
+    assert sum(stable.values()) == 3
+    assert {name: cells[name] != INF_TOKEN for name in stable} == stable
+
+
+def test_multi_slow_with_a_large_disturbance_is_not_diverged(tmp_path):
+    # the loops are stable and their predicted costs are about 1e30: the
+    # simulated ones are finite, not INF beside them
+    out = tmp_path / "ms.csv"
+    args = ["multi-slow", "--grid", "20 dBm", "--sigma-w2", "1e30", "--horizon", "50",
+            "--replicas", "20", "--out", str(out)]
+    assert run_main(args) == EXIT_OK
+    header, row = [line.split(",") for line in out.read_text().splitlines()]
+    cells = {name: float(cell) for name, cell in zip(header, row)}
+    for j in ("j1", "j2", "j_total"):
+        assert 1e29 < cells[f"{j}_pred"] < math.inf
+        assert 0.5 < cells[f"{j}_sim"] / cells[f"{j}_pred"] < 2.0
+
+
+def test_a_trace_whose_guard_squares_past_the_float_range_runs_clean(tmp_path):
+    # a disturbance std of 1e150 makes the guard 1e162, whose square is inf;
+    # under the suite's warnings-as-errors no overflow warning escapes. The
+    # factor 3 crosses the guard, and the stable factor's costs are finite
+    out = tmp_path / "trace.csv"
+    args = ["trace", "--p0", "3000 dBm", "--sigma-z2", "2900 dBm", "--sigma-w2", "1e300",
+            "--a-c", "0.5,3", "--horizon", "50", "--replicas", "20", "--out", str(out)]
+    assert run_main(args) == EXIT_OK
+    header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+    last = dict(zip(header, rows[-1]))
+    assert last["x_ac3"] == INF_TOKEN and last["j_ac3"] == INF_TOKEN
+    assert all(math.isfinite(float(dict(zip(header, row))["j_ac0.5"])) for row in rows)
+
+
 def test_compare_command_infeasible_grid_exits_2(tmp_path):
     out = tmp_path / "cmp.csv"
     code = run_main(

@@ -442,9 +442,17 @@ def test_chunk_sizes_change_no_coded_result(monkeypatch):
     assert _coded_cells() == default
 
 
+def test_kernel_row_blocks_change_no_coded_result(monkeypatch):
+    # the kernel steps 1024 replicas at a time, so 150 are one block; in
+    # 7-row blocks they are 22, the last of 3 rows
+    default = _coded_cells()
+    monkeypatch.setattr(coded, "_STEP_ROWS", 7)
+    assert _coded_cells() == default
+
+
 def test_coded_cell_memory_is_bounded_by_the_chunks():
     # drawn and detected as dense arrays this cell peaks at 138 MiB; in chunks
-    # at about 53 MiB, of which 38 MiB are the kernel's (T, replicas) states
+    # at about 49 MiB, of which 38 MiB are the kernel's (replicas, T) states
     noise = NoisePowers(sigma_z2=1e-7, p0=0.1)
     tracemalloc.start()
     try:

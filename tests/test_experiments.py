@@ -299,6 +299,24 @@ def test_fast_sweep_memory_is_bounded_by_the_block():
     assert peak < 64 * 2**20
 
 
+@pytest.mark.parametrize("cell", ["fast", "trace"])
+def test_an_analog_cell_holds_about_two_block_arrays(cell):
+    # the kernel steps the draws in the layout they arrive in: a fast cell
+    # holds its noise block and one block for w and then its factors, and a
+    # trace cell squares and sums a few rows at a time beside them
+    spec = make_spec(powers_w=(0.1,), horizon=500, replicas=5000)
+    run = {"fast": lambda: run_multi_sweep(spec, ((1, 1e-4),), regime="fast"),
+           "trace": lambda: run_trace(spec, (0.9,), h=0.01)}[cell]
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * experiments._BLOCK_ELEMENTS * 8
+
+
 def _dense_reference_cost(spec, key, g, a_c, fading=None):
     """The loop's mean cost from one dense (replicas, T) draw per substream,
     stepped by a plain time loop over replica-major arrays."""

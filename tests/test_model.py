@@ -110,10 +110,9 @@ def test_simulate_loop_clamps_at_the_guard_flags_and_resets():
     noise[2] = np.arange(1.0, horizon + 1.0)
     reset = np.zeros((3, horizon), dtype=bool)
     reset[2, 4] = True
-    # time-major inputs; the kernel writes its states over the noise it is
-    # given and returns them time-major: read them replica-major
-    states, diverged = simulate_loop(coeff.T, noise.T.copy(), x0=1.0, reset=reset.T)
-    states = states.T
+    # the kernel writes its states over the noise it is given, and carries
+    # the state at every step but the reset
+    states, diverged = simulate_loop(coeff, noise.copy(), DIVERGENCE_GUARD, x0=1.0, carry=~reset)
     # +-10^(t+1) lands on the guard at t = 11, which is not past it; from
     # t = 12 on each state is clamped to exactly the guard, sign kept
     assert_array_equal(states[0, :12], 10.0 ** np.arange(1, 13))
@@ -128,3 +127,14 @@ def test_simulate_loop_clamps_at_the_guard_flags_and_resets():
         expected.append(x)
     assert states[2, 4] == 5.0
     assert_array_equal(states[2], expected)
+
+
+def test_simulate_loop_gates_with_a_guard_whose_square_overflows():
+    # a guard of 1e200 squares to inf: replica 0 grows by 1e100 a step from
+    # x0 = 1, lands on the guard at t = 1 and passes it at t = 2, where it is
+    # clamped and flagged all the same, with no overflow warning
+    coeff = np.array([[1e100] * 5, [0.5] * 5])
+    states, diverged = simulate_loop(coeff, np.zeros((2, 5)), 1e200, x0=1.0)
+    assert_array_equal(states[0], [1e100, 1e200, 1e200, 1e200, 1e200])
+    assert_array_equal(states[1], 0.5 ** np.arange(1, 6))
+    assert diverged.tolist() == [True, False]
