@@ -239,15 +239,12 @@ def _label_table(scheme: CodingScheme) -> tuple[np.ndarray, np.ndarray]:
 _POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 #: words the link detects at a time on each axis: its temporaries stay this small
 _LINK_WORDS = 1 << 15
-#: replicas whose messages are drawn at a time.  A multiple of 4, so that
-#: each chunk takes whole 32-bit words from the generator and the chunks
-#: equal one dense uint8 draw
-_MESSAGE_ROWS = 64
-#: replicas whose epochs' plant noise is combined at a time: the open-loop
-#: sums stay this small
-_NOISE_ROWS = 64
-#: replicas the kernel steps at a time: a wider array's columns leave the
-#: cache between steps
+#: replicas whose messages are drawn, or whose epochs' plant noise is combined,
+#: at a time.  A multiple of 4, so that each message chunk takes whole 32-bit
+#: words from the generator and the chunks equal one dense uint8 draw
+_CHUNK_ROWS = 64
+#: replicas whose plant noise is drawn and stepped at a time: a wider
+#: array's columns leave the cache between the kernel's steps
 _STEP_ROWS = 1024
 
 
@@ -438,8 +435,8 @@ def run_coded_control(
     # flags are payload-independent, so the link runs first
     weights = _message_weights(scheme)
     words = np.empty((replicas, n_epochs), dtype=weights.dtype)
-    for start in range(0, replicas, _MESSAGE_ROWS):
-        chunk = words[start : start + _MESSAGE_ROWS]
+    for start in range(0, replicas, _CHUNK_ROWS):
+        chunk = words[start : start + _CHUNK_ROWS]
         sent = rng.integers(0, 2, size=(*chunk.shape, scheme.k), dtype=np.uint8)
         np.matmul(sent, weights, out=chunk)
     success = _words_intact(words, scheme, noise, h, rng)
@@ -447,27 +444,30 @@ def run_coded_control(
 
     a, std = plant.a, math.sqrt(plant.sigma_w2)
     powers = a ** np.arange(d - 2, -1, -1)
-    # std z, as normal(0, std) draws it but for the sign of a zero, which no
-    # cost depends on, in the layout the kernel steps
-    n_t = rng.standard_normal((replicas, horizon))
-    n_t *= std
-    # (replicas, epochs, d) view of the whole epochs: writes land in n_t
-    epoch_n = n_t[:, : n_epochs * d].reshape(replicas, n_epochs, d)
-    for start in range(0, replicas, _NOISE_ROWS):
-        rows = slice(start, start + _NOISE_ROWS)
-        open_loop = epoch_n[rows, :, :-1] @ powers
-        np.add(epoch_n[rows, :, -1], a * open_loop, out=epoch_n[rows, :, -1], where=success[rows])
+    # one kernel block of std z at a time, as normal(0, std) draws it but for
+    # the sign of a zero, which no cost depends on
+    noise_block = np.empty((min(replicas, _STEP_ROWS), horizon))
     # every step carries the state but a decoded epoch's last
-    carry = np.ones((min(replicas, _STEP_ROWS), horizon), dtype=bool)
-    diverged = False
+    carry = np.ones(noise_block.shape, dtype=bool)
+    per_replica, diverged = [], False
     for start in range(0, replicas, _STEP_ROWS):
-        rows = slice(start, start + _STEP_ROWS)
-        block = carry[: min(_STEP_ROWS, replicas - start)]
-        np.logical_not(success[rows], out=block[:, d - 1 : n_epochs * d : d])
-        diverged |= simulate_loop(a, n_t[rows], divergence_guard(std), carry=block)[1].any()
+        n_t = noise_block[: min(_STEP_ROWS, replicas - start)]
+        rng.standard_normal(out=n_t)
+        n_t *= std
+        decoded = success[start : start + len(n_t)]
+        # (rows, epochs, d) view of the whole epochs: writes land in n_t
+        epochs = n_t[:, : n_epochs * d].reshape(len(n_t), n_epochs, d)
+        for first in range(0, len(n_t), _CHUNK_ROWS):
+            rows = slice(first, first + _CHUNK_ROWS)
+            open_loop = epochs[rows, :, :-1] @ powers
+            np.add(epochs[rows, :, -1], a * open_loop, out=epochs[rows, :, -1], where=decoded[rows])
+        block = carry[: len(n_t)]
+        np.logical_not(decoded, out=block[:, d - 1 : n_epochs * d : d])
+        diverged |= simulate_loop(a, n_t, divergence_guard(std), carry=block)[1].any()
+        per_replica.append(mean_square_per_replica(n_t))
 
-    with np.errstate(over="ignore"):
-        cost = float(mean_square_per_replica(n_t).mean())
+    with np.errstate(over="ignore"):  # a cost past the largest float is inf
+        cost = float(np.concatenate(per_replica).mean())
     p_hat = float(success.mean()) if success.size else 0.0
     supportable = p_hat > required_success_probability(plant, scheme)
     return cost, supportable and not diverged

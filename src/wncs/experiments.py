@@ -23,7 +23,6 @@ from .coded import required_success_probability, word_success
 from .fading import rayleigh_gain_samples, substream
 from .fast_control import allocate_multi_fast, fast_snr_floor
 from .model import (
-    _REDUCE_ROWS,
     GainPair,
     NoisePowers,
     PlantParams,
@@ -245,13 +244,12 @@ def _trace_sums(
     for states, diverged in _simulated_blocks(spec, (_KIND_TRACE, idx), g, a_c, x0=x0):
         if first is None:
             first = np.where(np.abs(states[0]) < _noise_guard(spec, g), states[0], math.inf)
-        # squares summed in dense row order, a few rows at a time: the block
-        # size changes no bit.  A sum past the largest float is inf
+        # squares summed in place, in dense row order after the running sum:
+        # the block size changes no bit.  A sum past the largest float is inf
         with np.errstate(over="ignore"):
             np.square(states, out=states)
-            for start in range(0, len(states), _REDUCE_ROWS):
-                rows = np.concatenate([sum_sq[None], states[start : start + _REDUCE_ROWS]])
-                sum_sq = np.add.reduce(rows, axis=0)
+            states[0] += sum_sq
+            np.add.reduce(states, axis=0, out=sum_sq)
         ok = ok and not bool(diverged.any())
     with np.errstate(over="ignore"):
         running = np.cumsum(sum_sq / spec.replicas) / np.arange(1, spec.horizon + 1)

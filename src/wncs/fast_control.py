@@ -121,7 +121,10 @@ def _fast_design(plant: PlantParams, ssr: float, s: float, g0: float) -> _Design
     g = u / k
     if not (math.isfinite(k) and math.isfinite(g)):
         raise gains_overflow(k, g, ssr)
-    return GainPair(k=k, g=g), u, e_star, g0 * plant.sigma_w2 / denom
+    cost = g0 * plant.sigma_w2 / denom
+    if cost == math.inf:  # the product overflows where the cost need not: divide first
+        cost = g0 / denom * plant.sigma_w2
+    return GainPair(k=k, g=g), u, e_star, cost
 
 
 def allocate_multi_fast(

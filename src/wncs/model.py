@@ -177,11 +177,6 @@ def simulate_loop(
     return noise, diverged
 
 
-#: replicas whose squares are summed across replicas at a time: each copy
-#: stays this small
-_REDUCE_ROWS = 64
-
-
 def mean_square_per_replica(states: np.ndarray) -> np.ndarray:
     """Time average of x(t)^2 for each replica of replica-major (replicas, T) states.
 

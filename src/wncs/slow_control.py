@@ -120,6 +120,8 @@ def _slow_design(plant: PlantParams, ssr: float, h: float, g0: float) -> _Design
     if margin <= _BOUNDARY_RTOL * (h2g + 1.0):
         return None, a_c, math.inf, -(a * a - 1.0) / (a * h)
     j_ave = plant.sigma_w2 * (1.0 + h2g) / margin
+    if j_ave == math.inf:  # the product overflows where the cost need not: divide first
+        j_ave = plant.sigma_w2 * ((1.0 + h2g) / margin)
     k = -math.sqrt(g0 * margin / (ssr * (h2g + 1.0)))
     g = a * h * math.sqrt(g0 * ssr / ((h2g + 1.0) * margin))
     if not (math.isfinite(k) and math.isfinite(g)):

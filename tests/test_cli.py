@@ -232,6 +232,21 @@ def test_a_trace_whose_guard_squares_past_the_float_range_runs_clean(tmp_path):
     assert all(math.isfinite(float(dict(zip(header, row))["j_ac0.5"])) for row in rows)
 
 
+@pytest.mark.parametrize("argv", [["multi-fast"], ["multi-slow", "--h", "1,2"],
+                                  ["compare", "--h", "1", "--schemes", "bch7_4_qam256"]],
+                         ids=["multi-fast", "multi-slow", "compare"])
+def test_a_finite_predicted_cost_whose_product_overflows_is_finite(tmp_path, argv):
+    # gamma0 sigma_w2 = 1e310 passes the float range, but each predicted cost
+    # is about 1e300, beside finite simulated costs
+    out = tmp_path / "x.csv"
+    args = [*argv, "--grid", "3000 dBm", "--sigma-z2", "2900 dBm", "--sigma-w2", "1e300",
+            "--horizon", "50", "--replicas", "20", "--out", str(out)]
+    assert run_main(args) == EXIT_OK
+    header, row = [line.split(",") for line in out.read_text().splitlines()]
+    preds = [float(cell) for name, cell in zip(header, row) if name.endswith("_pred")]
+    assert preds and all(1e299 < pred < math.inf for pred in preds)
+
+
 def test_compare_command_infeasible_grid_exits_2(tmp_path):
     out = tmp_path / "cmp.csv"
     code = run_main(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from wncs import coded, model
+from wncs import coded
 from wncs.coded import (
     SCHEMES,
     CodingScheme,
@@ -406,10 +406,11 @@ def test_coded_loop_matches_per_symbol_reference(name, p0, horizon):
 
 
 @pytest.mark.parametrize("name", sorted(SCHEMES))
-@pytest.mark.parametrize("replicas, horizon", [(130, 101), (130, 1), (50, 101)])
+@pytest.mark.parametrize("replicas, horizon", [(130, 101), (130, 1), (50, 101), (1100, 11)])
 def test_coded_loop_matches_the_reference_across_noise_stage_fills(name, replicas, horizon):
     # 130 replicas leave a last plant-noise chunk of 2 rows, 50 fill the
-    # stage only partly, and a 1-step horizon is shorter than every epoch
+    # stage only partly, a 1-step horizon is shorter than every epoch, and
+    # 1100 replicas are two kernel blocks, the last of 76 rows
     noise = NoisePowers(sigma_z2=1e-7, p0=1.0)
     scheme = SCHEMES[name]
     got = run_coded_control(PLANT, noise, 0.01, scheme, horizon, substream(5, 2), replicas)
@@ -430,29 +431,28 @@ def _coded_cells():
 
 
 def test_chunk_sizes_change_no_coded_result(monkeypatch):
-    # 64-row chunks, one 2^15-word link chunk and 64-replica reductions by
-    # default; then plant noise in 7-row chunks, link words in 999-word chunks
-    # and reductions of 5 replicas.  Message chunks must stay a multiple of 4
-    # rows to take whole 32-bit words of the generator: 4 here
+    # 64-row chunks and one 2^15-word link chunk by default; then messages
+    # and plant noise in 4-row chunks and link words in 999-word chunks.
+    # Message chunks must stay a multiple of 4 rows to take whole 32-bit
+    # words of the generator
     default = _coded_cells()
-    monkeypatch.setattr(coded, "_NOISE_ROWS", 7)
+    monkeypatch.setattr(coded, "_CHUNK_ROWS", 4)
     monkeypatch.setattr(coded, "_LINK_WORDS", 999)
-    monkeypatch.setattr(coded, "_MESSAGE_ROWS", 4)
-    monkeypatch.setattr(model, "_REDUCE_ROWS", 5)
     assert _coded_cells() == default
 
 
 def test_kernel_row_blocks_change_no_coded_result(monkeypatch):
-    # the kernel steps 1024 replicas at a time, so 150 are one block; in
-    # 7-row blocks they are 22, the last of 3 rows
+    # plant noise is drawn and stepped 1024 replicas at a time, so 150 are
+    # one block; in 7-row blocks they are 22, the last of 3 rows
     default = _coded_cells()
     monkeypatch.setattr(coded, "_STEP_ROWS", 7)
     assert _coded_cells() == default
 
 
 def test_coded_cell_memory_is_bounded_by_the_chunks():
-    # drawn and detected as dense arrays this cell peaks at 138 MiB; in chunks
-    # at about 49 MiB, of which 38 MiB are the kernel's (replicas, T) states
+    # drawn and detected as dense arrays this cell peaks at 138 MiB; with its
+    # whole (replicas, T) plant noise at about 49 MiB, and a kernel block at
+    # a time at about 16 MiB
     noise = NoisePowers(sigma_z2=1e-7, p0=0.1)
     tracemalloc.start()
     try:
@@ -464,4 +464,4 @@ def test_coded_cell_memory_is_bounded_by_the_chunks():
     finally:
         tracemalloc.stop()
     assert stable and math.isfinite(cost)
-    assert peak < 64 * 2**20
+    assert peak < 24 * 2**20

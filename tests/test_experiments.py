@@ -9,7 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from wncs import experiments
 from wncs.coded import SCHEMES, CodingScheme, required_success_probability, word_success
@@ -303,7 +303,7 @@ def test_fast_sweep_memory_is_bounded_by_the_block():
 def test_an_analog_cell_holds_about_two_block_arrays(cell):
     # the kernel steps the draws in the layout they arrive in: a fast cell
     # holds its noise block and one block for w and then its factors, and a
-    # trace cell squares and sums a few rows at a time beside them
+    # trace cell squares its block and sums it in place
     spec = make_spec(powers_w=(0.1,), horizon=500, replicas=5000)
     run = {"fast": lambda: run_multi_sweep(spec, ((1, 1e-4),), regime="fast"),
            "trace": lambda: run_trace(spec, (0.9,), h=0.01)}[cell]
@@ -317,8 +317,8 @@ def test_an_analog_cell_holds_about_two_block_arrays(cell):
     assert peak < 2.5 * experiments._BLOCK_ELEMENTS * 8
 
 
-def _dense_reference_cost(spec, key, g, a_c, fading=None):
-    """The loop's mean cost from one dense (replicas, T) draw per substream,
+def _dense_reference_states(spec, key, g, a_c, fading=None, x0=0.0):
+    """The loop's states from one dense (replicas, T) draw per substream,
     stepped by a plain time loop over replica-major arrays."""
     shape = (spec.replicas, spec.horizon)
 
@@ -331,11 +331,17 @@ def _dense_reference_cost(spec, key, g, a_c, fading=None):
     if fading is not None:
         product, sigma_h2 = fading
         coeff = a_c + product * np.abs(draw(experiments._DRAW_H, sigma_h2))
-    x, states = np.zeros(spec.replicas), np.empty(shape)
+    x, states = np.full(spec.replicas, x0), np.empty(shape)
     for t in range(spec.horizon):
         x = coeff[:, t] * x + noise[:, t]
         states[:, t] = x
     assert (np.abs(states) < DIVERGENCE_GUARD).all()
+    return states
+
+
+def _dense_reference_cost(spec, key, g, a_c, fading=None):
+    """The loop's mean cost from ``_dense_reference_states``."""
+    states = _dense_reference_states(spec, key, g, a_c, fading)
     return float(np.mean(states**2, axis=1).mean())
 
 
@@ -352,6 +358,21 @@ def test_blocks_equal_a_dense_reference(monkeypatch, block_rows, g, a_c, fading)
     key = (experiments._KIND_MULTI_FAST, 0, 1)
     blocks = experiments._simulated_blocks(spec, key, g, a_c, fading)
     assert experiments._mean_cost(blocks) == _dense_reference_cost(spec, key, g, a_c, fading)
+
+
+def test_trace_blocks_sum_to_one_dense_reduction(monkeypatch):
+    # 50 replicas in 7-row blocks: 8 blocks, each added into the running sum
+    # in place.  The running cost equals the one from a single dense
+    # reduction of every replica's squares, bit for bit
+    spec = make_spec(horizon=60, replicas=50)
+    g, a_c, x0 = 138.97, 0.9, 5.0
+    monkeypatch.setattr(experiments, "_BLOCK_ELEMENTS", 7 * spec.horizon)
+    first, running, ok = experiments._trace_sums(spec, 0, g, a_c, x0)
+    states = _dense_reference_states(spec, (experiments._KIND_TRACE, 0), g, a_c, x0=x0)
+    sum_sq = np.add.reduce(states**2, axis=0)
+    assert ok
+    assert_array_equal(first, states[0])
+    assert_array_equal(running, np.cumsum(sum_sq / spec.replicas) / np.arange(1, spec.horizon + 1))
 
 
 @pytest.mark.parametrize("fading", [None, (1e-3, 1e-4)], ids=["slow", "fast"])
