@@ -239,46 +239,30 @@ def _label_table(scheme: CodingScheme) -> tuple[np.ndarray, np.ndarray]:
 _POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 #: words the link detects at a time on each axis: its temporaries stay this small
 _LINK_WORDS = 1 << 15
-#: replicas whose messages are drawn, or whose epochs' plant noise is combined,
-#: at a time.  A multiple of 4, so that each message chunk takes whole 32-bit
-#: words from the generator and the chunks equal one dense uint8 draw
+#: rows of messages drawn, or of epochs' plant noise combined, at a time.
+#: A multiple of 4, so that each message chunk takes whole 32-bit words from
+#: the generator and the chunks equal one dense uint8 draw
 _CHUNK_ROWS = 64
 #: replicas whose plant noise is drawn and stepped at a time: a wider
 #: array's columns leave the cache between the kernel's steps
 _STEP_ROWS = 1024
 
 
-def _message_weights(scheme: CodingScheme) -> np.ndarray:
-    """Weights that read (..., k) message bits as their row of ``_label_table``.
-
-    They have the table's index width: a wider matmul would copy the bits at
-    that width.
-    """
-    table, _ = _label_table(scheme)
-    return (1 << np.arange(scheme.k - 1, -1, -1)).astype(np.min_scalar_type(len(table) - 1))
-
-
-def _link_success(
-    sent: np.ndarray, scheme: CodingScheme, noise: NoisePowers, h: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Send (..., k) message bits over the coded link; True where a word arrives intact."""
-    return _words_intact(sent @ _message_weights(scheme), scheme, noise, h, rng)
-
-
 def _words_intact(
-    words: np.ndarray, scheme: CodingScheme, noise: NoisePowers, h: float, rng: np.random.Generator
+    shape: tuple, scheme: CodingScheme, noise: NoisePowers, h: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """Send codewords, given as ``_label_table`` rows, over the link; True where one arrives intact.
+    """Send uniform k-bit messages of ``shape`` over the link; True where one arrives intact.
 
-    The link encodes, zero-pads to whole symbols, modulates at power p0,
-    scales by h, adds complex AWGN of power sigma_z2 per real dimension
-    (real parts drawn first), detects and decodes.  A perfect t = 1 code
-    returns the sent message iff at most one code bit is wrong, so each axis
-    is detected in real arithmetic from the codeword's label-table row, and
-    the word succeeds iff its label XOR has at most one set bit on code bits.
-    The words are detected a chunk at a time, every real axis before any
-    imaginary one: consecutive chunks of a normal draw equal the dense draw,
-    so the chunk size changes no result.
+    The messages are drawn first, ``_CHUNK_ROWS`` rows at a time, and each is
+    read as its ``_label_table`` row.  Then the link encodes, zero-pads to
+    whole symbols, modulates at power p0, scales by h, adds complex AWGN of
+    power sigma_z2 per real dimension (real parts drawn first), detects and
+    decodes.  A perfect t = 1 code returns the sent message iff at most one
+    code bit is wrong, so each axis is detected in real arithmetic from the
+    codeword's label-table row, and the word succeeds iff its label XOR has
+    at most one set bit on code bits.  The words are detected a chunk at a
+    time, every real axis before any imaginary one: consecutive chunks of a
+    normal draw equal the dense draw, so the chunk size changes no result.
 
     Only the words holding a noise sample at or beyond ``_safe_radius`` run
     the detection chain: a sample inside it detects as the level sent.
@@ -292,6 +276,14 @@ def _words_intact(
     amplitude = (2.0 * from_gray - (levels - 1)) * c
     tau = _safe_radius(levels, c, h)
     std = math.sqrt(noise.sigma_z2)
+    # message bits read as MSB-first integers at the table's index width: a
+    # wider matmul would copy the bits at that width
+    weights = (1 << np.arange(scheme.k - 1, -1, -1)).astype(np.min_scalar_type(len(table) - 1))
+    words = np.empty(shape, dtype=weights.dtype)
+    for start in range(0, len(words), _CHUNK_ROWS):
+        chunk = words[start : start + _CHUNK_ROWS]
+        sent = rng.integers(0, 2, size=(*chunk.shape, scheme.k), dtype=np.uint8)
+        np.matmul(sent, weights, out=chunk)
     flat = words.reshape(-1)
     # code bits wrong per word, summed as a matmul, far faster than sum() over
     # so short an axis; a code whose table fits in memory has n < 256, so the
@@ -319,7 +311,7 @@ def _words_intact(
                 errors ^= labels
                 errors &= mask[:, axis]
                 flips[start + rows] += _POPCOUNT[errors.view(np.uint8)] @ ones
-    return (flips <= 1).reshape(words.shape)
+    return (flips <= 1).reshape(shape)
 
 
 def _detect(y: np.ndarray, levels: int, c: float, h: float) -> np.ndarray:
@@ -397,8 +389,7 @@ def estimate_word_success(
     """Monte-Carlo word success rate of one scheme at one channel gain."""
     if words < 1:
         raise ValueError(f"words must be >= 1 (got {words})")
-    sent = rng.integers(0, 2, size=(words, scheme.k), dtype=np.uint8)
-    return float(np.mean(_link_success(sent, scheme, noise, h, rng)))
+    return float(np.mean(_words_intact((words,), scheme, noise, h, rng)))
 
 
 def run_coded_control(
@@ -433,14 +424,7 @@ def run_coded_control(
     # each purpose is one run of draws from rng, taken in order a chunk at a
     # time: the messages, the link's noise, then the plant noise.  Success
     # flags are payload-independent, so the link runs first
-    weights = _message_weights(scheme)
-    words = np.empty((replicas, n_epochs), dtype=weights.dtype)
-    for start in range(0, replicas, _CHUNK_ROWS):
-        chunk = words[start : start + _CHUNK_ROWS]
-        sent = rng.integers(0, 2, size=(*chunk.shape, scheme.k), dtype=np.uint8)
-        np.matmul(sent, weights, out=chunk)
-    success = _words_intact(words, scheme, noise, h, rng)
-    del words
+    success = _words_intact((replicas, n_epochs), scheme, noise, h, rng)
 
     a, std = plant.a, math.sqrt(plant.sigma_w2)
     powers = a ** np.arange(d - 2, -1, -1)

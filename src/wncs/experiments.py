@@ -48,6 +48,9 @@ _BLOCK_ELEMENTS = 1 << 18
 #: cell threads, which run every recipe's simulation cells two at a time: a
 #: constant, whatever the replica count, and no option sets it
 _DRAW_THREADS = 2
+#: the most channel draws and per-budget counts a selection sweep holds at
+#: once, realizations x (largest M0 + grid points): about 0.7 GB at peak
+MAX_SELECTION_VALUES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -533,6 +536,12 @@ def run_selection_sweep(
         raise ValueError(f"realizations must be >= 1 (got {realizations})")
     if any(m < 1 for m in m0_values):
         raise ValueError("every M0 must be >= 1")
+    largest, points = max(m0_values), len(spec.powers_w)
+    if realizations * (largest + points) > MAX_SELECTION_VALUES:
+        raise ValueError(
+            f"realizations x (largest M0 + grid points) = {realizations} x ({largest} + {points}) "
+            f"exceeds the selection sweep's bound of {MAX_SELECTION_VALUES} values held at once"
+        )
     labels = [f"m{m0}_avg_selected" for m0 in m0_values]
     _refuse_clashes(m0_values, labels, "M0 values")
     series: dict[str, tuple[float, ...]] = {}

@@ -21,7 +21,7 @@ from wncs.cli import (
     parse_power_grid,
     watts_to_dbm,
 )
-from wncs.experiments import SweepResult
+from wncs.experiments import MAX_SELECTION_VALUES, SweepResult
 
 
 def test_dbm_round_trip():
@@ -487,6 +487,26 @@ def test_a_grid_range_of_too_many_points_is_refused_at_once(tmp_path, capsys):
     assert main(["compare", "--grid", "0:1:1e-300 dBm", "--out", str(out)]) == EXIT_USAGE
     assert time.perf_counter() - started < 1.0
     assert "grid range '0:1:1e-300' holds more than 10000 points" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, held",
+    [(["--m0", "99999999999999999999"], "10000 x (99999999999999999999 + 13)"),
+     (["--realizations", "100000000"], "100000000 x (10 + 13)")],
+    ids=["m0", "realizations"],
+)
+def test_a_selection_sweep_too_large_to_hold_is_refused_at_once(tmp_path, capsys, argv, held):
+    # refused by its size before any draw, not drawn until memory runs out
+    # (or, for the M0, after building one substream per plant)
+    started = time.perf_counter()
+    out = tmp_path / "x.csv"
+    assert main(["select-sweep", *argv, "--out", str(out)]) == EXIT_USAGE
+    assert time.perf_counter() - started < 1.0
+    err = capsys.readouterr().err
+    assert f"realizations x (largest M0 + grid points) = {held} exceeds" in err
+    assert f"bound of {MAX_SELECTION_VALUES} values" in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 

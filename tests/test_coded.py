@@ -10,7 +10,6 @@ from wncs import coded
 from wncs.coded import (
     SCHEMES,
     CodingScheme,
-    _link_success,
     bch_decode,
     bch_encode,
     estimate_word_success,
@@ -288,13 +287,13 @@ OWN_SCHEME = CodingScheme("own", 15, 11, 0b10011, bits_per_symbol=6)  # 3 paddin
 @pytest.mark.parametrize("p0_dbm", [0.1, 1.0, 10.0])
 @pytest.mark.parametrize("h", [0.01, -0.01])
 def test_link_matches_the_codec_chain(scheme, p0_dbm, h):
-    # the label-table link must give the chain's flags from the same draws;
-    # every cell holds both verdicts, so equal flags pin both
+    # the label-table link draws the chain's messages and must give the
+    # chain's flags from the same draws; every cell holds both verdicts, so
+    # equal flags pin both
     noise = NoisePowers(sigma_z2=1e-7, p0=1e-3 * 10.0 ** (p0_dbm / 10.0))
     got_rng, want_rng = substream(3, 0), substream(3, 0)
-    sent = got_rng.integers(0, 2, size=(300, 40, scheme.k), dtype=np.uint8)
-    want_rng.integers(0, 2, size=sent.shape, dtype=np.uint8)
-    got = _link_success(sent, scheme, noise, h, got_rng)
+    sent = want_rng.integers(0, 2, size=(300, 40, scheme.k), dtype=np.uint8)
+    got = coded._words_intact(sent.shape[:-1], scheme, noise, h, got_rng)
     want = _reference_link_success(sent, scheme, noise, h, want_rng)
     assert want.any() and not want.all()
     assert_array_equal(got, want)
@@ -321,9 +320,8 @@ def test_every_level_detects_as_sent_at_the_safe_radius(bits, p0_dbm, h):
 def _assert_link_matches_the_chain(scheme, noise, h, words=(300, 40)):
     """The label-table link and the codec chain give equal flags from equal draws."""
     got_rng, want_rng = substream(3, 0), substream(3, 0)
-    sent = got_rng.integers(0, 2, size=(*words, scheme.k), dtype=np.uint8)
-    want_rng.integers(0, 2, size=sent.shape, dtype=np.uint8)
-    got = _link_success(sent, scheme, noise, h, got_rng)
+    sent = want_rng.integers(0, 2, size=(*words, scheme.k), dtype=np.uint8)
+    got = coded._words_intact(sent.shape[:-1], scheme, noise, h, got_rng)
     want = _reference_link_success(sent, scheme, noise, h, want_rng)
     assert_array_equal(got, want)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
@@ -430,15 +428,28 @@ def _coded_cells():
     return cells
 
 
+def _word_estimates():
+    """A k = 4 and a k = 11 scheme's estimated word success over 1001 words, and final states."""
+    noise = NoisePowers(sigma_z2=1e-7, p0=dbm(10.0))
+    estimates = []
+    for name in ("bch7_4_qam16", "bch15_11_qam16"):
+        rng = substream(5, 3)
+        estimates.append((estimate_word_success(SCHEMES[name], noise, 0.01, rng, words=1001),
+                          rng.bit_generator.state))
+    return estimates
+
+
 def test_chunk_sizes_change_no_coded_result(monkeypatch):
     # 64-row chunks and one 2^15-word link chunk by default; then messages
     # and plant noise in 4-row chunks and link words in 999-word chunks.
     # Message chunks must stay a multiple of 4 rows to take whole 32-bit
-    # words of the generator
-    default = _coded_cells()
+    # words of the generator; 1001 words leave a last message chunk of 41
+    # rows by default and of 1 row in 4-row chunks
+    default, estimates = _coded_cells(), _word_estimates()
     monkeypatch.setattr(coded, "_CHUNK_ROWS", 4)
     monkeypatch.setattr(coded, "_LINK_WORDS", 999)
     assert _coded_cells() == default
+    assert _word_estimates() == estimates
 
 
 def test_kernel_row_blocks_change_no_coded_result(monkeypatch):
