@@ -24,7 +24,6 @@ from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import yaml
 
 from . import __version__
 from .coded import SCHEMES, bch_decode, bch_encode, qam_detect, qam_modulate
@@ -74,7 +73,13 @@ MAX_GRID_POINTS = 10_000
 
 
 def dbm_to_watts(dbm: float) -> float:
-    return 10.0 ** ((dbm - 30.0) / 10.0)
+    try:
+        return 10.0 ** ((dbm - 30.0) / 10.0)
+    except OverflowError:
+        limit = watts_to_dbm(sys.float_info.max)
+        raise ValueError(
+            f"power {dbm!r} dBm is past the largest float power, about {limit:.1f} dBm"
+        ) from None
 
 
 _TO_WATTS = {"dbm": dbm_to_watts, "mw": lambda v: v * 1e-3, "w": float}
@@ -279,6 +284,9 @@ _RECIPES: dict[str, tuple[str, tuple[tuple[str, str], ...], Callable]] = {
 
 
 def _load_config_file(path: str) -> dict:
+    # imported here, so that a run without --config never loads it
+    import yaml
+
     try:
         with open(path, "r", encoding="utf-8") as f:
             raw = yaml.safe_load(f)

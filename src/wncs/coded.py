@@ -243,8 +243,9 @@ _LINK_WORDS = 1 << 15
 #: A multiple of 4, so that each message chunk takes whole 32-bit words from
 #: the generator and the chunks equal one dense uint8 draw
 _CHUNK_ROWS = 64
-#: replicas whose plant noise is drawn and stepped at a time: a wider
-#: array's columns leave the cache between the kernel's steps
+#: replicas whose plant noise is drawn and stepped at a time: a memory bound,
+#: one (rows, T) block of noise and one carry mask a cell.  Fewer rows would
+#: pay the kernel's fixed cost a step more often
 _STEP_ROWS = 1024
 
 

@@ -43,8 +43,10 @@ _KIND_TRACE, _KIND_COMPARE, _KIND_MULTI_SLOW, _KIND_MULTI_FAST, _KIND_SELECT = r
 _DRAW_Z, _DRAW_W, _DRAW_H, _DRAW_CODED = range(4)
 
 #: replica-steps drawn and simulated at a time, whatever the replica count;
-#: a block's rows are this over the horizon
-_BLOCK_ELEMENTS = 1 << 18
+#: a block's rows are this over the horizon, and at least one
+_BLOCK_ELEMENTS = 1 << 17
+#: the longest horizon a run may ask for: a one-row block of it is 2 MiB a stream
+MAX_HORIZON = 1 << 18
 #: cell threads, which run every recipe's simulation cells two at a time: a
 #: constant, whatever the replica count, and no option sets it
 _DRAW_THREADS = 2
@@ -72,11 +74,8 @@ class ExperimentSpec:
             require_positive(p, "grid power (watts)")
         if any(b <= a for a, b in zip(self.powers_w, self.powers_w[1:])):
             raise ValueError("power grid must be strictly increasing")
-        # a block then holds at least one replica's whole horizon
-        if not 1 <= self.horizon <= _BLOCK_ELEMENTS:
-            raise ValueError(
-                f"horizon must be between 1 and {_BLOCK_ELEMENTS} (got {self.horizon})"
-            )
+        if not 1 <= self.horizon <= MAX_HORIZON:
+            raise ValueError(f"horizon must be between 1 and {MAX_HORIZON} (got {self.horizon})")
         if self.replicas < 1:
             raise ValueError(f"replicas must be >= 1 (got {self.replicas})")
         if self.seed < 0:
@@ -165,7 +164,7 @@ def _simulated_blocks(
     value but for the sign of a zero, so these are the values of per-purpose
     ``normal`` draws.  Every draw runs on the thread that takes the blocks.
     """
-    rows = _BLOCK_ELEMENTS // spec.horizon
+    rows = max(1, _BLOCK_ELEMENTS // spec.horizon)
     z_rng = substream(spec.seed, *key, _DRAW_Z)
     w_rng = substream(spec.seed, *key, _DRAW_W)
     z_std, w_std = math.sqrt(spec.sigma_z2), math.sqrt(spec.plant.sigma_w2)

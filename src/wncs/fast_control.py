@@ -24,6 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .model import GainPair, NoisePowers, PlantParams, gains_overflow, require_positive
+from .model import require_ssr
 from .slow_control import (
     _BOUNDARY_RTOL, _DesignFields, MultiDesign, SnrAllocation, _require_budget, _split_slack,
 )
@@ -117,7 +118,7 @@ def _fast_design(plant: PlantParams, ssr: float, s: float, g0: float) -> _Design
     denom = (1.0 - e_star) * g0 - u * u
     if denom <= _BOUNDARY_RTOL * (1.0 - e_star) * g0:
         return None, u, e_star, math.inf
-    k = -math.sqrt(denom / ssr)
+    k = -math.sqrt(denom / require_ssr(ssr))
     g = u / k
     if not (math.isfinite(k) and math.isfinite(g)):
         raise gains_overflow(k, g, ssr)

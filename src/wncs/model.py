@@ -21,12 +21,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 #: trajectories whose magnitude passes this guard are truncated and reported
 #: as diverged instead of polluting averages with overflow
 DIVERGENCE_GUARD = 1e12
+#: columns of a block that ``simulate_loop`` gathers and steps at a time
+_WINDOW = 32
 
 
 def require_positive(value: float, what: str) -> float:
@@ -120,6 +123,16 @@ def gains_overflow(k: float, g: float, ssr: float) -> ValueError:
                       f"to-noise ratio sigma_w2/sigma_z2 = {ssr!r} is out of range for the budget")
 
 
+def require_ssr(ssr: float) -> float:
+    """``ssr`` itself when it is not 0; otherwise the ValueError of a design that divides by it."""
+    if ssr == 0.0:
+        raise ValueError(
+            f"the disturbance-to-noise ratio sigma_w2/sigma_z2 is {ssr!r}, and the design divides "
+            "by it: give a disturbance power whose ratio to the channel noise power is > 0"
+        )
+    return ssr
+
+
 def predicted_cost_slow(
     plant: PlantParams, noise: NoisePowers, gains: GainPair, h: float
 ) -> float:
@@ -140,6 +153,32 @@ def divergence_guard(noise_std: float) -> float:
     return min(DIVERGENCE_GUARD * max(1.0, noise_std), float(np.finfo(float).max))
 
 
+def _step_slab(
+    slab: np.ndarray, factors, mask, scratch: np.ndarray,
+    guard: "float | None" = None, diverged: "np.ndarray | None" = None,
+) -> None:
+    """Step x(t+1) = c_t x(t) + n_t down a time-major slab, each row from the one above.
+
+    Row 0 holds the state the slab starts from and every later row its
+    step's noise, which the new state overwrites.  ``factors`` and ``mask``
+    yield one entry per step: the factor (a scalar or a row) and the carry
+    row, or None where every step carries.  With a ``guard``, every state
+    past it is clamped and flagged in ``diverged`` as soon as it is made.
+    """
+    for prev, row, factor, carries in zip(slab[:-1], slab[1:], factors, mask):
+        np.multiply(prev, factor, scratch)
+        # n_t + c_t x(t) in place of n_t; a step that does not carry keeps n_t alone
+        if carries is None:
+            np.add(row, scratch, row)
+        else:
+            np.add(row, scratch, row, where=carries)
+        # the squares sum to at least the guard's square whenever a state
+        # passes it (and, harmlessly, sometimes when none does)
+        if guard is not None and row @ row >= guard * guard:
+            diverged |= np.abs(row, out=scratch) > guard
+            np.clip(row, -guard, guard, out=row)
+
+
 def simulate_loop(
     coeff: "float | np.ndarray", noise: np.ndarray, guard: float, x0: float = 0.0,
     carry: "np.ndarray | None" = None,
@@ -150,30 +189,43 @@ def simulate_loop(
     (replicas, T) array of per-step factors (fast fading).  ``carry`` is an
     optional (replicas, T) mask of the steps that carry the state; at every
     other step (the coded loop's decoded epochs) the state restarts from n_t
-    alone.  Step t reads and writes column t, in the layout every stream is
-    drawn in, and each state overwrites the noise it has just used.  States
-    beyond ``guard`` are clamped and flagged; returns (``noise``, now the
+    alone.  The block is stepped ``_WINDOW`` columns at a time: each window's
+    noise, factors and mask are gathered into small time-major slabs, whose
+    rows are contiguous, and the states are scattered back over the noise
+    they used.  A window whose states all stay within ``guard`` needs no
+    clamp; any other window is stepped again from the block, with every
+    state past the guard clamped and flagged as it is made.  Either way the
+    arithmetic is that of one step per column.  Returns (``noise``, now the
     states, and diverged-per-replica).
     """
     replicas, horizon = noise.shape
     per_step = not np.isscalar(coeff)
-    x = np.full(replicas, float(x0))
+    window = min(_WINDOW, horizon)
+    slab = np.empty((window + 1, replicas))
+    slab[0] = x0
+    factors = np.empty((window, replicas)) if per_step else repeat(coeff)
+    mask = repeat(None) if carry is None else np.empty((window, replicas), dtype=bool)
     scratch = np.empty(replicas)
     diverged = np.zeros(replicas, dtype=bool)
     # a state near the float limit overflows the sum of squares to inf, which
-    # passes even a guard whose square is inf: the clamp below answers it
+    # passes even a guard whose square is inf: the clamp answers it
     with np.errstate(over="ignore"):
-        for t in range(horizon):
-            col = noise[:, t]
-            np.multiply(x, coeff[:, t] if per_step else coeff, out=scratch)
-            # n_t + c_t x(t) in place of n_t; a step that does not carry keeps n_t alone
-            np.add(col, scratch, out=col, where=True if carry is None else carry[:, t])
-            # one call per step: the squares sum to at least the guard's square
-            # whenever a state passes it (and, harmlessly, sometimes when none does)
-            if col @ col >= guard * guard:
-                diverged |= np.abs(col, out=scratch) > guard
-                np.clip(col, -guard, guard, out=col)
-            x = col
+        for start in range(0, horizon, window):
+            cols = slice(start, min(start + window, horizon))
+            steps = cols.stop - start
+            states = slab[: steps + 1]
+            np.copyto(states[1:], noise[:, cols].T)
+            if per_step:
+                np.copyto(factors[:steps], coeff[:, cols].T)
+            if carry is not None:
+                np.copyto(mask[:steps], carry[:, cols].T)
+            _step_slab(states, factors, mask, scratch)
+            # NaN fails the check too, and its window is stepped again
+            if not np.abs(states[1:]).max() <= guard:
+                np.copyto(states[1:], noise[:, cols].T)
+                _step_slab(states, factors, mask, scratch, guard, diverged)
+            np.copyto(noise[:, cols], states[1:].T)
+            slab[0] = states[-1]
     return noise, diverged
 
 

@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .model import GainPair, NoisePowers, PlantParams, gains_overflow, require_magnitude
-from .model import require_positive
+from .model import require_positive, require_ssr
 
 #: relative slack below which a budget is treated as sitting exactly on a floor
 _BOUNDARY_RTOL = 1e-12
@@ -122,7 +122,7 @@ def _slow_design(plant: PlantParams, ssr: float, h: float, g0: float) -> _Design
     j_ave = plant.sigma_w2 * (1.0 + h2g) / margin
     if j_ave == math.inf:  # the product overflows where the cost need not: divide first
         j_ave = plant.sigma_w2 * ((1.0 + h2g) / margin)
-    k = -math.sqrt(g0 * margin / (ssr * (h2g + 1.0)))
+    k = -math.sqrt(g0 * margin / (require_ssr(ssr) * (h2g + 1.0)))
     g = a * h * math.sqrt(g0 * ssr / ((h2g + 1.0) * margin))
     if not (math.isfinite(k) and math.isfinite(g)):
         raise gains_overflow(k, g, ssr)

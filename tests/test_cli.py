@@ -2,12 +2,17 @@
 import hashlib
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wncs
 from wncs import cli, coded
 from wncs.cli import (
     EXIT_INFEASIBLE,
@@ -30,6 +35,29 @@ def test_dbm_round_trip():
     assert watts_to_dbm(0.1) == pytest.approx(20.0, abs=1e-12)
     for dbm in (-40.0, 0.9691, 20.0):
         assert watts_to_dbm(dbm_to_watts(dbm)) == pytest.approx(dbm, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "argv", [["trace", "--p0", "4000 dBm"], ["compare", "--grid", "0:9999:1 dBm"]],
+    ids=["p0", "grid"],
+)
+def test_a_dbm_power_past_the_float_range_is_refused_by_name(tmp_path, capsys, argv):
+    # 10^((dBm - 30)/10) W overflows a float past about 3112.5 dBm
+    assert math.isfinite(dbm_to_watts(3112.5))
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "dBm is past the largest float power, about 3112.5 dBm" in err
+    assert "Traceback" not in err and "Numerical result" not in err
+    assert not out.exists()
+
+
+def test_importing_the_cli_loads_no_yaml():
+    # only --config reads YAML: a fresh interpreter that imports the CLI leaves it out
+    src = str(Path(wncs.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, wncs.cli; sys.exit('yaml' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_parse_power_units():
@@ -596,6 +624,32 @@ def test_a_channel_power_past_the_float_range_is_no_traceback(tmp_path, capsys, 
         assert all(cell == "INF" for row in out.read_text().splitlines()[1:]
                    for cell in row.split(",")[1:])
     else:
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["multi-slow", "--grid", "300dBm"], EXIT_USAGE),
+        (["multi-fast", "--grid", "300dBm"], EXIT_USAGE),
+        (["compare", "--grid", "300dBm"], EXIT_USAGE),
+        (["multi-slow", "--grid", "300dBm", "--g-common", "1"], EXIT_USAGE),
+        (["multi-slow", "--grid", "300dBm", "--k-common=-1"], EXIT_USAGE),
+        (["trace", "--p0", "300dBm"], EXIT_OK),
+    ],
+    ids=["multi-slow", "multi-fast", "compare", "g-common", "k-common", "trace"],
+)
+def test_a_disturbance_ratio_that_underflows_to_0_is_refused_by_name(tmp_path, capsys, argv,
+                                                                    code):
+    # sigma_w2/sigma_z2 = 5e-324 W / 10 W is 0.0: the designs that divide by
+    # it refuse it by name, and trace, whose gains need no division, runs
+    out = tmp_path / "x.csv"
+    small = ["--sigma-w2", "5e-324", "--sigma-z2", "40dBm", "--horizon", "10", "--replicas", "2"]
+    assert main([*argv, *small, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == EXIT_USAGE:
+        assert "the disturbance-to-noise ratio sigma_w2/sigma_z2 is 0.0" in err
         assert not out.exists()
 
 

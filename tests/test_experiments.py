@@ -251,11 +251,10 @@ def test_a_point_on_the_reported_floors_is_allocated():
     assert _allocated_on_the_reported_floors(fast_pair, "fast", PlantParams(1.439, 0.1))
 
 
-def test_spec_refuses_a_negative_seed_and_a_horizon_past_one_block():
-    # a block then always holds at least one replica's whole horizon
-    make_spec(horizon=experiments._BLOCK_ELEMENTS, replicas=1)
+def test_spec_refuses_a_negative_seed_and_a_horizon_past_the_bound():
+    make_spec(horizon=experiments.MAX_HORIZON, replicas=1)
     with pytest.raises(ValueError, match=r"horizon must be between 1 and 262144 \(got 262145\)"):
-        make_spec(horizon=experiments._BLOCK_ELEMENTS + 1)
+        make_spec(horizon=experiments.MAX_HORIZON + 1)
     with pytest.raises(ValueError, match=r"seed must be >= 0 \(got -1\)"):
         make_spec(seed=-1)
 
@@ -278,11 +277,13 @@ def _block_sensitive_results():
 
 
 def test_block_size_changes_no_result(monkeypatch):
-    # 7-row blocks: 50 replicas run as 7 whole blocks plus a 1-row remainder
+    # 7-row blocks: 50 replicas run as 7 whole blocks plus a 1-row remainder;
+    # a block smaller than the horizon still holds one row
     default = _block_sensitive_results()
     assert experiments._BLOCK_ELEMENTS // 60 >= 50  # one block by default
-    monkeypatch.setattr(experiments, "_BLOCK_ELEMENTS", 7 * 60 + 59)
-    assert _block_sensitive_results() == default
+    for elements in (7 * 60 + 59, 59):
+        monkeypatch.setattr(experiments, "_BLOCK_ELEMENTS", elements)
+        assert _block_sensitive_results() == default
 
 
 def test_fast_sweep_memory_is_bounded_by_the_block():

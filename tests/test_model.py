@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from wncs import model
 from wncs.model import (
     DIVERGENCE_GUARD,
     GainPair,
@@ -138,3 +139,66 @@ def test_simulate_loop_gates_with_a_guard_whose_square_overflows():
     assert_array_equal(states[0], [1e100, 1e200, 1e200, 1e200, 1e200])
     assert_array_equal(states[1], 0.5 ** np.arange(1, 6))
     assert diverged.tolist() == [True, False]
+
+
+def _reference_loop(coeff, noise, guard, x0=0.0, carry=None):
+    """The kernel stepped one replica-major column at a time, with the guard
+    checked at every step: the arithmetic ``simulate_loop`` must reproduce."""
+    replicas, horizon = noise.shape
+    per_step = not np.isscalar(coeff)
+    x = np.full(replicas, float(x0))
+    scratch = np.empty(replicas)
+    diverged = np.zeros(replicas, dtype=bool)
+    with np.errstate(over="ignore"):
+        for t in range(horizon):
+            col = noise[:, t]
+            np.multiply(x, coeff[:, t] if per_step else coeff, out=scratch)
+            np.add(col, scratch, out=col, where=True if carry is None else carry[:, t])
+            if col @ col >= guard * guard:
+                diverged |= np.abs(col, out=scratch) > guard
+                np.clip(col, -guard, guard, out=col)
+            x = col
+    return noise, diverged
+
+
+def _kernel_case(kind, replicas, horizon):
+    """(coeff, noise, x0, carry) of one seeded block of the named kind."""
+    rng = np.random.default_rng([replicas, horizon])
+    noise = rng.standard_normal((replicas, horizon))
+    coeff, x0, carry = 0.9, 0.0, None
+    if kind in ("fast", "carry"):
+        coeff = 0.5 + np.abs(rng.standard_normal((replicas, horizon)))
+    if kind == "carry":
+        carry = rng.random((replicas, horizon)) > 0.3
+    if kind == "huge-x0":
+        x0 = 1e13  # past the guard from the first step: replays from step 0
+    if kind == "nan":
+        noise[replicas // 2, horizon // 2] = math.nan
+    if kind == "unstable":
+        coeff = 3.0
+    if kind == "inf-factor":
+        coeff = np.full((replicas, horizon), 0.5)
+        coeff[0, horizon // 2] = math.inf  # an inf state: clamped and flagged
+    return coeff, noise, x0, carry
+
+
+@pytest.mark.parametrize("window", [1, 3, None, 1000], ids=["1", "3", "default", "past-horizon"])
+@pytest.mark.parametrize("horizon", [37, 70])
+@pytest.mark.parametrize("kind", ["slow", "fast", "carry", "huge-x0", "nan", "unstable",
+                                  "inf-factor"])
+def test_simulate_loop_matches_the_per_column_reference(monkeypatch, window, horizon, kind):
+    # every window size steps the same arithmetic as one column at a time:
+    # states and diverged flags are equal bit for bit, over a last window
+    # shorter than the rest
+    if window is not None:
+        monkeypatch.setattr(model, "_WINDOW", window)
+    coeff, noise, x0, carry = _kernel_case(kind, 9, horizon)
+    with np.errstate(invalid="ignore"):
+        expected, expected_diverged = _reference_loop(coeff, noise.copy(), DIVERGENCE_GUARD, x0,
+                                                      carry)
+        states, diverged = simulate_loop(coeff, noise.copy(), DIVERGENCE_GUARD, x0, carry)
+    assert states.tobytes() == expected.tobytes()
+    assert_array_equal(diverged, expected_diverged)
+    if kind in ("huge-x0", "unstable"):
+        assert diverged.all()
+
