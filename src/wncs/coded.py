@@ -24,8 +24,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import NoisePowers, PlantParams, divergence_guard, mean_square_per_replica
-from .model import simulate_loop
+from .model import NoisePowers, PlantParams, block_rows, divergence_guard
+from .model import mean_square_per_replica, simulate_loop
 
 
 @dataclass(frozen=True)
@@ -243,10 +243,6 @@ _LINK_WORDS = 1 << 15
 #: A multiple of 4, so that each message chunk takes whole 32-bit words from
 #: the generator and the chunks equal one dense uint8 draw
 _CHUNK_ROWS = 64
-#: replicas whose plant noise is drawn and stepped at a time: a memory bound,
-#: one (rows, T) block of noise and one carry mask a cell.  Fewer rows would
-#: pay the kernel's fixed cost a step more often
-_STEP_ROWS = 1024
 
 
 def _words_intact(
@@ -312,7 +308,8 @@ def _words_intact(
                 errors ^= labels
                 errors &= mask[:, axis]
                 flips[start + rows] += _POPCOUNT[errors.view(np.uint8)] @ ones
-    return (flips <= 1).reshape(shape)
+    # each word's success flag, written over its flip count: no second per-word array
+    return np.less_equal(flips, 1, out=flips.view(bool)).reshape(shape)
 
 
 def _detect(y: np.ndarray, levels: int, c: float, h: float) -> np.ndarray:
@@ -429,26 +426,29 @@ def run_coded_control(
 
     a, std = plant.a, math.sqrt(plant.sigma_w2)
     powers = a ** np.arange(d - 2, -1, -1)
-    # one kernel block of std z at a time, as normal(0, std) draws it but for
-    # the sign of a zero, which no cost depends on
-    noise_block = np.empty((min(replicas, _STEP_ROWS), horizon))
-    # every step carries the state but a decoded epoch's last
-    carry = np.ones(noise_block.shape, dtype=bool)
+    # the analog cells' block pair: plant noise, drawn one block at a time
+    # as std z (normal(0, std) but for the sign of a zero, which no cost
+    # depends on), and the per-step factors
+    rows = block_rows(horizon)
+    pair = np.empty((2, min(replicas, rows), horizon))
     per_replica, diverged = [], False
-    for start in range(0, replicas, _STEP_ROWS):
-        n_t = noise_block[: min(_STEP_ROWS, replicas - start)]
+    for start in range(0, replicas, rows):
+        n_t, factors = pair[:, : min(rows, replicas - start)]
         rng.standard_normal(out=n_t)
         n_t *= std
         decoded = success[start : start + len(n_t)]
         # (rows, epochs, d) view of the whole epochs: writes land in n_t
         epochs = n_t[:, : n_epochs * d].reshape(len(n_t), n_epochs, d)
         for first in range(0, len(n_t), _CHUNK_ROWS):
-            rows = slice(first, first + _CHUNK_ROWS)
-            open_loop = epochs[rows, :, :-1] @ powers
-            np.add(epochs[rows, :, -1], a * open_loop, out=epochs[rows, :, -1], where=decoded[rows])
-        block = carry[: len(n_t)]
-        np.logical_not(decoded, out=block[:, d - 1 : n_epochs * d : d])
-        diverged |= simulate_loop(a, n_t, divergence_guard(std), carry=block)[1].any()
+            chunk = slice(first, first + _CHUNK_ROWS)
+            open_loop = epochs[chunk, :, :-1] @ powers
+            np.add(epochs[chunk, :, -1], a * open_loop, out=epochs[chunk, :, -1],
+                   where=decoded[chunk])
+        # a decoded epoch's last step restarts the state from n_t: factor 0,
+        # and n_t + 0 x is n_t but for the sign of a zero
+        factors.fill(a)
+        np.copyto(factors[:, d - 1 : n_epochs * d : d], 0.0, where=decoded)
+        diverged |= simulate_loop(factors, n_t, divergence_guard(std))[1].any()
         per_replica.append(mean_square_per_replica(n_t))
 
     with np.errstate(over="ignore"):  # a cost past the largest float is inf

@@ -26,6 +26,7 @@ from .model import (
     GainPair,
     NoisePowers,
     PlantParams,
+    block_rows,
     divergence_guard,
     gains_overflow,
     mean_square_per_replica,
@@ -42,9 +43,6 @@ from .slow_control import Infeasible, optimize_identical_actuator, optimize_iden
 _KIND_TRACE, _KIND_COMPARE, _KIND_MULTI_SLOW, _KIND_MULTI_FAST, _KIND_SELECT = range(5)
 _DRAW_Z, _DRAW_W, _DRAW_H, _DRAW_CODED = range(4)
 
-#: replica-steps drawn and simulated at a time, whatever the replica count;
-#: a block's rows are this over the horizon, and at least one
-_BLOCK_ELEMENTS = 1 << 17
 #: the longest horizon a run may ask for: a one-row block of it is 2 MiB a stream
 MAX_HORIZON = 1 << 18
 #: cell threads, which run every recipe's simulation cells two at a time: a
@@ -164,7 +162,7 @@ def _simulated_blocks(
     value but for the sign of a zero, so these are the values of per-purpose
     ``normal`` draws.  Every draw runs on the thread that takes the blocks.
     """
-    rows = max(1, _BLOCK_ELEMENTS // spec.horizon)
+    rows = block_rows(spec.horizon)
     z_rng = substream(spec.seed, *key, _DRAW_Z)
     w_rng = substream(spec.seed, *key, _DRAW_W)
     z_std, w_std = math.sqrt(spec.sigma_z2), math.sqrt(spec.plant.sigma_w2)

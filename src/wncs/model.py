@@ -28,6 +28,9 @@ import numpy as np
 #: trajectories whose magnitude passes this guard are truncated and reported
 #: as diverged instead of polluting averages with overflow
 DIVERGENCE_GUARD = 1e12
+#: replica-steps that every simulation cell, analog or coded, draws and steps
+#: at a time, whatever the replica count
+BLOCK_ELEMENTS = 1 << 17
 #: columns of a block that ``simulate_loop`` gathers and steps at a time
 _WINDOW = 32
 
@@ -153,50 +156,47 @@ def divergence_guard(noise_std: float) -> float:
     return min(DIVERGENCE_GUARD * max(1.0, noise_std), float(np.finfo(float).max))
 
 
+def block_rows(horizon: int) -> int:
+    """Rows of every simulation cell's (rows, T) blocks: ``BLOCK_ELEMENTS`` over T, at least 1."""
+    return max(1, BLOCK_ELEMENTS // horizon)
+
+
 def _step_slab(
-    slab: np.ndarray, factors, mask, scratch: np.ndarray,
+    steps: list, scratch: np.ndarray,
     guard: "float | None" = None, diverged: "np.ndarray | None" = None,
 ) -> None:
-    """Step x(t+1) = c_t x(t) + n_t down a time-major slab, each row from the one above.
+    """Step x(t+1) = c_t x(t) + n_t over (previous state, row, factor) triples of a slab.
 
-    Row 0 holds the state the slab starts from and every later row its
-    step's noise, which the new state overwrites.  ``factors`` and ``mask``
-    yield one entry per step: the factor (a scalar or a row) and the carry
-    row, or None where every step carries.  With a ``guard``, every state
-    past it is clamped and flagged in ``diverged`` as soon as it is made.
+    Each row holds its step's noise, which the new state overwrites; the
+    factor is a scalar or a row.  With a ``guard``, every state past it, or
+    NaN, is flagged in ``diverged`` and clamped as soon as it is made.
     """
-    for prev, row, factor, carries in zip(slab[:-1], slab[1:], factors, mask):
+    for prev, row, factor in steps:
         np.multiply(prev, factor, scratch)
-        # n_t + c_t x(t) in place of n_t; a step that does not carry keeps n_t alone
-        if carries is None:
-            np.add(row, scratch, row)
-        else:
-            np.add(row, scratch, row, where=carries)
+        np.add(row, scratch, row)
         # the squares sum to at least the guard's square whenever a state
-        # passes it (and, harmlessly, sometimes when none does)
-        if guard is not None and row @ row >= guard * guard:
-            diverged |= np.abs(row, out=scratch) > guard
+        # passes it (and, harmlessly, sometimes when none does), and to NaN
+        # whenever a state is NaN
+        if guard is not None and not row @ row < guard * guard:
+            diverged |= ~(np.abs(row, out=scratch) <= guard)
             np.clip(row, -guard, guard, out=row)
 
 
 def simulate_loop(
     coeff: "float | np.ndarray", noise: np.ndarray, guard: float, x0: float = 0.0,
-    carry: "np.ndarray | None" = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run x(t+1) = c_t x(t) + n_t over a replica-major (replicas, T) noise block, from x0.
 
     ``coeff`` is one closed-loop factor for every step (slow fading) or a
-    (replicas, T) array of per-step factors (fast fading).  ``carry`` is an
-    optional (replicas, T) mask of the steps that carry the state; at every
-    other step (the coded loop's decoded epochs) the state restarts from n_t
-    alone.  The block is stepped ``_WINDOW`` columns at a time: each window's
-    noise, factors and mask are gathered into small time-major slabs, whose
-    rows are contiguous, and the states are scattered back over the noise
-    they used.  A window whose states all stay within ``guard`` needs no
-    clamp; any other window is stepped again from the block, with every
-    state past the guard clamped and flagged as it is made.  Either way the
-    arithmetic is that of one step per column.  Returns (``noise``, now the
-    states, and diverged-per-replica).
+    (replicas, T) array of per-step factors (fast fading, or the coded loop's
+    a, and 0 where a decoded epoch restarts the state from n_t).  The block
+    is stepped ``_WINDOW`` columns at a time: each window's noise and factors
+    are gathered into small time-major slabs, whose rows are contiguous, and
+    the states are scattered back over the noise they used.  A window whose
+    states all stay within ``guard`` needs no clamp; any other window is
+    stepped again from the block, with every state past the guard clamped
+    and flagged as it is made.  Either way the arithmetic is that of one step
+    per column.  Returns (``noise``, now the states, and diverged-per-replica).
     """
     replicas, horizon = noise.shape
     per_step = not np.isscalar(coeff)
@@ -204,27 +204,27 @@ def simulate_loop(
     slab = np.empty((window + 1, replicas))
     slab[0] = x0
     factors = np.empty((window, replicas)) if per_step else repeat(coeff)
-    mask = repeat(None) if carry is None else np.empty((window, replicas), dtype=bool)
+    steps = list(zip(slab[:-1], slab[1:], factors))
     scratch = np.empty(replicas)
     diverged = np.zeros(replicas, dtype=bool)
     # a state near the float limit overflows the sum of squares to inf, which
-    # passes even a guard whose square is inf: the clamp answers it
-    with np.errstate(over="ignore"):
+    # passes even a guard whose square is inf: the clamp answers it.  A state
+    # past the float limit times a zero factor is NaN, and its window is
+    # stepped again
+    with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, horizon, window):
             cols = slice(start, min(start + window, horizon))
-            steps = cols.stop - start
-            states = slab[: steps + 1]
-            np.copyto(states[1:], noise[:, cols].T)
+            count = cols.stop - start
+            states = slab[1 : count + 1]
+            np.copyto(states, noise[:, cols].T)
             if per_step:
-                np.copyto(factors[:steps], coeff[:, cols].T)
-            if carry is not None:
-                np.copyto(mask[:steps], carry[:, cols].T)
-            _step_slab(states, factors, mask, scratch)
+                np.copyto(factors[:count], coeff[:, cols].T)
+            _step_slab(steps[:count], scratch)
             # NaN fails the check too, and its window is stepped again
-            if not np.abs(states[1:]).max() <= guard:
-                np.copyto(states[1:], noise[:, cols].T)
-                _step_slab(states, factors, mask, scratch, guard, diverged)
-            np.copyto(noise[:, cols], states[1:].T)
+            if not np.abs(states).max() <= guard:
+                np.copyto(states, noise[:, cols].T)
+                _step_slab(steps[:count], scratch, guard, diverged)
+            np.copyto(noise[:, cols], states.T)
             slab[0] = states[-1]
     return noise, diverged
 

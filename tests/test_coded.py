@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from wncs import coded
+from wncs import coded, model
 from wncs.coded import (
     SCHEMES,
     CodingScheme,
@@ -404,11 +404,13 @@ def test_coded_loop_matches_per_symbol_reference(name, p0, horizon):
 
 
 @pytest.mark.parametrize("name", sorted(SCHEMES))
-@pytest.mark.parametrize("replicas, horizon", [(130, 101), (130, 1), (50, 101), (1100, 11)])
+@pytest.mark.parametrize("replicas, horizon",
+                         [(130, 101), (130, 1), (50, 101), (1100, 11), (1400, 101)])
 def test_coded_loop_matches_the_reference_across_noise_stage_fills(name, replicas, horizon):
     # 130 replicas leave a last plant-noise chunk of 2 rows, 50 fill the
-    # stage only partly, a 1-step horizon is shorter than every epoch, and
-    # 1100 replicas are two kernel blocks, the last of 76 rows
+    # stage only partly, a 1-step horizon is shorter than every epoch, 1100
+    # replicas are 18 chunks of one kernel block, and 1400 replicas at
+    # T = 101 are two kernel blocks, the last of 103 rows
     noise = NoisePowers(sigma_z2=1e-7, p0=1.0)
     scheme = SCHEMES[name]
     got = run_coded_control(PLANT, noise, 0.01, scheme, horizon, substream(5, 2), replicas)
@@ -453,17 +455,19 @@ def test_chunk_sizes_change_no_coded_result(monkeypatch):
 
 
 def test_kernel_row_blocks_change_no_coded_result(monkeypatch):
-    # plant noise is drawn and stepped 1024 replicas at a time, so 150 are
-    # one block; in 7-row blocks they are 22, the last of 3 rows
+    # plant noise is drawn and stepped in the analog cells' blocks, 1297
+    # replicas at T = 101, so 150 are one block; in 7-row blocks they are
+    # 22, the last of 3 rows
     default = _coded_cells()
-    monkeypatch.setattr(coded, "_STEP_ROWS", 7)
+    monkeypatch.setattr(model, "BLOCK_ELEMENTS", 7 * 101)
     assert _coded_cells() == default
 
 
 def test_coded_cell_memory_is_bounded_by_the_chunks():
     # drawn and detected as dense arrays this cell peaks at 138 MiB; with its
     # whole (replicas, T) plant noise at about 49 MiB, and a kernel block at
-    # a time at about 16 MiB
+    # a time, with success flags written over the link's flip counts, at
+    # about 10 MiB
     noise = NoisePowers(sigma_z2=1e-7, p0=0.1)
     tracemalloc.start()
     try:
@@ -475,4 +479,4 @@ def test_coded_cell_memory_is_bounded_by_the_chunks():
     finally:
         tracemalloc.stop()
     assert stable and math.isfinite(cost)
-    assert peak < 24 * 2**20
+    assert peak < 13 * 2**20

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from wncs import experiments
+from wncs import experiments, model
 from wncs.coded import SCHEMES, CodingScheme, required_success_probability, word_success
 from wncs.experiments import (
     ExperimentSpec,
@@ -280,9 +280,9 @@ def test_block_size_changes_no_result(monkeypatch):
     # 7-row blocks: 50 replicas run as 7 whole blocks plus a 1-row remainder;
     # a block smaller than the horizon still holds one row
     default = _block_sensitive_results()
-    assert experiments._BLOCK_ELEMENTS // 60 >= 50  # one block by default
+    assert model.BLOCK_ELEMENTS // 60 >= 50  # one block by default
     for elements in (7 * 60 + 59, 59):
-        monkeypatch.setattr(experiments, "_BLOCK_ELEMENTS", elements)
+        monkeypatch.setattr(model, "BLOCK_ELEMENTS", elements)
         assert _block_sensitive_results() == default
 
 
@@ -315,7 +315,7 @@ def test_an_analog_cell_holds_about_two_block_arrays(cell):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * experiments._BLOCK_ELEMENTS * 8
+    assert peak < 2.5 * model.BLOCK_ELEMENTS * 8
 
 
 def _dense_reference_states(spec, key, g, a_c, fading=None, x0=0.0):
@@ -355,7 +355,7 @@ def test_blocks_equal_a_dense_reference(monkeypatch, block_rows, g, a_c, fading)
     # one call per stream
     spec = make_spec(horizon=40, replicas=150)
     if block_rows is not None:
-        monkeypatch.setattr(experiments, "_BLOCK_ELEMENTS", block_rows * spec.horizon)
+        monkeypatch.setattr(model, "BLOCK_ELEMENTS", block_rows * spec.horizon)
     key = (experiments._KIND_MULTI_FAST, 0, 1)
     blocks = experiments._simulated_blocks(spec, key, g, a_c, fading)
     assert experiments._mean_cost(blocks) == _dense_reference_cost(spec, key, g, a_c, fading)
@@ -367,7 +367,7 @@ def test_trace_blocks_sum_to_one_dense_reduction(monkeypatch):
     # reduction of every replica's squares, bit for bit
     spec = make_spec(horizon=60, replicas=50)
     g, a_c, x0 = 138.97, 0.9, 5.0
-    monkeypatch.setattr(experiments, "_BLOCK_ELEMENTS", 7 * spec.horizon)
+    monkeypatch.setattr(model, "BLOCK_ELEMENTS", 7 * spec.horizon)
     first, running, ok = experiments._trace_sums(spec, 0, g, a_c, x0)
     states = _dense_reference_states(spec, (experiments._KIND_TRACE, 0), g, a_c, x0=x0)
     sum_sq = np.add.reduce(states**2, axis=0)
@@ -379,7 +379,7 @@ def test_trace_blocks_sum_to_one_dense_reduction(monkeypatch):
 @pytest.mark.parametrize("fading", [None, (1e-3, 1e-4)], ids=["slow", "fast"])
 def test_a_diverged_block_makes_the_cost_inf_and_draws_no_more(monkeypatch, fading):
     # a_c = 3 crosses the guard within 60 steps in the first of ten 7-row blocks
-    monkeypatch.setattr(experiments, "_BLOCK_ELEMENTS", 7 * 60)
+    monkeypatch.setattr(model, "BLOCK_ELEMENTS", 7 * 60)
     spec = make_spec(horizon=60, replicas=70)
     blocks, taken = experiments._simulated_blocks(spec, (0, 0), 1.0, 3.0, fading), []
 
@@ -444,7 +444,7 @@ def test_no_cell_submits_to_the_pool(monkeypatch):
     assert submitters == [threading.current_thread().name] * (14 + len(factors))
 
     forbid_cell_pools(monkeypatch)
-    monkeypatch.setattr(experiments, "_BLOCK_ELEMENTS", 7 * spec.horizon)
+    monkeypatch.setattr(model, "BLOCK_ELEMENTS", 7 * spec.horizon)
     blocks = experiments._simulated_blocks(spec, (0, 0), 100.0, 1.5, fading=(-100.0, 1e-4))
     assert math.isfinite(experiments._mean_cost(blocks))
 
@@ -454,7 +454,7 @@ def test_concurrent_sweeps_equal_their_sequential_results(monkeypatch):
     # and 8 blocks a cell each, at once, each caller on its own two cell
     # threads, with the interpreter switching threads far more often than by
     # default
-    monkeypatch.setattr(experiments, "_BLOCK_ELEMENTS", 7 * 60)
+    monkeypatch.setattr(model, "BLOCK_ELEMENTS", 7 * 60)
     jobs = [
         (make_spec(powers_w=(1e-3, 0.02, 0.05, 0.1), horizon=60, replicas=50, seed=seed),
          channels, regime)

@@ -1,5 +1,7 @@
 """Plant model primitives: parameter validation and cost accounting."""
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -104,16 +106,14 @@ def test_predicted_cost_matches_long_simulation():
 
 def test_simulate_loop_clamps_at_the_guard_flags_and_resets():
     # replicas 0 and 1 grow by 10 and -10 a step from x0 = 1; replica 2 is a
-    # stable loop on a ramp of noise whose step 4 is a reset
+    # stable loop on a ramp of noise whose step 4 has factor 0, a reset
     horizon = 15
     coeff = np.array([[10.0] * horizon, [-10.0] * horizon, [0.5] * horizon])
+    coeff[2, 4] = 0.0
     noise = np.zeros((3, horizon))
     noise[2] = np.arange(1.0, horizon + 1.0)
-    reset = np.zeros((3, horizon), dtype=bool)
-    reset[2, 4] = True
-    # the kernel writes its states over the noise it is given, and carries
-    # the state at every step but the reset
-    states, diverged = simulate_loop(coeff, noise.copy(), DIVERGENCE_GUARD, x0=1.0, carry=~reset)
+    # the kernel writes its states over the noise it is given
+    states, diverged = simulate_loop(coeff, noise.copy(), DIVERGENCE_GUARD, x0=1.0)
     # +-10^(t+1) lands on the guard at t = 11, which is not past it; from
     # t = 12 on each state is clamped to exactly the guard, sign kept
     assert_array_equal(states[0, :12], 10.0 ** np.arange(1, 13))
@@ -141,9 +141,41 @@ def test_simulate_loop_gates_with_a_guard_whose_square_overflows():
     assert diverged.tolist() == [True, False]
 
 
+def test_a_zero_factor_after_an_overflow_is_replayed_without_a_warning():
+    # unclamped, replica 0 overflows to inf at step 1, and the zero factor
+    # of step 2 makes inf * 0 = NaN; the window is stepped again with the
+    # clamp, so step 2 restarts from its noise, and no warning is raised
+    coeff = np.full((2, 6), 0.5)
+    coeff[0, :2] = 1e200
+    coeff[0, 2] = 0.0
+    noise = np.arange(12.0).reshape(2, 6)
+    states, diverged = simulate_loop(coeff, noise.copy(), DIVERGENCE_GUARD, x0=1.0)
+    assert_array_equal(states[0, :3], [DIVERGENCE_GUARD, DIVERGENCE_GUARD, 2.0])
+    assert diverged.tolist() == [True, False]
+
+
+def test_a_nan_state_is_flagged_and_does_not_hide_others_past_the_guard():
+    # x0 = 0 times an inf factor makes replica 0 NaN from step 0 on, so every
+    # later row's sum of squares is NaN; replica 1's inf factor at step 18
+    # must still be clamped and flagged, and the NaN replica flagged too
+    coeff = np.full((9, 37), 0.5)
+    coeff[0, 0] = coeff[1, 18] = math.inf
+    noise = np.random.default_rng(9).standard_normal((9, 37))
+    states, diverged = simulate_loop(coeff, noise.copy(), DIVERGENCE_GUARD)
+    assert np.isnan(states[0]).all()
+    assert abs(states[1, 18]) == DIVERGENCE_GUARD
+    assert np.isfinite(states[1:]).all()
+    assert diverged.tolist() == [True, True] + [False] * 7
+    with np.errstate(invalid="ignore"):
+        expected, expected_diverged = _reference_loop(coeff, noise.copy(), DIVERGENCE_GUARD)
+    assert states.tobytes() == expected.tobytes()
+    assert_array_equal(diverged, expected_diverged)
+
+
 def _reference_loop(coeff, noise, guard, x0=0.0, carry=None):
     """The kernel stepped one replica-major column at a time, with the guard
-    checked at every step: the arithmetic ``simulate_loop`` must reproduce."""
+    checked at every step: the arithmetic ``simulate_loop`` must reproduce.
+    At every step outside the optional ``carry`` mask the state is n_t alone."""
     replicas, horizon = noise.shape
     per_step = not np.isscalar(coeff)
     x = np.full(replicas, float(x0))
@@ -154,21 +186,22 @@ def _reference_loop(coeff, noise, guard, x0=0.0, carry=None):
             col = noise[:, t]
             np.multiply(x, coeff[:, t] if per_step else coeff, out=scratch)
             np.add(col, scratch, out=col, where=True if carry is None else carry[:, t])
-            if col @ col >= guard * guard:
-                diverged |= np.abs(col, out=scratch) > guard
+            if not col @ col < guard * guard:
+                diverged |= ~(np.abs(col, out=scratch) <= guard)
                 np.clip(col, -guard, guard, out=col)
             x = col
     return noise, diverged
 
 
 def _kernel_case(kind, replicas, horizon):
-    """(coeff, noise, x0, carry) of one seeded block of the named kind."""
+    """(coeff, noise, x0, carry) of one seeded block of the named kind; a
+    ``carry`` mask is the reference's, which the kernel gets as factor 0."""
     rng = np.random.default_rng([replicas, horizon])
     noise = rng.standard_normal((replicas, horizon))
     coeff, x0, carry = 0.9, 0.0, None
-    if kind in ("fast", "carry"):
+    if kind in ("fast", "zero-factor"):
         coeff = 0.5 + np.abs(rng.standard_normal((replicas, horizon)))
-    if kind == "carry":
+    if kind == "zero-factor":
         carry = rng.random((replicas, horizon)) > 0.3
     if kind == "huge-x0":
         x0 = 1e13  # past the guard from the first step: replays from step 0
@@ -184,21 +217,48 @@ def _kernel_case(kind, replicas, horizon):
 
 @pytest.mark.parametrize("window", [1, 3, None, 1000], ids=["1", "3", "default", "past-horizon"])
 @pytest.mark.parametrize("horizon", [37, 70])
-@pytest.mark.parametrize("kind", ["slow", "fast", "carry", "huge-x0", "nan", "unstable",
+@pytest.mark.parametrize("kind", ["slow", "fast", "zero-factor", "huge-x0", "nan", "unstable",
                                   "inf-factor"])
 def test_simulate_loop_matches_the_per_column_reference(monkeypatch, window, horizon, kind):
     # every window size steps the same arithmetic as one column at a time:
     # states and diverged flags are equal bit for bit, over a last window
-    # shorter than the rest
+    # shorter than the rest.  A zero factor restarts the state from n_t, as
+    # the reference's mask does
     if window is not None:
         monkeypatch.setattr(model, "_WINDOW", window)
     coeff, noise, x0, carry = _kernel_case(kind, 9, horizon)
+    kernel_coeff = coeff if carry is None else np.where(carry, coeff, 0.0)
     with np.errstate(invalid="ignore"):
         expected, expected_diverged = _reference_loop(coeff, noise.copy(), DIVERGENCE_GUARD, x0,
                                                       carry)
-        states, diverged = simulate_loop(coeff, noise.copy(), DIVERGENCE_GUARD, x0, carry)
+    states, diverged = simulate_loop(kernel_coeff, noise.copy(), DIVERGENCE_GUARD, x0)
     assert states.tobytes() == expected.tobytes()
     assert_array_equal(diverged, expected_diverged)
     if kind in ("huge-x0", "unstable"):
         assert diverged.all()
 
+
+def test_two_threads_stepping_at_once_equal_one_thread():
+    # each thread steps blocks of every kind, 262 rows as in a default
+    # analog cell, with the interpreter switching threads far more often
+    # than by default; states and flags equal those stepped on one thread
+    cases = [_kernel_case(kind, 262, 70) for kind in ("slow", "fast", "zero-factor", "unstable")]
+
+    def step_all():
+        out = []
+        for coeff, noise, x0, carry in cases:
+            kernel_coeff = coeff if carry is None else np.where(carry, coeff, 0.0)
+            states, diverged = simulate_loop(kernel_coeff, noise.copy(), DIVERGENCE_GUARD, x0)
+            out.append((states.tobytes(), diverged.tobytes()))
+        return out
+
+    alone = step_all()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(2) as threads:
+            concurrent = list(threads.map(lambda _: [step_all() for _ in range(5)], range(2),
+                                          timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert concurrent == [[alone] * 5] * 2
