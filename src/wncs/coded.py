@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .model import NoisePowers, PlantParams, block_rows, divergence_guard
-from .model import mean_square_per_replica, simulate_loop
+from .model import mean_cost, simulate_loop
 
 
 @dataclass(frozen=True)
@@ -398,8 +398,8 @@ def run_coded_control(
     horizon: int,
     rng: np.random.Generator,
     replicas: int = 1,
-) -> tuple[float, bool]:
-    """Simulate the coded loop from x = 0; return its time-average cost and stability.
+) -> float:
+    """Simulate the coded loop from x = 0; return its time-average cost, inf if unstable.
 
     Epochs start at t = 0, d, 2d, ...; the controller transmits the codeword
     over the epoch and the actuator applies the deadbeat input -A^d x(s) at
@@ -407,11 +407,11 @@ def run_coded_control(
     w(s+j) the epoch's open-loop noise, that input is -A x(s+d-1) + A N, so
     the loop is the kernel's x(t+1) = c_t x(t) + n_t with c = 0, n = w + A N
     at a decoded epoch's last step and c = A, n = w at every other step.
-    Steps past the last whole epoch run open loop.  The loop is unstable
-    when any trajectory is clamped at the divergence guard, and also when
-    the measured word-success rate falls below what the deadbeat recursion
-    needs for mean-square stability -- a finite horizon rarely realizes that
-    divergence, but the long-run cost is unbounded all the same.
+    Steps past the last whole epoch run open loop.  The cost is inf when any
+    trajectory passes the divergence guard, and also, with no plant noise
+    drawn, when the measured word-success rate is at or below what the
+    deadbeat recursion needs for mean-square stability: a finite horizon
+    rarely realizes that divergence, but the long-run cost is unbounded.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1 (got {horizon})")
@@ -423,36 +423,35 @@ def run_coded_control(
     # time: the messages, the link's noise, then the plant noise.  Success
     # flags are payload-independent, so the link runs first
     success = _words_intact((replicas, n_epochs), scheme, noise, h, rng)
+    p_hat = float(success.mean()) if success.size else 0.0
+    if p_hat <= required_success_probability(plant, scheme):
+        return math.inf
 
     a, std = plant.a, math.sqrt(plant.sigma_w2)
     powers = a ** np.arange(d - 2, -1, -1)
-    # the analog cells' block pair: plant noise, drawn one block at a time
-    # as std z (normal(0, std) but for the sign of a zero, which no cost
-    # depends on), and the per-step factors
-    rows = block_rows(horizon)
-    pair = np.empty((2, min(replicas, rows), horizon))
-    per_replica, diverged = [], False
-    for start in range(0, replicas, rows):
-        n_t, factors = pair[:, : min(rows, replicas - start)]
-        rng.standard_normal(out=n_t)
-        n_t *= std
-        decoded = success[start : start + len(n_t)]
-        # (rows, epochs, d) view of the whole epochs: writes land in n_t
-        epochs = n_t[:, : n_epochs * d].reshape(len(n_t), n_epochs, d)
-        for first in range(0, len(n_t), _CHUNK_ROWS):
-            chunk = slice(first, first + _CHUNK_ROWS)
-            open_loop = epochs[chunk, :, :-1] @ powers
-            np.add(epochs[chunk, :, -1], a * open_loop, out=epochs[chunk, :, -1],
-                   where=decoded[chunk])
-        # a decoded epoch's last step restarts the state from n_t: factor 0,
-        # and n_t + 0 x is n_t but for the sign of a zero
-        factors.fill(a)
-        np.copyto(factors[:, d - 1 : n_epochs * d : d], 0.0, where=decoded)
-        diverged |= simulate_loop(factors, n_t, divergence_guard(std))[1].any()
-        per_replica.append(mean_square_per_replica(n_t))
 
-    with np.errstate(over="ignore"):  # a cost past the largest float is inf
-        cost = float(np.concatenate(per_replica).mean())
-    p_hat = float(success.mean()) if success.size else 0.0
-    supportable = p_hat > required_success_probability(plant, scheme)
-    return cost, supportable and not diverged
+    def blocks():
+        # the analog cells' block pair: plant noise, drawn one block at a
+        # time as std z (normal(0, std) but for the sign of a zero, which no
+        # cost depends on), and the per-step factors
+        rows = block_rows(horizon)
+        pair = np.empty((2, min(replicas, rows), horizon))
+        for start in range(0, replicas, rows):
+            n_t, factors = pair[:, : min(rows, replicas - start)]
+            rng.standard_normal(out=n_t)
+            n_t *= std
+            decoded = success[start : start + len(n_t)]
+            # (rows, epochs, d) view of the whole epochs: writes land in n_t
+            epochs = n_t[:, : n_epochs * d].reshape(len(n_t), n_epochs, d)
+            for first in range(0, len(n_t), _CHUNK_ROWS):
+                chunk = slice(first, first + _CHUNK_ROWS)
+                open_loop = epochs[chunk, :, :-1] @ powers
+                np.add(epochs[chunk, :, -1], a * open_loop, out=epochs[chunk, :, -1],
+                       where=decoded[chunk])
+            # a decoded epoch's last step restarts the state from n_t: factor
+            # 0, and n_t + 0 x is n_t but for the sign of a zero
+            factors.fill(a)
+            np.copyto(factors[:, d - 1 : n_epochs * d : d], 0.0, where=decoded)
+            yield simulate_loop(factors, n_t, divergence_guard(std))
+
+    return mean_cost(blocks())

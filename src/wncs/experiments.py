@@ -18,7 +18,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .coded import SCHEMES, CodingScheme, run_coded_control
+from .coded import SCHEMES, run_coded_control
 from .coded import required_success_probability, word_success
 from .fading import rayleigh_gain_samples, substream
 from .fast_control import allocate_multi_fast, fast_snr_floor
@@ -29,7 +29,7 @@ from .model import (
     block_rows,
     divergence_guard,
     gains_overflow,
-    mean_square_per_replica,
+    mean_cost,
     predicted_cost_slow,
     require_magnitude,
     require_positive,
@@ -190,17 +190,6 @@ def _simulated_blocks(
         yield simulate_loop(coeff, noise, _noise_guard(spec, g), x0)
 
 
-def _mean_cost(blocks: Iterator[tuple[np.ndarray, np.ndarray]]) -> float:
-    """Time-average cost over every replica; inf once any replica diverges."""
-    per_replica = []
-    for states, diverged in blocks:
-        if diverged.any():
-            return math.inf
-        per_replica.append(mean_square_per_replica(states))
-    with np.errstate(over="ignore"):  # a cost past the largest float is inf
-        return float(np.concatenate(per_replica).mean())
-
-
 # ---------------------------------------------------------------------------
 # state traces at fixed closed-loop factors
 # ---------------------------------------------------------------------------
@@ -237,23 +226,24 @@ def implied_trace_gains(
 
 def _trace_sums(
     spec: ExperimentSpec, idx: int, g: float, a_c: float, x0: float
-) -> tuple[np.ndarray, np.ndarray, bool]:
-    """One trace cell: replica 0's states (inf past the guard), the running
-    cost averaged across replicas, and whether no replica diverged."""
-    first, sum_sq, ok = None, np.zeros(spec.horizon), True
+) -> tuple[np.ndarray, np.ndarray]:
+    """One trace cell: replica 0's states (inf past the guard) and the running
+    cost averaged across replicas, inf at every step once any replica diverges."""
+    first, sum_sq = None, np.zeros(spec.horizon)
     for states, diverged in _simulated_blocks(spec, (_KIND_TRACE, idx), g, a_c, x0=x0):
         if first is None:
             first = np.where(np.abs(states[0]) < _noise_guard(spec, g), states[0], math.inf)
+        if diverged.any():
+            return first, np.full(spec.horizon, math.inf)
         # squares summed in place, in dense row order after the running sum:
         # the block size changes no bit.  A sum past the largest float is inf
         with np.errstate(over="ignore"):
             np.square(states, out=states)
             states[0] += sum_sq
             np.add.reduce(states, axis=0, out=sum_sq)
-        ok = ok and not bool(diverged.any())
     with np.errstate(over="ignore"):
         running = np.cumsum(sum_sq / spec.replicas) / np.arange(1, spec.horizon + 1)
-    return first, running, ok
+    return first, running
 
 
 def run_trace(
@@ -286,9 +276,9 @@ def run_trace(
     sums = _run_cells({idx: (_trace_sums, spec, idx, 0.0 if gains is None else gains.g, a_c, x0)
                        for idx, (a_c, gains) in enumerate(zip(a_c_values, all_gains))})
     for idx, (a_c, label, gains) in enumerate(zip(a_c_values, labels, all_gains)):
-        first, running, ok = sums[idx]
+        first, running = sums[idx]
         series[f"x_{label}"] = tuple(first.tolist())
-        series[f"j_{label}"] = tuple(running.tolist()) if ok else (math.inf,) * spec.horizon
+        series[f"j_{label}"] = tuple(running.tolist())
         gains_used[label] = None if gains is None else (gains.k, gains.g)
         if gains is None:
             stable = abs(a_c) < 1.0
@@ -310,16 +300,6 @@ def run_trace(
 # ---------------------------------------------------------------------------
 # single plant: analog loop vs coded baselines over a power grid
 # ---------------------------------------------------------------------------
-
-
-def _coded_cost(
-    spec: ExperimentSpec, noise: NoisePowers, h: float, scheme: CodingScheme,
-    rng: np.random.Generator,
-) -> float:
-    """One coded cell's simulated cost, inf where its run is unstable."""
-    cost, stable = run_coded_control(spec.plant, noise, h, scheme, spec.horizon, rng,
-                                     spec.replicas)
-    return cost if stable else math.inf
 
 
 def run_single_compare(
@@ -362,13 +342,14 @@ def run_single_compare(
             # at a boundary point no pair is realizable: the cost is unbounded in the limit
             if design.gains is not None:
                 blocks = _simulated_blocks(spec, (_KIND_COMPARE, gi, 0), design.gains.g, design.a_c)
-                cells["analog_sim", gi] = (_mean_cost, blocks)
+                cells["analog_sim", gi] = (mean_cost, blocks)
         for si, name in enumerate(schemes):
             success = word_success(SCHEMES[name], noise, h)
             word_rates[name].append(success)
             if success > required[name]:
                 rng = substream(spec.seed, _KIND_COMPARE, gi, 1 + si, _DRAW_CODED)
-                cells[name, gi] = (_coded_cost, spec, noise, h, SCHEMES[name], rng)
+                cells[name, gi] = (run_coded_control, spec.plant, noise, h, SCHEMES[name],
+                                   spec.horizon, rng, spec.replicas)
     # each cell has its own substreams, so the threads change no result
     for (name, gi), cost in _run_cells(cells).items():
         cols[name][gi] = cost
@@ -450,7 +431,7 @@ def run_multi_sweep(
             a_c = spec.plant.a + gains.g * ch * gains.k if slow else spec.plant.a
             fading = None if slow else (gains.product, ch)
             blocks = _simulated_blocks(spec, (kind, gi, pid), gains.g, a_c, fading)
-            cells[f"j{pid}_sim", gi] = (_mean_cost, blocks)
+            cells[f"j{pid}_sim", gi] = (mean_cost, blocks)
     for (name, gi), cost in _run_cells(cells).items():
         cols[name][gi] = cost
     # each feasible point's total, summed in plant order

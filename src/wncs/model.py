@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
+from typing import Iterable
 
 import numpy as np
 
@@ -237,3 +238,15 @@ def mean_square_per_replica(states: np.ndarray) -> np.ndarray:
     """
     with np.errstate(over="ignore"):
         return np.mean(np.square(states, out=states), axis=1)
+
+
+def mean_cost(blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> float:
+    """Time-average cost over every replica of (states, diverged) blocks; inf once any diverges."""
+    per_replica = []
+    for states, diverged in blocks:
+        if diverged.any():
+            return math.inf
+        per_replica.append(mean_square_per_replica(states))
+        del states  # a view of the block: the last one is freed before the concatenation
+    with np.errstate(over="ignore"):  # a cost past the largest float is inf
+        return float(np.concatenate(per_replica).mean())

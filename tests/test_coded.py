@@ -203,17 +203,15 @@ def test_dead_beat_loop_costs_with_reliable_link():
     # near-noiseless link: d=1 resets every step, J -> sigma_w2; d=2 carries
     # one step of open-loop growth, J -> ((a^2+1) + (a^2(a^2+1)+1))/2 * sigma_w2
     noise = NoisePowers(sigma_z2=1e-12, p0=0.1)
-    cost1, stable1 = run_coded_control(
+    cost1 = run_coded_control(
         PLANT, noise, 0.01, SCHEMES["bch7_4_qam256"], horizon=400,
         rng=substream(11, 0), replicas=400,
     )
-    assert stable1
     assert cost1 == pytest.approx(PLANT.sigma_w2, rel=0.05)
-    cost2, stable2 = run_coded_control(
+    cost2 = run_coded_control(
         PLANT, noise, 0.01, SCHEMES["bch7_4_qam16"], horizon=400,
         rng=substream(11, 0), replicas=400,
     )
-    assert stable2
     a2 = PLANT.a**2
     expected = ((a2 + 1.0) + (a2 * (a2 + 1.0) + 1.0)) / 2.0 * PLANT.sigma_w2
     assert cost2 == pytest.approx(expected, rel=0.05)
@@ -224,22 +222,39 @@ def test_insufficient_word_success_is_flagged_unstable():
     # at 20 dBm the (15,11)+256QAM link succeeds ~54% of the time, under the
     # ~80% the d=2 dead-beat needs: bounded-looking averages must not pass
     noise = NoisePowers(sigma_z2=1e-7, p0=0.1)
-    _, stable = run_coded_control(
+    cost = run_coded_control(
         PLANT, noise, 0.01, SCHEMES["bch15_11_qam256"], horizon=400,
         rng=substream(11, 1), replicas=200,
     )
-    assert not stable
+    assert cost == math.inf
 
 
-def test_divergence_guard_trips_on_dead_link():
+def test_a_measured_rate_at_or_below_the_required_one_draws_no_plant_noise():
+    # 15 words at an exact success of 0.8128 against a required 0.8025: the
+    # measured rate is not above it, so the cell is inf and the generator
+    # stops where the link alone leaves it
+    noise = NoisePowers(sigma_z2=1e-7, p0=0.008317637711026709)
+    scheme = SCHEMES["bch7_4_qam16"]
+    assert word_success(scheme, noise, 0.01) > required_success_probability(PLANT, scheme)
+    rng, link_only = substream(0, 1, 2, 1, 3), substream(0, 1, 2, 1, 3)
+    assert run_coded_control(PLANT, noise, 0.01, scheme, 10, rng, 3) == math.inf
+    intact = coded._words_intact((3, 5), scheme, noise, 0.01, link_only)
+    assert intact.mean() <= required_success_probability(PLANT, scheme)
+    assert rng.bit_generator.state == link_only.bit_generator.state
+
+
+def test_divergence_guard_trips_on_dead_link(monkeypatch):
+    # about one word in 16 arrives, so the measured rate alone would make
+    # the cell inf before the loop runs; with no rate required the loop runs
+    # nearly open, its states pass the guard, and warnings raised as errors
+    # show that the guard, not an overflow, made the cost inf
+    monkeypatch.setattr(coded, "required_success_probability", lambda plant, scheme: -1.0)
     noise = NoisePowers(sigma_z2=1.0, p0=1e-4)
-    cost, stable = run_coded_control(
+    cost = run_coded_control(
         PLANT, noise, 0.01, SCHEMES["bch7_4_qam16"], horizon=140,
         rng=substream(11, 2), replicas=50,
     )
-    assert not stable
-    # clamped trajectories keep the cost finite: the guard, not overflow, tripped
-    assert math.isfinite(cost) and cost > 1e12
+    assert cost == math.inf
 
 
 def test_run_coded_control_validation():
@@ -387,7 +402,7 @@ def _per_symbol_reference(noise, scheme, horizon, rng, replicas):
     assert np.abs(states).max() < DIVERGENCE_GUARD
     p_hat = success.mean() if success.size else 0.0
     stable = p_hat > required_success_probability(PLANT, scheme)
-    return float(np.mean(states**2, axis=1).mean()), stable
+    return float(np.mean(states**2, axis=1).mean()) if stable else math.inf
 
 
 @pytest.mark.parametrize("name", sorted(SCHEMES))
@@ -399,8 +414,7 @@ def test_coded_loop_matches_per_symbol_reference(name, p0, horizon):
     scheme = SCHEMES[name]
     got = run_coded_control(PLANT, noise, 0.01, scheme, horizon, substream(5, 0), replicas=200)
     want = _per_symbol_reference(noise, scheme, horizon, substream(5, 0), replicas=200)
-    assert got[0] == pytest.approx(want[0], rel=1e-12)
-    assert got[1] == want[1]
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("name", sorted(SCHEMES))
@@ -415,12 +429,11 @@ def test_coded_loop_matches_the_reference_across_noise_stage_fills(name, replica
     scheme = SCHEMES[name]
     got = run_coded_control(PLANT, noise, 0.01, scheme, horizon, substream(5, 2), replicas)
     want = _per_symbol_reference(noise, scheme, horizon, substream(5, 2), replicas)
-    assert got[0] == pytest.approx(want[0], rel=1e-12)
-    assert got[1] == want[1]
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def _coded_cells():
-    """Every scheme's (cost, verdict) and its generator's final state, 150 x 101."""
+    """Every scheme's cost and its generator's final state, 150 x 101."""
     noise = NoisePowers(sigma_z2=1e-7, p0=0.1)
     cells = []
     for scheme in SCHEMES.values():
@@ -471,12 +484,12 @@ def test_coded_cell_memory_is_bounded_by_the_chunks():
     noise = NoisePowers(sigma_z2=1e-7, p0=0.1)
     tracemalloc.start()
     try:
-        cost, stable = run_coded_control(
+        cost = run_coded_control(
             PLANT, noise, 0.01, SCHEMES["bch7_4_qam256"], horizon=500,
             rng=substream(0, 1), replicas=10000,
         )
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert stable and math.isfinite(cost)
+    assert math.isfinite(cost)
     assert peak < 13 * 2**20

@@ -318,6 +318,23 @@ def test_an_analog_cell_holds_about_two_block_arrays(cell):
     assert peak < 2.5 * model.BLOCK_ELEMENTS * 8
 
 
+def test_the_cost_reduction_frees_the_last_block_before_concatenating():
+    # 400k replicas at T = 10: the per-replica means and their concatenation
+    # are 3 MiB each.  The peak, about 7.1 MiB, comes while the last block is
+    # stepped; a 2 MiB block pair still held by the concatenation made it 8.1
+    spec = make_spec(horizon=10, replicas=400_000)
+    cell = lambda: model.mean_cost(experiments._simulated_blocks(spec, (0, 0), 138.97, 0.9))
+    cell()
+    tracemalloc.start()
+    try:
+        cost = cell()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(cost)
+    assert peak < 7.5 * 2**20
+
+
 def _dense_reference_states(spec, key, g, a_c, fading=None, x0=0.0):
     """The loop's states from one dense (replicas, T) draw per substream,
     stepped by a plain time loop over replica-major arrays."""
@@ -358,7 +375,7 @@ def test_blocks_equal_a_dense_reference(monkeypatch, block_rows, g, a_c, fading)
         monkeypatch.setattr(model, "BLOCK_ELEMENTS", block_rows * spec.horizon)
     key = (experiments._KIND_MULTI_FAST, 0, 1)
     blocks = experiments._simulated_blocks(spec, key, g, a_c, fading)
-    assert experiments._mean_cost(blocks) == _dense_reference_cost(spec, key, g, a_c, fading)
+    assert model.mean_cost(blocks) == _dense_reference_cost(spec, key, g, a_c, fading)
 
 
 def test_trace_blocks_sum_to_one_dense_reduction(monkeypatch):
@@ -368,10 +385,9 @@ def test_trace_blocks_sum_to_one_dense_reduction(monkeypatch):
     spec = make_spec(horizon=60, replicas=50)
     g, a_c, x0 = 138.97, 0.9, 5.0
     monkeypatch.setattr(model, "BLOCK_ELEMENTS", 7 * spec.horizon)
-    first, running, ok = experiments._trace_sums(spec, 0, g, a_c, x0)
+    first, running = experiments._trace_sums(spec, 0, g, a_c, x0)
     states = _dense_reference_states(spec, (experiments._KIND_TRACE, 0), g, a_c, x0=x0)
     sum_sq = np.add.reduce(states**2, axis=0)
-    assert ok
     assert_array_equal(first, states[0])
     assert_array_equal(running, np.cumsum(sum_sq / spec.replicas) / np.arange(1, spec.horizon + 1))
 
@@ -388,7 +404,7 @@ def test_a_diverged_block_makes_the_cost_inf_and_draws_no_more(monkeypatch, fadi
             taken.append(block)
             yield block
 
-    assert experiments._mean_cost(counted()) == math.inf
+    assert model.mean_cost(counted()) == math.inf
     assert len(taken) == 1
 
 
@@ -446,7 +462,7 @@ def test_no_cell_submits_to_the_pool(monkeypatch):
     forbid_cell_pools(monkeypatch)
     monkeypatch.setattr(model, "BLOCK_ELEMENTS", 7 * spec.horizon)
     blocks = experiments._simulated_blocks(spec, (0, 0), 100.0, 1.5, fading=(-100.0, 1e-4))
-    assert math.isfinite(experiments._mean_cost(blocks))
+    assert math.isfinite(model.mean_cost(blocks))
 
 
 def test_concurrent_sweeps_equal_their_sequential_results(monkeypatch):
