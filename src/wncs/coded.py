@@ -454,4 +454,4 @@ def run_coded_control(
             np.copyto(factors[:, d - 1 : n_epochs * d : d], 0.0, where=decoded)
             yield simulate_loop(factors, n_t, divergence_guard(std))
 
-    return mean_cost(blocks())
+    return mean_cost(blocks(), replicas)

@@ -342,7 +342,7 @@ def run_single_compare(
             # at a boundary point no pair is realizable: the cost is unbounded in the limit
             if design.gains is not None:
                 blocks = _simulated_blocks(spec, (_KIND_COMPARE, gi, 0), design.gains.g, design.a_c)
-                cells["analog_sim", gi] = (mean_cost, blocks)
+                cells["analog_sim", gi] = (mean_cost, blocks, spec.replicas)
         for si, name in enumerate(schemes):
             success = word_success(SCHEMES[name], noise, h)
             word_rates[name].append(success)
@@ -431,7 +431,7 @@ def run_multi_sweep(
             a_c = spec.plant.a + gains.g * ch * gains.k if slow else spec.plant.a
             fading = None if slow else (gains.product, ch)
             blocks = _simulated_blocks(spec, (kind, gi, pid), gains.g, a_c, fading)
-            cells[f"j{pid}_sim", gi] = (mean_cost, blocks)
+            cells[f"j{pid}_sim", gi] = (mean_cost, blocks, spec.replicas)
     for (name, gi), cost in _run_cells(cells).items():
         cols[name][gi] = cost
     # each feasible point's total, summed in plant order

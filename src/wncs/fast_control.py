@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .model import GainPair, NoisePowers, PlantParams, gains_overflow, require_positive
 from .model import require_ssr
 from .slow_control import (
@@ -52,15 +50,12 @@ def expected_ac2(plant: PlantParams, gain_product: float, sigma_h2: float) -> fl
     return sigma_h2 * u * u + 2.0 * b * plant.a * u + plant.a**2
 
 
-def fast_floor(a: float, sigma_h2: "float | np.ndarray") -> "float | np.ndarray":
-    """The fast-fading floor (a^2 - 1)/((1 - eta a^2) sigma_h2), at one power or an array."""
+def fast_floor(a: float, sigma_h2: float) -> float:
+    """The fast-fading floor (a^2 - 1)/((1 - eta a^2) sigma_h2) at one channel power."""
     # no budget stabilizes a when 1 - eta a^2 <= 0, nor when a tiny sigma_h2
     # underflows the denominator to 0: then the floor is inf
     denominator = (1.0 - ETA * a * a) * sigma_h2
-    if isinstance(denominator, float):
-        return (a * a - 1.0) / denominator if denominator > 0.0 else math.inf
-    with np.errstate(divide="ignore", over="ignore"):
-        return np.where(denominator > 0.0, (a * a - 1.0) / denominator, math.inf)
+    return (a * a - 1.0) / denominator if denominator > 0.0 else math.inf
 
 
 def stabilizable_fast(plant: PlantParams) -> bool:
@@ -111,10 +106,11 @@ def optimize_single_fast(
 
 def _fast_design(plant: PlantParams, ssr: float, s: float, g0: float) -> _DesignFields:
     """``optimize_single_fast``'s fields at budget g0, on plain floats, for a checked s."""
-    _require_budget(g0, fast_snr_floor(plant, s), "mean-square stabilizability floor")
-    b = mean_channel_magnitude(s)
-    u = -b * plant.a * g0 / (1.0 + s * g0)
-    e_star = expected_ac2(plant, u, s)
+    a = plant.a
+    _require_budget(g0, fast_floor(a, s), "mean-square stabilizability floor")
+    b = math.sqrt(2.0 * s / math.pi)
+    u = -b * a * g0 / (1.0 + s * g0)
+    e_star = s * u * u + 2.0 * b * a * u + a**2  # expected_ac2, with s checked once
     denom = (1.0 - e_star) * g0 - u * u
     if denom <= _BOUNDARY_RTOL * (1.0 - e_star) * g0:
         return None, u, e_star, math.inf
@@ -149,13 +145,15 @@ def allocate_multi_fast(
     if not channel_powers:
         raise ValueError("allocate_multi_fast needs at least one plant")
     ids = tuple(pid for pid, _ in channel_powers)
-    ss = np.array([require_channel_power(v) for _, v in channel_powers], dtype=float)
+    ss = [float(require_channel_power(v)) for _, v in channel_powers]
     a = plant.a
     # an unstabilizable plant's floors are inf, so the split refuses it
-    gamma, s = _split_slack(fast_floor(a, ss), 1.0 / np.sqrt(ss), noise.gamma0)
+    shares, s = _split_slack(
+        [fast_floor(a, v) for v in ss], [1.0 / math.sqrt(v) for v in ss], noise.gamma0
+    )
     multiplier = None if s is None else (2.0 / math.pi) * (a / (1.0 - ETA * a * a) / s) ** 2
 
     require_positive(plant.sigma_w2, "disturbance power")
-    shares, ssr = gamma.tolist(), noise.ssr(plant)
-    gains, _, _, costs = zip(*[_fast_design(plant, ssr, v, g) for v, g in zip(ss.tolist(), shares)])
+    ssr = noise.ssr(plant)
+    gains, _, _, costs = zip(*[_fast_design(plant, ssr, v, g) for v, g in zip(ss, shares)])
     return SnrAllocation(ids, tuple(shares), multiplier), MultiDesign(ids, gains, costs)

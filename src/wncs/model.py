@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -105,8 +105,7 @@ class NoisePowers:
         return ratio
 
 
-@dataclass(frozen=True)
-class GainPair:
+class GainPair(NamedTuple):
     """Controller factor ``k`` and actuator factor ``g``.
 
     Designs produced by the optimizers in this package always satisfy g > 0
@@ -230,23 +229,27 @@ def simulate_loop(
     return noise, diverged
 
 
-def mean_square_per_replica(states: np.ndarray) -> np.ndarray:
-    """Time average of x(t)^2 for each replica of replica-major (replicas, T) states.
+def mean_square_per_replica(states: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Time average of x(t)^2 for each replica of replica-major (replicas, T) states, into out.
 
     The states are squared in place, and each replica's squares are summed as
     one contiguous row; a mean past the largest float is inf.
     """
     with np.errstate(over="ignore"):
-        return np.mean(np.square(states, out=states), axis=1)
+        return np.mean(np.square(states, out=states), axis=1, out=out)
 
 
-def mean_cost(blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> float:
-    """Time-average cost over every replica of (states, diverged) blocks; inf once any diverges."""
-    per_replica = []
+def mean_cost(blocks: Iterable[tuple[np.ndarray, np.ndarray]], replicas: int) -> float:
+    """Time-average cost over every replica of (states, diverged) blocks; inf once any diverges.
+
+    The blocks hold ``replicas`` rows in all, and each block's per-replica
+    means are written into one (replicas,) array.
+    """
+    per_replica, start = np.empty(replicas), 0
     for states, diverged in blocks:
         if diverged.any():
             return math.inf
-        per_replica.append(mean_square_per_replica(states))
-        del states  # a view of the block: the last one is freed before the concatenation
+        mean_square_per_replica(states, per_replica[start : start + len(states)])
+        start += len(states)
     with np.errstate(over="ignore"):  # a cost past the largest float is inf
-        return float(np.concatenate(per_replica).mean())
+        return float(per_replica.mean())

@@ -105,8 +105,8 @@ def optimize_single_slow(
 
 def _slow_design(plant: PlantParams, ssr: float, h: float, g0: float) -> _DesignFields:
     """``optimize_single_slow``'s fields at budget g0, on plain floats, for a checked h."""
-    _require_budget(g0, snr_floor(plant, h), "stabilizability floor (a^2-1)/h^2 =")
     a = plant.a
+    _require_budget(g0, slow_floor(a, h), "stabilizability floor (a^2-1)/h^2 =")
     h2g = h * h * g0
     # (h2g + 1) * margin below is about h2g^2: refuse a channel that overflows it
     if not math.isfinite(h2g * h2g):
@@ -178,29 +178,30 @@ class MultiDesign:
 
 
 def _split_slack(
-    floors: np.ndarray, weights: np.ndarray, gamma0: float
-) -> tuple[np.ndarray, Optional[float]]:
-    """Each plant's floor plus its share of the slack gamma0 - sum(floors).
+    floors: list[float], weights: list[float], gamma0: float
+) -> tuple[list[float], Optional[float]]:
+    """Each plant's floor plus its share of the slack gamma0 - sum(floors), on plain floats.
 
     The slack splits in proportion to ``weights``; returns the shares and the
     slack per unit weight s.  s is None when nothing is split: one plant takes
     the whole budget, and a budget on the summed floors pins every share.
+    Both sums are numpy's, as over arrays.
     """
-    total = summed_floor(floors)
+    total = summed_floor(np.array(floors))
     _require_budget(gamma0, total, "summed stabilizability floors")
     if len(floors) == 1:
-        return np.array([gamma0]), None
+        return [gamma0], None
     slack = gamma0 - total
     if slack <= _BOUNDARY_RTOL * gamma0:
-        return floors.copy(), None
-    s = float(slack / weights.sum())
-    return floors + s * weights, s
+        return floors, None
+    s = float(slack / np.array(weights).sum())
+    return [f + s * w for f, w in zip(floors, weights)], s
 
 
 def _channel_magnitudes(
     channel_gains: Sequence[tuple[int, float]], design: str, scale: float, product: str
-) -> tuple[tuple[int, ...], np.ndarray]:
-    """Plant ids and magnitudes of (plant id, |H|) pairs, each a checked magnitude.
+) -> tuple[tuple[int, ...], list[float]]:
+    """Plant ids and magnitudes of (plant id, |H|) pairs, each a checked magnitude, as floats.
 
     The designs multiply two terms of size h^2 scale (scale is the SNR budget,
     or k^2 SSR under a shared controller factor), so the largest h must also
@@ -216,7 +217,7 @@ def _channel_magnitudes(
             f"plant {channel_gains[hs.index(top)][0]}'s channel magnitude {top!r} is too "
             f"large: {product} = {h2s!r} overflows when squared"
         )
-    return tuple(pid for pid, _ in channel_gains), np.array(hs, dtype=float)
+    return tuple(pid for pid, _ in channel_gains), [float(h) for h in hs]
 
 
 def allocate_multi_slow(
@@ -236,12 +237,13 @@ def allocate_multi_slow(
     channel-inverting: larger h_i, smaller gamma_i.
     """
     ids, hs = _channel_magnitudes(channel_gains, "allocate_multi_slow", noise.gamma0, "h^2 gamma0")
-    gamma, s = _split_slack(slow_floor(plant.a, hs), 1.0 / hs, noise.gamma0)
-    multiplier = None if s is None else plant.sigma_w2 * (plant.a / s) ** 2
+    a = plant.a
+    shares, s = _split_slack([slow_floor(a, h) for h in hs], [1.0 / h for h in hs], noise.gamma0)
+    multiplier = None if s is None else plant.sigma_w2 * (a / s) ** 2
 
     require_positive(plant.sigma_w2, "disturbance power")
-    shares, ssr = gamma.tolist(), noise.ssr(plant)
-    gains, _, costs, _ = zip(*[_slow_design(plant, ssr, h, g) for h, g in zip(hs.tolist(), shares)])
+    ssr = noise.ssr(plant)
+    gains, _, costs, _ = zip(*[_slow_design(plant, ssr, h, g) for h, g in zip(hs, shares)])
     return SnrAllocation(ids, tuple(shares), multiplier), MultiDesign(ids, gains, costs)
 
 
@@ -260,9 +262,14 @@ def _stable_quadratic_root(d: np.ndarray, c: np.ndarray, denom_scale: np.ndarray
     return np.where(d >= 0.0, -c / (t * denom_scale), -t / denom_scale)
 
 
+def _over_zero(x: float, zero: float) -> float:
+    """x / zero as numpy divides: an inf signed by both, or NaN for an x of 0 or NaN."""
+    return x * math.copysign(math.inf, zero)
+
+
 def _budget_multiplier(
-    a: float, hs: np.ndarray, gamma_tilde: float, uncapped: float
-) -> tuple[float, np.ndarray]:
+    a: float, hs: list[float], gamma_tilde: float, uncapped: float
+) -> tuple[float, list[float]]:
     """The multiplier lam at which the budget-tight products k~_i(lam) spend gamma~, and k~.
 
     k~_i(lam) is the stabilizing root of plant i's stationarity.  The shares
@@ -271,9 +278,10 @@ def _budget_multiplier(
     share at lam_i = scale h_i^2.  The summed SNR falls as lam grows, so
     [min lam_i, max lam_i] brackets the root.  Illinois regula falsi (Dowell &
     Jarratt, 1971) on log lam shrinks the bracket to a budget residual of
-    _BUDGET_RTOL.
+    _BUDGET_RTOL.  Each residual steps through the plants on plain floats,
+    with ``_stable_quadratic_root``'s operations, and sums its terms in numpy.
     """
-    inv_h2 = float((hs**-2).sum())
+    inv_h2 = float((np.array(hs) ** -2).sum())
     theta = gamma_tilde / inv_h2 - (a * a - 1.0)
     q = a * a - 1.0 + theta
     s = math.sqrt(q * theta)
@@ -284,26 +292,36 @@ def _budget_multiplier(
     scale /= (b + s) * (b * q + s) * (b * s + theta)
 
     # the factors of k~_i(lam) that do not depend on lam, formed once
-    h2, c_unit, scale_unit = hs**2, 4.0 * a * a * hs**2, 2.0 * a * hs
+    d_unit, c_unit, scale_unit = 1.0 - a * a, 4.0 * a * a, 2.0 * a
+    plants = [(h, h * h, c_unit * (h * h), scale_unit * h) for h in hs]
 
-    def products(lam: float) -> np.ndarray:
-        return _stable_quadratic_root((1.0 - a * a) * lam + h2, c_unit * lam, scale_unit * lam)
+    def residual(lam: float) -> tuple[float, list[float]]:
+        k_tilde, terms = [], []
+        for h, h2, c_h, scale_h in plants:
+            d, c, ds = d_unit * lam + h2, c_h * lam, scale_h * lam
+            t = abs(d) + math.sqrt(d * d + c)
+            if d >= 0.0:
+                num, den = -c, t * ds
+            else:
+                num, den = -t, ds
+            k = num / den if den else _over_zero(num, den)
+            a_c = a + h * k
+            den = 1.0 - a_c * a_c
+            k_tilde.append(k)
+            terms.append(k * k / den if den else _over_zero(k * k, den))
+        spent = float(np.array(terms).sum())
+        return (spent - gamma_tilde) / gamma_tilde, k_tilde
 
-    def residual(lam: float) -> float:
-        k_tilde = products(lam)
-        spent = float((k_tilde**2 / (1.0 - (a + hs * k_tilde) ** 2)).sum())
-        return (spent - gamma_tilde) / gamma_tilde
-
-    lo, hi = scale * float(hs.min()) ** 2, scale * float(hs.max()) ** 2
-    r_lo, r_hi = residual(lo), residual(hi)
-    best = min((abs(r_lo), lo), (abs(r_hi), hi))
+    lo, hi = scale * min(hs) ** 2, scale * max(hs) ** 2
+    (r_lo, k_lo), (r_hi, k_hi) = residual(lo), residual(hi)
+    best = min((abs(r_lo), lo, k_lo), (abs(r_hi), hi, k_hi))
     kept = 0  # the end the last step kept: -1 low, 1 high
     while best[0] > _BUDGET_RTOL and r_lo > 0.0 > r_hi:
         lam = math.exp((math.log(lo) * r_hi - math.log(hi) * r_lo) / (r_hi - r_lo))
         if not lo < lam < hi:  # the bracket is down to adjacent floats
             break
-        r = residual(lam)
-        best = min(best, (abs(r), lam))
+        r, k_tilde = residual(lam)
+        best = min(best, (abs(r), lam, k_tilde))
         # Illinois: an end kept a second time running has its residual halved
         if r > 0.0:
             lo, r_lo = lam, r
@@ -313,7 +331,7 @@ def _budget_multiplier(
             hi, r_hi = lam, r
             r_lo /= 2.0 if kept == -1 else 1.0
             kept = -1
-    return best[1], products(best[1])
+    return best[1], best[2]
 
 
 @dataclass(frozen=True)
@@ -348,39 +366,40 @@ def optimize_identical_actuator(
     otherwise k~_i follows the budget-tight stationary form, whose multiplier
     solves the summed-SNR equation (``_budget_multiplier``).
     """
-    require_magnitude(g_common, "shared actuator factor")
+    g_common = float(require_magnitude(g_common, "shared actuator factor"))
     ids, hs = _channel_magnitudes(
         channel_gains, "optimize_identical_actuator", noise.gamma0, "h^2 gamma0"
     )
     a = plant.a
     ssr = noise.ssr(plant)
-    gamma_tilde = g_common**2 * noise.gamma0 / (g_common**2 + ssr)
-    floor_sum = summed_floor(slow_floor(a, hs))
+    gamma_tilde = float(g_common**2 * noise.gamma0 / (g_common**2 + ssr))
+    floor_sum = summed_floor(np.array([slow_floor(a, h) for h in hs]))
     _require_budget(gamma_tilde, floor_sum, "summed floors of the shared-actuator design")
 
-    unconstrained_snr = float((a * a / hs**2).sum())
+    unconstrained_snr = float(np.array([a * a / (h * h) for h in hs]).sum())
     if gamma_tilde >= unconstrained_snr:
-        k_tilde = -a / hs
+        k_tilde = [-a / h for h in hs]
         regime, multiplier = "unconstrained", None
     elif gamma_tilde - floor_sum <= _BOUNDARY_RTOL * gamma_tilde:
         # budget exactly on the floors: SNR-minimizing products
-        k_tilde = -(a * a - 1.0) / (a * hs)
+        k_tilde = [-(a * a - 1.0) / (a * h) for h in hs]
         regime, multiplier = "budget", None
     else:
         multiplier, k_tilde = _budget_multiplier(a, hs, gamma_tilde, unconstrained_snr)
         regime = "budget"
 
-    a_c = a + hs * k_tilde
-    costs = noise.sigma_z2 * (g_common**2 + ssr) / (1.0 - a_c**2)
+    a_c = [a + h * k for h, k in zip(hs, k_tilde)]
+    power = noise.sigma_z2 * (g_common**2 + ssr)
+    margins = [1.0 - x * x for x in a_c]
     return IdenticalActuatorDesign(
         plant_ids=ids,
-        k_tilde=tuple(k_tilde.tolist()),
-        k=tuple((k_tilde / g_common).tolist()),
-        gamma_tilde=float(gamma_tilde),
+        k_tilde=tuple(k_tilde),
+        k=tuple(k / g_common for k in k_tilde),
+        gamma_tilde=gamma_tilde,
         regime=regime,
         multiplier=multiplier,
-        closed_loop=tuple(a_c.tolist()),
-        predicted_costs=tuple(costs.tolist()),
+        closed_loop=tuple(a_c),
+        predicted_costs=tuple(power / m if m else _over_zero(power, m) for m in margins),
     )
 
 
@@ -415,13 +434,15 @@ def optimize_identical_controller(
     exceeds the budget's cap sigma_z2 gamma0 / K^2.
     """
     if not 1e-12 <= abs(k_common) < math.inf:
-        raise ValueError(f"shared controller factor must be finite and nonzero (got {k_common!r})")
+        raise ValueError(
+            f"shared controller factor must be finite with |K| >= 1e-12 (got {k_common!r})"
+        )
     k = float(k_common)
     ssr = noise.ssr(plant)
-    ids, hs = _channel_magnitudes(
+    ids, magnitudes = _channel_magnitudes(
         channel_gains, "optimize_identical_controller", k * k * ssr, "h^2 k^2 SSR"
     )
-    a = plant.a
+    a, hs = plant.a, np.array(magnitudes)
     e = 1.0 - a * a + hs * hs * k * k * ssr
     c = 4.0 * a * a * hs * hs * k * k * ssr
     g = _stable_quadratic_root(e, c, 2.0 * a * hs * k)

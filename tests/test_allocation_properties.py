@@ -8,16 +8,19 @@ lattice so no two plants share a channel.
 import dataclasses
 import hashlib
 import math
+from collections import Counter
 from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from wncs import fast_control, slow_control
 from wncs.fast_control import ETA, allocate_multi_fast, fast_snr_floor, optimize_single_fast
 from wncs.model import NoisePowers, PlantParams
 from wncs.slow_control import (
+    _stable_quadratic_root,
     allocate_multi_slow,
     optimize_identical_actuator,
     optimize_single_slow,
@@ -212,6 +215,22 @@ def test_shared_actuator_properties(instance):
     assert np.max(np.abs(k_tilde - oracle)) <= 1e-9 * np.max(np.abs(oracle))
 
 
+@PROPERTY_SETTINGS
+@given(shared_instances())
+def test_budget_products_are_the_array_root_at_the_multiplier_bit_for_bit(instance):
+    # the solver steps each plant on plain floats: its products are the array
+    # root at its multiplier, formed from the solver's own factors, to the bit
+    plant, channels, noise, g_common = instance
+    design = optimize_identical_actuator(channels, plant, noise, g_common)
+    assume(design.multiplier is not None)
+    a, hs, lam = plant.a, np.array([h for _, h in channels]), design.multiplier
+    h2 = hs**2
+    expected = _stable_quadratic_root(
+        (1.0 - a * a) * lam + h2, 4.0 * a * a * h2 * lam, 2.0 * a * hs * lam
+    )
+    assert np.array_equal(design.k_tilde, expected)
+
+
 @pytest.mark.parametrize("regime, channels", [
     ("slow", [(1, 2.0**-4), (2, 2.0**-6), (3, 2.0**-7)]),
     ("fast", [(1, 2.0**-10), (2, 2.0**-12), (3, 2.0**-14)]),
@@ -267,6 +286,37 @@ def test_every_design_holds_plain_floats():
     for result in results:
         types = {type(n) for n in numbers_in(result)}
         assert types == {float}, (types, result)
+
+
+def test_every_design_checks_each_channel_once(monkeypatch):
+    checks = Counter()
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def check(value, *args):
+            checks[value] += 1
+            return original(value, *args)
+
+        monkeypatch.setattr(module, name, check)
+
+    counted(slow_control, "require_magnitude")
+    counted(fast_control, "require_channel_power")
+    plant = PlantParams(a=1.2, sigma_w2=0.1)
+    noise = NoisePowers(sigma_z2=SIGMA_Z2, p0=1e-2)
+    hs, powers = [0.01, 0.02, 0.05], [1e-4, 4e-4, 2.5e-3]
+    designs = {
+        "allocate_multi_slow": lambda: allocate_multi_slow(list(enumerate(hs, 1)), plant, noise),
+        "allocate_multi_fast": lambda: allocate_multi_fast(list(enumerate(powers, 1)), plant,
+                                                           noise),
+        "optimize_single_slow": lambda: optimize_single_slow(plant, noise, hs[0]),
+        "optimize_single_fast": lambda: optimize_single_fast(plant, noise, powers[0]),
+    }
+    for name, design in designs.items():
+        checks.clear()
+        design()
+        channels = powers if "fast" in name else hs
+        assert checks == Counter(channels[: 1 if "single" in name else None]), name
 
 
 def golden_designs():

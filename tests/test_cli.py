@@ -653,6 +653,16 @@ def test_a_disturbance_ratio_that_underflows_to_0_is_refused_by_name(tmp_path, c
         assert not out.exists()
 
 
+def test_a_shared_controller_factor_below_its_bound_is_refused_naming_the_bound(tmp_path,
+                                                                               capsys):
+    # 1e-13 is finite and nonzero: the refusal names the bound it misses
+    out = tmp_path / "x.csv"
+    assert main(["multi-slow", "--k-common", "1e-13", "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "shared controller factor must be finite with |K| >= 1e-12 (got 1e-13)" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv, clash",
     [

@@ -323,7 +323,8 @@ def test_the_cost_reduction_frees_the_last_block_before_concatenating():
     # are 3 MiB each.  The peak, about 7.1 MiB, comes while the last block is
     # stepped; a 2 MiB block pair still held by the concatenation made it 8.1
     spec = make_spec(horizon=10, replicas=400_000)
-    cell = lambda: model.mean_cost(experiments._simulated_blocks(spec, (0, 0), 138.97, 0.9))
+    cell = lambda: model.mean_cost(experiments._simulated_blocks(spec, (0, 0), 138.97, 0.9),
+                                  spec.replicas)
     cell()
     tracemalloc.start()
     try:
@@ -375,7 +376,8 @@ def test_blocks_equal_a_dense_reference(monkeypatch, block_rows, g, a_c, fading)
         monkeypatch.setattr(model, "BLOCK_ELEMENTS", block_rows * spec.horizon)
     key = (experiments._KIND_MULTI_FAST, 0, 1)
     blocks = experiments._simulated_blocks(spec, key, g, a_c, fading)
-    assert model.mean_cost(blocks) == _dense_reference_cost(spec, key, g, a_c, fading)
+    expected = _dense_reference_cost(spec, key, g, a_c, fading)
+    assert model.mean_cost(blocks, spec.replicas) == expected
 
 
 def test_trace_blocks_sum_to_one_dense_reduction(monkeypatch):
@@ -404,7 +406,7 @@ def test_a_diverged_block_makes_the_cost_inf_and_draws_no_more(monkeypatch, fadi
             taken.append(block)
             yield block
 
-    assert model.mean_cost(counted()) == math.inf
+    assert model.mean_cost(counted(), spec.replicas) == math.inf
     assert len(taken) == 1
 
 
@@ -462,7 +464,7 @@ def test_no_cell_submits_to_the_pool(monkeypatch):
     forbid_cell_pools(monkeypatch)
     monkeypatch.setattr(model, "BLOCK_ELEMENTS", 7 * spec.horizon)
     blocks = experiments._simulated_blocks(spec, (0, 0), 100.0, 1.5, fading=(-100.0, 1e-4))
-    assert math.isfinite(model.mean_cost(blocks))
+    assert math.isfinite(model.mean_cost(blocks, spec.replicas))
 
 
 def test_concurrent_sweeps_equal_their_sequential_results(monkeypatch):

@@ -1,6 +1,7 @@
 """Plant model primitives: parameter validation and cost accounting."""
 import math
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -262,3 +263,27 @@ def test_two_threads_stepping_at_once_equal_one_thread():
     finally:
         sys.setswitchinterval(interval)
     assert concurrent == [[alone] * 5] * 2
+
+
+def test_the_cost_reduction_holds_one_float_per_replica():
+    # 400k replicas at T = 10 in the kernel's row blocks, each a view of one
+    # block made before tracing, so only the reduction's own memory counts:
+    # one (replicas,) array of per-replica means, 3.05 MiB.  A list of the
+    # per-block means and their concatenation held twice that, 6.1 MiB
+    replicas, horizon = 400_000, 10
+    rows = model.block_rows(horizon)
+    block, clean = np.ones((rows, horizon)), np.zeros(rows, dtype=bool)
+
+    def blocks():
+        for start in range(0, replicas, rows):
+            count = min(rows, replicas - start)
+            yield block[:count], clean[:count]
+
+    tracemalloc.start()
+    try:
+        cost = model.mean_cost(blocks(), replicas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cost == 1.0
+    assert peak < 4 * 2**20

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from wncs.model import GainPair, NoisePowers, PlantParams
 from wncs.slow_control import (
     Infeasible,
+    _over_zero,
     allocate_multi_slow,
     optimize_identical_actuator,
     optimize_identical_controller,
@@ -309,6 +310,16 @@ def test_identical_actuator_budget_regime_vs_split_sweep():
     closed = sum(design.predicted_costs)
     assert closed <= best * (1.0 + 1e-12)
     assert best <= closed * 1.001
+
+
+def test_a_zero_divisor_gives_numpys_quotient():
+    # the shared-actuator design divides on plain floats: where a divisor is
+    # a zero, it takes numpy's signed inf or NaN instead of ZeroDivisionError
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for x in (1.5, -1.5, 0.0, -0.0, math.inf, -math.inf, math.nan):
+            for zero in (0.0, -0.0):
+                expected, got = float(np.float64(x) / zero), _over_zero(x, zero)
+                assert got == expected or math.isnan(got) and math.isnan(expected), (x, zero)
 
 
 def test_identical_actuator_validation():
