@@ -572,7 +572,7 @@ def _check_thresholds() -> tuple[bool, str]:
         [snr_floor(_VERIFY_PLANT, h) for h in (0.01, 0.02)],
         [fast_snr_floor(_VERIFY_PLANT, s) for s in (1e-4, 4e-4)],
     )
-    got = tuple(watts_to_dbm(summed_floor(np.array(f)) * _VERIFY_NOISE.sigma_z2) for f in floors)
+    got = tuple(watts_to_dbm(summed_floor(f) * _VERIFY_NOISE.sigma_z2) for f in floors)
     expected = (0.9691001, 1.9382003, 9.3280992)
     ok = all(abs(g - e) < 1e-3 for g, e in zip(got, expected))
     detail = (

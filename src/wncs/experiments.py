@@ -33,6 +33,7 @@ from .model import (
     predicted_cost_slow,
     require_magnitude,
     require_positive,
+    sequential_sum,
     simulate_loop,
 )
 from .slow_control import allocate_multi_slow, optimize_single_slow, select_plants, slow_floor
@@ -406,7 +407,7 @@ def run_multi_sweep(
     floor_of = snr_floor if slow else fast_snr_floor
     allocate = allocate_multi_slow if slow else allocate_multi_fast
     # the allocator's floors, each checked, and its sum: a point past the gate is allocated
-    floors_total = summed_floor(np.array([floor_of(spec.plant, v) for _, v in channels]))
+    floors_total = summed_floor([floor_of(spec.plant, v) for _, v in channels])
 
     # each cell keyed by the (column, grid index) its cost fills; an
     # infeasible point, or a share with nothing to run, leaves its inf
@@ -437,7 +438,7 @@ def run_multi_sweep(
     # each feasible point's total, summed in plant order
     for gi, alloc in enumerate(allocations):
         if alloc is not None:
-            cols["j_total_sim"][gi] = sum(cols[f"j{pid}_sim"][gi] for pid in ids)
+            cols["j_total_sim"][gi] = sequential_sum(cols[f"j{pid}_sim"][gi] for pid in ids)
     meta = {
         "seed": spec.seed,
         "replicas": spec.replicas,

@@ -101,27 +101,35 @@ def optimize_single_fast(
     require_positive(plant.sigma_w2, "disturbance power")
     g0 = noise.gamma0 if gamma is None else float(gamma)
     s = float(require_channel_power(sigma_h2))
-    return FastSingleDesign(*_fast_design(plant, noise.ssr(plant), s, g0))
+    fields = _fast_designs(plant, noise.ssr(plant), [s], [g0])
+    return FastSingleDesign(*(field[0] for field in fields))
 
 
-def _fast_design(plant: PlantParams, ssr: float, s: float, g0: float) -> _DesignFields:
-    """``optimize_single_fast``'s fields at budget g0, on plain floats, for a checked s."""
-    a = plant.a
-    _require_budget(g0, fast_floor(a, s), "mean-square stabilizability floor")
-    b = math.sqrt(2.0 * s / math.pi)
-    u = -b * a * g0 / (1.0 + s * g0)
-    e_star = s * u * u + 2.0 * b * a * u + a**2  # expected_ac2, with s checked once
-    denom = (1.0 - e_star) * g0 - u * u
-    if denom <= _BOUNDARY_RTOL * (1.0 - e_star) * g0:
-        return None, u, e_star, math.inf
-    k = -math.sqrt(denom / require_ssr(ssr))
-    g = u / k
-    if not (math.isfinite(k) and math.isfinite(g)):
-        raise gains_overflow(k, g, ssr)
-    cost = g0 * plant.sigma_w2 / denom
-    if cost == math.inf:  # the product overflows where the cost need not: divide first
-        cost = g0 / denom * plant.sigma_w2
-    return GainPair(k=k, g=g), u, e_star, cost
+def _fast_designs(
+    plant: PlantParams, ssr: float, ss: Sequence[float], budgets: Sequence[float]
+) -> _DesignFields:
+    """``optimize_single_fast``'s fields for each checked s at its budget, on plain floats."""
+    a, sigma_w2 = plant.a, plant.sigma_w2
+    a2 = a**2
+    rows = []
+    for s, g0 in zip(ss, budgets):
+        _require_budget(g0, fast_floor(a, s), "mean-square stabilizability floor")
+        b = math.sqrt(2.0 * s / math.pi)
+        u = -b * a * g0 / (1.0 + s * g0)
+        e_star = s * u * u + 2.0 * b * a * u + a2  # expected_ac2, with s checked once
+        denom = (1.0 - e_star) * g0 - u * u
+        if denom <= _BOUNDARY_RTOL * (1.0 - e_star) * g0:
+            rows.append((None, u, e_star, math.inf))
+            continue
+        k = -math.sqrt(denom / require_ssr(ssr))
+        g = u / k
+        if not (math.isfinite(k) and math.isfinite(g)):
+            raise gains_overflow(k, g, ssr)
+        cost = g0 * sigma_w2 / denom
+        if cost == math.inf:  # the product overflows where the cost need not: divide first
+            cost = g0 / denom * sigma_w2
+        rows.append((GainPair(k, g), u, e_star, cost))
+    return tuple(zip(*rows))
 
 
 def allocate_multi_fast(
@@ -155,5 +163,5 @@ def allocate_multi_fast(
 
     require_positive(plant.sigma_w2, "disturbance power")
     ssr = noise.ssr(plant)
-    gains, _, _, costs = zip(*[_fast_design(plant, ssr, v, g) for v, g in zip(ss, shares)])
+    gains, _, _, costs = _fast_designs(plant, ssr, ss, shares)
     return SnrAllocation(ids, tuple(shares), multiplier), MultiDesign(ids, gains, costs)

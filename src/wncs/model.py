@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,6 +51,46 @@ def require_magnitude(value: float, what: str) -> float:
     if square == 0.0:
         raise ValueError(f"{what} is too small: its square underflows to 0 (got {value!r})")
     return value
+
+
+def sequential_sum(values: Iterable[float]) -> float:
+    """``values`` added left to right from 0.0: builtin sum()'s float bits before Python 3.12."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def pairwise_sum(values: Sequence[float]) -> float:
+    """numpy's float64 sum of ``values``, replayed bit for bit on plain floats.
+
+    np.add.reduce takes the pairwise sum (Higham, 1993): fewer than 8 terms
+    in sequence, up to 128 in 8 accumulators over strides of 8 and the rest
+    in sequence, more split in two at a multiple of 8.  It adds that to an
+    initial 0.0, which only turns a -0.0 sum into 0.0.  On a few terms this
+    runs several times faster than building an array to sum.
+    """
+    n = len(values)
+    if n < 8:
+        return sequential_sum(values)
+    if n <= 128:
+        whole = n - n % 8
+        r0, r1, r2, r3, r4, r5, r6, r7 = values[:8]
+        for i in range(8, whole, 8):
+            r0 += values[i]
+            r1 += values[i + 1]
+            r2 += values[i + 2]
+            r3 += values[i + 3]
+            r4 += values[i + 4]
+            r5 += values[i + 5]
+            r6 += values[i + 6]
+            r7 += values[i + 7]
+        total = 0.0 + (((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)))
+        for i in range(whole, n):
+            total += values[i]
+        return total
+    half = n // 2 - n // 2 % 8
+    return pairwise_sum(values[:half]) + pairwise_sum(values[half:])
 
 
 @dataclass(frozen=True)

@@ -30,8 +30,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import GainPair, NoisePowers, PlantParams, gains_overflow, require_magnitude
-from .model import require_positive, require_ssr
+from .model import GainPair, NoisePowers, PlantParams, gains_overflow, pairwise_sum
+from .model import require_magnitude, require_positive, require_ssr, sequential_sum
 
 #: relative slack below which a budget is treated as sitting exactly on a floor
 _BOUNDARY_RTOL = 1e-12
@@ -44,8 +44,9 @@ class Infeasible(ValueError):
     """The budget or shared factor admits no stabilizing design: a verdict, not bad input."""
 
 
-#: a single-plant design's fields in order, as the allocators build them per plant
-_DesignFields = tuple[Optional[GainPair], float, float, float]
+#: a design loop's fields in order, one tuple per field with one entry per plant
+_DesignFields = tuple[tuple[Optional[GainPair], ...], tuple[float, ...], tuple[float, ...],
+                      tuple[float, ...]]
 
 
 def slow_floor(a: float, h: "float | np.ndarray") -> "float | np.ndarray":
@@ -58,9 +59,9 @@ def snr_floor(plant: PlantParams, h: float) -> float:
     return slow_floor(plant.a, require_magnitude(h, "channel magnitude"))
 
 
-def summed_floor(floors: np.ndarray) -> float:
+def summed_floor(floors: Sequence[float]) -> float:
     """The least budget that covers ``floors``: the one sum every shared-budget verdict uses."""
-    return float(floors.sum())
+    return pairwise_sum(floors)
 
 
 def _require_budget(budget: float, floor: float, what: str) -> None:
@@ -100,34 +101,41 @@ def optimize_single_slow(
     require_positive(plant.sigma_w2, "disturbance power")
     g0 = noise.gamma0 if gamma is None else float(gamma)
     h = float(require_magnitude(h, "channel magnitude"))
-    return SlowSingleDesign(*_slow_design(plant, noise.ssr(plant), h, g0))
+    fields = _slow_designs(plant, noise.ssr(plant), [h], [g0])
+    return SlowSingleDesign(*(field[0] for field in fields))
 
 
-def _slow_design(plant: PlantParams, ssr: float, h: float, g0: float) -> _DesignFields:
-    """``optimize_single_slow``'s fields at budget g0, on plain floats, for a checked h."""
-    a = plant.a
-    _require_budget(g0, slow_floor(a, h), "stabilizability floor (a^2-1)/h^2 =")
-    h2g = h * h * g0
-    # (h2g + 1) * margin below is about h2g^2: refuse a channel that overflows it
-    if not math.isfinite(h2g * h2g):
-        raise ValueError(
-            f"channel magnitude {h!r} is too large: h^2 gamma = {h2g!r} overflows when squared"
-        )
-    a_c = a / (1.0 + h2g)
-    # at the boundary h^2 gamma = a^2 - 1 the optimal K collapses to 0 while
-    # the product G K stays finite and the cost diverges (G -> inf)
-    margin = h2g + 1.0 - a * a
-    if margin <= _BOUNDARY_RTOL * (h2g + 1.0):
-        return None, a_c, math.inf, -(a * a - 1.0) / (a * h)
-    j_ave = plant.sigma_w2 * (1.0 + h2g) / margin
-    if j_ave == math.inf:  # the product overflows where the cost need not: divide first
-        j_ave = plant.sigma_w2 * ((1.0 + h2g) / margin)
-    k = -math.sqrt(g0 * margin / (require_ssr(ssr) * (h2g + 1.0)))
-    g = a * h * math.sqrt(g0 * ssr / ((h2g + 1.0) * margin))
-    if not (math.isfinite(k) and math.isfinite(g)):
-        raise gains_overflow(k, g, ssr)
-    gains = GainPair(k=k, g=g)
-    return gains, a_c, j_ave, gains.product
+def _slow_designs(
+    plant: PlantParams, ssr: float, hs: Sequence[float], budgets: Sequence[float]
+) -> _DesignFields:
+    """``optimize_single_slow``'s fields for each checked h at its budget, on plain floats."""
+    a, sigma_w2 = plant.a, plant.sigma_w2
+    rows = []
+    for h, g0 in zip(hs, budgets):
+        _require_budget(g0, slow_floor(a, h), "stabilizability floor (a^2-1)/h^2 =")
+        h2g = h * h * g0
+        # (1 + h2g) * margin below is about h2g^2: refuse a channel that overflows it
+        if not math.isfinite(h2g * h2g):
+            raise ValueError(
+                f"channel magnitude {h!r} is too large: h^2 gamma = {h2g!r} overflows when squared"
+            )
+        grown = 1.0 + h2g
+        a_c = a / grown
+        # at the boundary h^2 gamma = a^2 - 1 the optimal K collapses to 0 while
+        # the product G K stays finite and the cost diverges (G -> inf)
+        margin = grown - a * a
+        if margin <= _BOUNDARY_RTOL * grown:
+            rows.append((None, a_c, math.inf, -(a * a - 1.0) / (a * h)))
+            continue
+        j_ave = sigma_w2 * grown / margin
+        if j_ave == math.inf:  # the product overflows where the cost need not: divide first
+            j_ave = sigma_w2 * (grown / margin)
+        k = -math.sqrt(g0 * margin / (require_ssr(ssr) * grown))
+        g = a * h * math.sqrt(g0 * ssr / (grown * margin))
+        if not (math.isfinite(k) and math.isfinite(g)):
+            raise gains_overflow(k, g, ssr)
+        rows.append((GainPair(k, g), a_c, j_ave, g * k))
+    return tuple(zip(*rows))
 
 
 def select_plants(
@@ -174,7 +182,7 @@ class MultiDesign:
 
     @property
     def total_cost(self) -> float:
-        return float(sum(self.predicted_costs))
+        return sequential_sum(self.predicted_costs)
 
 
 def _split_slack(
@@ -185,16 +193,16 @@ def _split_slack(
     The slack splits in proportion to ``weights``; returns the shares and the
     slack per unit weight s.  s is None when nothing is split: one plant takes
     the whole budget, and a budget on the summed floors pins every share.
-    Both sums are numpy's, as over arrays.
+    Both sums are ``pairwise_sum``'s, numpy's sums on plain floats.
     """
-    total = summed_floor(np.array(floors))
+    total = summed_floor(floors)
     _require_budget(gamma0, total, "summed stabilizability floors")
     if len(floors) == 1:
         return [gamma0], None
     slack = gamma0 - total
     if slack <= _BOUNDARY_RTOL * gamma0:
         return floors, None
-    s = float(slack / np.array(weights).sum())
+    s = slack / pairwise_sum(weights)
     return [f + s * w for f, w in zip(floors, weights)], s
 
 
@@ -217,7 +225,7 @@ def _channel_magnitudes(
             f"plant {channel_gains[hs.index(top)][0]}'s channel magnitude {top!r} is too "
             f"large: {product} = {h2s!r} overflows when squared"
         )
-    return tuple(pid for pid, _ in channel_gains), [float(h) for h in hs]
+    return tuple([pid for pid, _ in channel_gains]), [float(h) for h in hs]
 
 
 def allocate_multi_slow(
@@ -243,7 +251,7 @@ def allocate_multi_slow(
 
     require_positive(plant.sigma_w2, "disturbance power")
     ssr = noise.ssr(plant)
-    gains, _, costs, _ = zip(*[_slow_design(plant, ssr, h, g) for h, g in zip(hs, shares)])
+    gains, _, costs, _ = _slow_designs(plant, ssr, hs, shares)
     return SnrAllocation(ids, tuple(shares), multiplier), MultiDesign(ids, gains, costs)
 
 
@@ -252,19 +260,23 @@ def allocate_multi_slow(
 # ---------------------------------------------------------------------------
 
 
-def _stable_quadratic_root(d: np.ndarray, c: np.ndarray, denom_scale: np.ndarray) -> np.ndarray:
-    """Numerically stable (d - sqrt(d^2 + c)) / denom_scale for c > 0, elementwise.
+def _over_zero(x: float, zero: float) -> float:
+    """x / zero as numpy divides: an inf signed by both, or NaN for an x of 0 or NaN."""
+    return x * math.copysign(math.inf, zero)
+
+
+def _stable_quadratic_root(d: float, c: float, denom_scale: float) -> float:
+    """Numerically stable (d - sqrt(d^2 + c)) / denom_scale for c > 0, on plain floats.
 
     The naive form cancels catastrophically when d >> c; the conjugate form
     -c / (d + sqrt(d^2 + c)) is exact in that regime.
     """
-    t = np.abs(d) + np.sqrt(d * d + c)
-    return np.where(d >= 0.0, -c / (t * denom_scale), -t / denom_scale)
-
-
-def _over_zero(x: float, zero: float) -> float:
-    """x / zero as numpy divides: an inf signed by both, or NaN for an x of 0 or NaN."""
-    return x * math.copysign(math.inf, zero)
+    t = abs(d) + math.sqrt(d * d + c)
+    if d >= 0.0:
+        num, den = -c, t * denom_scale
+    else:
+        num, den = -t, denom_scale
+    return num / den if den else _over_zero(num, den)
 
 
 def _budget_multiplier(
@@ -279,9 +291,11 @@ def _budget_multiplier(
     [min lam_i, max lam_i] brackets the root.  Illinois regula falsi (Dowell &
     Jarratt, 1971) on log lam shrinks the bracket to a budget residual of
     _BUDGET_RTOL.  Each residual steps through the plants on plain floats,
-    with ``_stable_quadratic_root``'s operations, and sums its terms in numpy.
+    with ``_stable_quadratic_root``'s operations inline, and sums its terms
+    with ``pairwise_sum``, numpy's sum on plain floats.
     """
-    inv_h2 = float((np.array(hs) ** -2).sum())
+    # numpy's power, not float ** -2, which differs in the last bit on a few h
+    inv_h2 = pairwise_sum((np.array(hs) ** -2).tolist())
     theta = gamma_tilde / inv_h2 - (a * a - 1.0)
     q = a * a - 1.0 + theta
     s = math.sqrt(q * theta)
@@ -309,7 +323,7 @@ def _budget_multiplier(
             den = 1.0 - a_c * a_c
             k_tilde.append(k)
             terms.append(k * k / den if den else _over_zero(k * k, den))
-        spent = float(np.array(terms).sum())
+        spent = pairwise_sum(terms)
         return (spent - gamma_tilde) / gamma_tilde, k_tilde
 
     lo, hi = scale * min(hs) ** 2, scale * max(hs) ** 2
@@ -349,7 +363,7 @@ class IdenticalActuatorDesign:
 
     @property
     def total_cost(self) -> float:
-        return float(sum(self.predicted_costs))
+        return sequential_sum(self.predicted_costs)
 
 
 def optimize_identical_actuator(
@@ -373,10 +387,10 @@ def optimize_identical_actuator(
     a = plant.a
     ssr = noise.ssr(plant)
     gamma_tilde = float(g_common**2 * noise.gamma0 / (g_common**2 + ssr))
-    floor_sum = summed_floor(np.array([slow_floor(a, h) for h in hs]))
+    floor_sum = summed_floor([slow_floor(a, h) for h in hs])
     _require_budget(gamma_tilde, floor_sum, "summed floors of the shared-actuator design")
 
-    unconstrained_snr = float(np.array([a * a / (h * h) for h in hs]).sum())
+    unconstrained_snr = pairwise_sum([a * a / (h * h) for h in hs])
     if gamma_tilde >= unconstrained_snr:
         k_tilde = [-a / h for h in hs]
         regime, multiplier = "unconstrained", None
@@ -394,12 +408,12 @@ def optimize_identical_actuator(
     return IdenticalActuatorDesign(
         plant_ids=ids,
         k_tilde=tuple(k_tilde),
-        k=tuple(k / g_common for k in k_tilde),
+        k=tuple([k / g_common for k in k_tilde]),
         gamma_tilde=gamma_tilde,
         regime=regime,
         multiplier=multiplier,
         closed_loop=tuple(a_c),
-        predicted_costs=tuple(power / m if m else _over_zero(power, m) for m in margins),
+        predicted_costs=tuple([power / m if m else _over_zero(power, m) for m in margins]),
     )
 
 
@@ -419,7 +433,7 @@ class IdenticalControllerDesign:
 
     @property
     def total_cost(self) -> float:
-        return float(sum(self.predicted_costs))
+        return sequential_sum(self.predicted_costs)
 
 
 def optimize_identical_controller(
@@ -439,18 +453,21 @@ def optimize_identical_controller(
         )
     k = float(k_common)
     ssr = noise.ssr(plant)
-    ids, magnitudes = _channel_magnitudes(
+    ids, hs = _channel_magnitudes(
         channel_gains, "optimize_identical_controller", k * k * ssr, "h^2 k^2 SSR"
     )
-    a, hs = plant.a, np.array(magnitudes)
-    e = 1.0 - a * a + hs * hs * k * k * ssr
-    c = 4.0 * a * a * hs * hs * k * k * ssr
-    g = _stable_quadratic_root(e, c, 2.0 * a * hs * k)
-    a_c = a + hs * k * g
-    if np.any(np.abs(a_c) >= 1.0):
+    a = plant.a
+    g = [
+        _stable_quadratic_root(
+            1.0 - a * a + h * h * k * k * ssr, 4.0 * a * a * h * h * k * k * ssr, 2.0 * a * h * k
+        )
+        for h in hs
+    ]
+    a_c = [a + h * k * x for h, x in zip(hs, g)]
+    if any(abs(x) >= 1.0 for x in a_c):
         raise Infeasible("shared controller factor yields an unstable closed loop")
-    costs = noise.sigma_z2 * (g**2 + ssr) / (1.0 - a_c**2)
-    total = float(costs.sum())
+    costs = [noise.sigma_z2 * (x * x + ssr) / (1.0 - y * y) for x, y in zip(g, a_c)]
+    total = pairwise_sum(costs)
     limit = noise.sigma_z2 * noise.gamma0 / k**2
     if total > limit * (1.0 + 1e-12):
         raise Infeasible(
@@ -459,7 +476,7 @@ def optimize_identical_controller(
         )
     return IdenticalControllerDesign(
         plant_ids=ids,
-        g=tuple(map(float, g)),
-        closed_loop=tuple(map(float, a_c)),
-        predicted_costs=tuple(map(float, costs)),
+        g=tuple(g),
+        closed_loop=tuple(a_c),
+        predicted_costs=tuple(costs),
     )

@@ -20,9 +20,10 @@ from wncs import fast_control, slow_control
 from wncs.fast_control import ETA, allocate_multi_fast, fast_snr_floor, optimize_single_fast
 from wncs.model import NoisePowers, PlantParams
 from wncs.slow_control import (
-    _stable_quadratic_root,
+    Infeasible,
     allocate_multi_slow,
     optimize_identical_actuator,
+    optimize_identical_controller,
     optimize_single_slow,
     snr_floor,
 )
@@ -215,6 +216,12 @@ def test_shared_actuator_properties(instance):
     assert np.max(np.abs(k_tilde - oracle)) <= 1e-9 * np.max(np.abs(oracle))
 
 
+def array_root(d, c, denom_scale):
+    """The conjugate-form root (d - sqrt(d^2 + c)) / denom_scale over arrays, elementwise."""
+    t = np.abs(d) + np.sqrt(d * d + c)
+    return np.where(d >= 0.0, -c / (t * denom_scale), -t / denom_scale)
+
+
 @PROPERTY_SETTINGS
 @given(shared_instances())
 def test_budget_products_are_the_array_root_at_the_multiplier_bit_for_bit(instance):
@@ -225,10 +232,30 @@ def test_budget_products_are_the_array_root_at_the_multiplier_bit_for_bit(instan
     assume(design.multiplier is not None)
     a, hs, lam = plant.a, np.array([h for _, h in channels]), design.multiplier
     h2 = hs**2
-    expected = _stable_quadratic_root(
-        (1.0 - a * a) * lam + h2, 4.0 * a * a * h2 * lam, 2.0 * a * hs * lam
-    )
+    expected = array_root((1.0 - a * a) * lam + h2, 4.0 * a * a * h2 * lam, 2.0 * a * hs * lam)
     assert np.array_equal(design.k_tilde, expected)
+
+
+@PROPERTY_SETTINGS
+@given(shared_instances(), st.floats(-3.0, 1.0))
+def test_shared_controller_design_is_the_array_design_bit_for_bit(instance, exponent):
+    # the design steps each plant on plain floats: its factors, closed loops
+    # and costs are those of the same formulas over arrays, to the bit
+    plant, channels, _, _ = instance
+    k = -(10.0**exponent)
+    noise = NoisePowers(SIGMA_Z2, 1e3)  # a cap on the total cost that rarely binds
+    try:
+        design = optimize_identical_controller(channels, plant, noise, k)
+    except Infeasible:
+        assume(False)
+    a, hs, ssr = plant.a, np.array([h for _, h in channels]), plant.sigma_w2 / SIGMA_Z2
+    g = array_root(1.0 - a * a + hs * hs * k * k * ssr, 4.0 * a * a * hs * hs * k * k * ssr,
+                   2.0 * a * hs * k)
+    a_c = a + hs * k * g
+    costs = noise.sigma_z2 * (g**2 + ssr) / (1.0 - a_c**2)
+    assert np.array_equal(design.g, g)
+    assert np.array_equal(design.closed_loop, a_c)
+    assert np.array_equal(design.predicted_costs, costs)
 
 
 @pytest.mark.parametrize("regime, channels", [
@@ -281,8 +308,10 @@ def test_every_design_holds_plain_floats():
         allocate_multi_fast(list(enumerate(powers, start=1)), plant, noise),
         optimize_identical_actuator(list(enumerate(hs, start=1)), plant, noise, 400.0),
         optimize_identical_actuator(list(enumerate(hs, start=1)), plant, noise, 1e6),
+        optimize_identical_controller(list(enumerate(hs, start=1)), plant,
+                                      NoisePowers(sigma_z2=SIGMA_Z2, p0=1.0), -1.0),
     ]
-    assert {r.regime for r in results[-2:]} == {"budget", "unconstrained"}
+    assert {r.regime for r in results[-3:-1]} == {"budget", "unconstrained"}
     for result in results:
         types = {type(n) for n in numbers_in(result)}
         assert types == {float}, (types, result)

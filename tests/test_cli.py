@@ -828,3 +828,19 @@ def test_recipe_output_is_pinned_byte_for_byte(tmp_path, monkeypatch, argv, code
     digests = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in ("run.csv", "run.csv.meta.json")]
     assert digests == [csv_sha256, sidecar_sha256]
+
+
+def _pinned_recipes():
+    """(argv, output name, CSV digest) of each line of recipe_csv_sha256.txt."""
+    for line in (Path(__file__).parent / "recipe_csv_sha256.txt").read_text().splitlines():
+        if line and not line.startswith("#"):
+            name, digest, argv = line.split(maxsplit=2)
+            yield pytest.param(argv.split(), name, digest, id=name)
+
+
+@pytest.mark.parametrize("argv, name, digest", list(_pinned_recipes()))
+def test_every_pinned_recipe_writes_its_csv_bytes(argv, name, digest, tmp_path, monkeypatch):
+    # a relative --out, as CI passes it; the sidecar may gain keys and is not pinned
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--out", f"{name}.csv"]) == EXIT_OK
+    assert hashlib.sha256(Path(f"{name}.csv").read_bytes()).hexdigest() == digest

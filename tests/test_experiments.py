@@ -318,10 +318,11 @@ def test_an_analog_cell_holds_about_two_block_arrays(cell):
     assert peak < 2.5 * model.BLOCK_ELEMENTS * 8
 
 
-def test_the_cost_reduction_frees_the_last_block_before_concatenating():
-    # 400k replicas at T = 10: the per-replica means and their concatenation
-    # are 3 MiB each.  The peak, about 7.1 MiB, comes while the last block is
-    # stepped; a 2 MiB block pair still held by the concatenation made it 8.1
+def test_a_simulated_cell_holds_one_block_pair_and_one_float_per_replica():
+    # 400k replicas at T = 10: the cell draws and steps one 2 MiB block pair
+    # at a time and writes each block's per-replica means into one 3 MiB
+    # array.  The peak is about 7.3 MiB; a second block pair, or a second
+    # array of means, would pass the bound
     spec = make_spec(horizon=10, replicas=400_000)
     cell = lambda: model.mean_cost(experiments._simulated_blocks(spec, (0, 0), 138.97, 0.9),
                                   spec.replicas)

@@ -6,6 +6,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from wncs import model
@@ -287,3 +289,40 @@ def test_the_cost_reduction_holds_one_float_per_replica():
         tracemalloc.stop()
     assert cost == 1.0
     assert peak < 4 * 2**20
+
+
+#: float64 edge values: infinities, NaN, signed zeros, subnormals and the largest magnitudes
+EDGE_FLOATS = [math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+               1e308, -1e308, 1.7976931348623157e308]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    n=st.integers(0, 1000) | st.sampled_from([7, 8, 9, 15, 16, 128, 129, 136, 256, 257]),
+    base=st.sampled_from(["mixed", -0.0, 5e-324]),
+    edges=st.lists(st.sampled_from(EDGE_FLOATS) | st.floats(), max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pairwise_sum_is_numpys_sum_bit_for_bit(n, base, edges, seed):
+    # floats of mixed sign and scale, whose rounding shows the order they are
+    # added in, or one repeated value, with the drawn values scattered through:
+    # a numpy that sums in another order fails here
+    rng = np.random.default_rng(seed)
+    if base == "mixed":
+        values = (rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)).tolist()
+    else:
+        values = [base] * n
+    for value, at in zip(edges, rng.integers(0, n, len(edges)) if n else []):
+        values[at] = value
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = float(np.add.reduce(np.array(values, dtype=float)))
+    got = model.pairwise_sum(values)
+    assert type(got) is float
+    assert got.hex() == expected.hex() or (math.isnan(got) and math.isnan(expected))
+
+
+def test_sequential_sum_adds_left_to_right():
+    # builtin sum() compensates from Python 3.12 and gives 1.0
+    assert model.sequential_sum([1e16, 1.0, -1e16]) == 0.0
+    assert model.sequential_sum(iter([0.5, 0.25])) == 0.75
+    assert math.copysign(1.0, model.sequential_sum([-0.0])) == 1.0

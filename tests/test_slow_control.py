@@ -7,7 +7,10 @@ from numpy.testing import assert_allclose
 
 from wncs.model import GainPair, NoisePowers, PlantParams
 from wncs.slow_control import (
+    IdenticalActuatorDesign,
+    IdenticalControllerDesign,
     Infeasible,
+    MultiDesign,
     _over_zero,
     allocate_multi_slow,
     optimize_identical_actuator,
@@ -394,3 +397,14 @@ def test_identical_controller_matches_numeric_minimum():
         ok = np.abs(a_c) < 1.0
         j = NOISE.sigma_z2 * (gs[ok] ** 2 + NOISE.ssr(plant)) / (1.0 - a_c[ok] ** 2)
         assert design.predicted_costs[0] <= j.min() * (1.0 + 1e-9)
+
+
+def test_total_costs_add_left_to_right_on_every_python():
+    # from Python 3.12 builtin sum() compensates and would give 1.0 here; the
+    # totals add left to right, as 3.10 and 3.11 do
+    costs = (1e16, 1.0, -1e16)
+    ids = (1, 2, 3)
+    assert MultiDesign(ids, (None,) * 3, costs).total_cost == 0.0
+    assert IdenticalActuatorDesign(ids, (-1.0,) * 3, (-1.0,) * 3, 1.0, "budget", None,
+                                   (0.5,) * 3, costs).total_cost == 0.0
+    assert IdenticalControllerDesign(ids, (1.0,) * 3, (0.5,) * 3, costs).total_cost == 0.0
