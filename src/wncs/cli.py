@@ -26,8 +26,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .coded import SCHEMES, bch_decode, bch_encode, qam_detect, qam_modulate
-from .coded import estimate_word_success, word_success
+from . import coded
+from .coded import SCHEMES, estimate_word_success, word_success
 from .experiments import (
     ExperimentSpec,
     SweepResult,
@@ -507,27 +507,25 @@ def _check_fast_boundary() -> tuple[bool, str]:
 
 
 def _check_codecs() -> tuple[bool, str]:
+    """The link's rule holds: a word is intact iff at most one code bit flipped.
+
+    That is exact iff the code is perfect with minimum distance 3: the least
+    nonzero weight of its (linear) codewords is 3, and 2^k (n + 1) = 2^n, the
+    Hamming bound met with equality.  Per axis, adjacent levels' Gray labels
+    differ in one bit, and every level detects as itself through the link's
+    own detector with no noise.
+    """
     for scheme in SCHEMES.values():
         k, n = scheme.k, scheme.n
-        messages = ((np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1)) & 1).astype(np.uint8)
-        words = bch_encode(messages, scheme)
-        for pos in range(n):
-            corrupted = words.copy()
-            corrupted[:, pos] ^= 1
-            decoded, _ = bch_decode(corrupted, scheme)
-            if not np.array_equal(decoded, messages):
-                return False, f"{scheme.name}: flip at bit {pos} not corrected"
-        bits = ((np.arange(1 << scheme.bits_per_symbol)[:, None]
-                 >> np.arange(scheme.bits_per_symbol - 1, -1, -1)) & 1).astype(np.uint8)
-        symbols = qam_modulate(bits, scheme.bits_per_symbol, 1.0)
-        # Gray labelling: the labels of axis-adjacent points differ in exactly one bit
-        grid = np.lexsort((symbols.imag.ravel(), symbols.real.ravel()))
-        grid = grid.reshape(1 << (scheme.bits_per_symbol // 2), -1)
-        steps = [*(grid[1:] ^ grid[:-1]).flat, *(grid[:, 1:] ^ grid[:, :-1]).flat]
-        if not all(bin(step).count("1") == 1 for step in steps):
+        distance = min(word.bit_count() for word in coded._codewords(scheme)[1:])
+        if distance != 3 or (1 << k) * (n + 1) != 1 << n:
+            return False, f"{scheme.name}: not a perfect single-error-correcting code"
+        levels, c = coded._axis_scale(scheme.bits_per_symbol, 1.0)
+        to_gray, from_gray = coded._gray_maps(levels)
+        if any(int(step).bit_count() != 1 for step in to_gray[1:] ^ to_gray[:-1]):
             return False, f"{scheme.name}: Gray adjacency broken"
-        back = qam_detect(symbols, scheme.bits_per_symbol, 1.0, 1.0)
-        if not np.array_equal(back, bits):
+        amplitude = (2.0 * from_gray - (levels - 1)) * c  # of each label
+        if not np.array_equal(to_gray[coded._detect(amplitude, levels, c, 1.0)], np.arange(levels)):
             return False, f"{scheme.name}: noiseless QAM round-trip failed"
     return True, "all codewords correct every single-bit error; QAM is Gray and round-trips clean"
 

@@ -64,67 +64,10 @@ def _poly_mod(value: int, divisor: int) -> int:
     return value
 
 
-@lru_cache(maxsize=None)
-def _code_tables(n: int, k: int, generator: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Systematic parity matrix P, check matrix H and syndrome->position table.
-
-    Codewords are [message | parity].  The table maps each nonzero syndrome
-    (read as an MSB-first integer) to the single bit position it flips; only
-    perfect single-error-correcting codes are accepted, so decoding is total.
-    """
-    r = n - k
-    if generator.bit_length() - 1 != r:
-        raise ValueError(
-            f"generator degree {generator.bit_length() - 1} does not match n-k={r}"
-        )
-    p = np.zeros((k, r), dtype=np.uint8)
-    for i in range(k):
-        rem = _poly_mod((1 << (k - 1 - i)) << r, generator)
-        p[i] = [(rem >> (r - 1 - j)) & 1 for j in range(r)]
-    h = np.concatenate([p.T, np.eye(r, dtype=np.uint8)], axis=1)
-    weights = 1 << np.arange(r - 1, -1, -1)
-    table = np.full(1 << r, -1, dtype=np.int64)
-    for pos in range(n):
-        syndrome = int(h[:, pos] @ weights)
-        if syndrome == 0 or table[syndrome] != -1:
-            raise ValueError("code is not single-error-correcting with distinct syndromes")
-        table[syndrome] = pos
-    if n != (1 << r) - 1:
-        raise ValueError(f"({n},{k}) is not a perfect code; decoder would be partial")
-    return p, h, table
-
-
-def bch_encode(messages: np.ndarray, scheme: CodingScheme) -> np.ndarray:
-    """Systematic encode: (..., k) message bits -> (..., n) codeword bits."""
-    messages = np.asarray(messages, dtype=np.uint8)
-    if messages.shape[-1] != scheme.k:
-        raise ValueError(f"expected {scheme.k} message bits, got {messages.shape[-1]}")
-    p, _, _ = _code_tables(scheme.n, scheme.k, scheme.generator)
-    parity = (messages @ p) % 2
-    return np.concatenate([messages, parity.astype(np.uint8)], axis=-1)
-
-
-def bch_decode(words: np.ndarray, scheme: CodingScheme) -> tuple[np.ndarray, np.ndarray]:
-    """Syndrome-decode (..., n) words -> ((..., k) message bits, success flags).
-
-    The codes here are perfect with t=1, so decoding always lands on a
-    codeword and the flag is uniformly True; it exists so callers don't bake
-    in that assumption.
-    """
-    words = np.asarray(words, dtype=np.uint8)
-    if words.shape[-1] != scheme.n:
-        raise ValueError(f"expected {scheme.n} codeword bits, got {words.shape[-1]}")
-    _, h, table = _code_tables(scheme.n, scheme.k, scheme.generator)
+def _codewords(scheme: CodingScheme) -> list[int]:
+    """The 2^k systematic codewords [message | parity] as MSB-first ints; item m is message m's."""
     r = scheme.n - scheme.k
-    weights = 1 << np.arange(r - 1, -1, -1)
-    syndromes = ((words @ h.T) % 2) @ weights
-    positions = table[syndromes]
-    corrected = words.reshape(-1, scheme.n).copy()
-    flat_pos = positions.reshape(-1)
-    rows = np.nonzero(flat_pos >= 0)[0]
-    corrected[rows, flat_pos[rows]] ^= 1
-    data = corrected[:, : scheme.k].reshape(*words.shape[:-1], scheme.k)
-    return data, np.ones(words.shape[:-1], dtype=bool)
+    return [(m << r) | _poly_mod(m << r, scheme.generator) for m in range(1 << scheme.k)]
 
 
 # ---------------------------------------------------------------------------
@@ -147,48 +90,6 @@ def _axis_scale(bits_per_symbol: int, power: float) -> tuple[int, float]:
         raise ValueError(f"symbol power must be > 0 (got {power!r})")
     levels = 1 << (bits_per_symbol // 2)
     return levels, math.sqrt(3.0 * power / (2.0 * (levels**2 - 1)))
-
-
-def qam_modulate(bits: np.ndarray, bits_per_symbol: int, power: float) -> np.ndarray:
-    """Map (..., S*L) bits to (..., S) unit-average-power-`power` QAM symbols.
-
-    Per symbol the first L/2 bits select the in-phase level and the last L/2
-    the quadrature level, MSB first, through a Gray label.
-    """
-    bits = np.asarray(bits, dtype=np.uint8)
-    if bits.shape[-1] % bits_per_symbol:
-        raise ValueError(
-            f"bit count {bits.shape[-1]} is not a multiple of {bits_per_symbol}"
-        )
-    levels, c = _axis_scale(bits_per_symbol, power)
-    m = bits_per_symbol // 2
-    grouped = bits.reshape(*bits.shape[:-1], -1, bits_per_symbol)
-    weights = 1 << np.arange(m - 1, -1, -1)
-    _, from_gray = _gray_maps(levels)
-    i_level = from_gray[grouped[..., :m] @ weights]
-    q_level = from_gray[grouped[..., m:] @ weights]
-    amp = lambda lvl: (2.0 * lvl - (levels - 1)) * c
-    return amp(i_level) + 1j * amp(q_level)
-
-
-def qam_detect(
-    symbols: np.ndarray, bits_per_symbol: int, power: float, h: float
-) -> np.ndarray:
-    """Coherent minimum-distance detection of (..., S) symbols -> (..., S*L) bits."""
-    if h == 0.0:
-        raise ValueError("channel gain must be nonzero for coherent detection")
-    levels, c = _axis_scale(bits_per_symbol, power)
-    m = bits_per_symbol // 2
-    y = np.asarray(symbols) / h
-    to_gray, _ = _gray_maps(levels)
-
-    def axis_bits(vals: np.ndarray) -> np.ndarray:
-        idx = np.clip(np.rint((vals / c + (levels - 1)) / 2.0), 0, levels - 1)
-        code = to_gray[idx.astype(np.int64)]
-        return ((code[..., None] >> np.arange(m - 1, -1, -1)) & 1).astype(np.uint8)
-
-    paired = np.concatenate([axis_bits(y.real), axis_bits(y.imag)], axis=-1)
-    return paired.reshape(*paired.shape[:-2], -1)
 
 
 # ---------------------------------------------------------------------------
@@ -215,21 +116,37 @@ _MAX_TABLE_K = 16
 def _label_table(scheme: CodingScheme) -> tuple[np.ndarray, np.ndarray]:
     """Every codeword's per-axis Gray labels, (2^k, d, 2), and their code-bit mask, (d, 2).
 
-    Row m is the codeword of message m (its bits read as an MSB-first
-    integer), zero-padded to d whole symbols and cut into the labels
-    ``qam_modulate`` reads: per symbol, the in-phase label from the first L/2
-    bits and the quadrature label from the last.  The mask, cut the same way,
-    has a 1 at every label bit that carries a code bit and a 0 at padding.
+    Row m is the codeword of message m, zero-padded to d whole symbols and cut
+    into labels of L/2 bits, MSB first: per symbol, the in-phase label from
+    the first L/2 bits and the quadrature label from the last.  The mask, cut
+    the same way, has a 1 at every label bit that carries a code bit and a 0
+    at padding.  The link counts a word intact iff at most one code bit
+    flipped, which is exact iff the code is perfect with minimum distance 3,
+    so any other code is refused; the code is linear, so its distance is the
+    least weight of a nonzero codeword.
     """
-    k, half = scheme.k, scheme.bits_per_symbol // 2
+    n, k, half = scheme.n, scheme.k, scheme.bits_per_symbol // 2
     if k > _MAX_TABLE_K:
         raise ValueError(f"the coded link tabulates all 2^k codewords; k = {k} > {_MAX_TABLE_K}")
-    words = np.zeros(((1 << k) + 1, scheme.latency * scheme.bits_per_symbol), dtype=np.uint8)
-    messages = (np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
-    words[:-1, : scheme.n] = bch_encode(messages, scheme)
-    words[-1, : scheme.n] = 1
-    grouped = words.reshape(len(words), scheme.latency, 2, half)
-    labels = grouped @ (1 << np.arange(half - 1, -1, -1))
+    r = n - k
+    if scheme.generator.bit_length() - 1 != r:
+        raise ValueError(
+            f"generator degree {scheme.generator.bit_length() - 1} does not match n-k={r}"
+        )
+    if n != (1 << r) - 1:
+        raise ValueError(f"({n},{k}) is not a perfect code: n != 2^(n-k) - 1")
+    codewords = _codewords(scheme)
+    distance = min(word.bit_count() for word in codewords[1:])
+    if distance < 3:
+        raise ValueError(
+            f"({n},{k}) code has minimum distance {distance} < 3: it cannot correct every"
+            " single-bit error"
+        )
+    width = scheme.latency * scheme.bits_per_symbol
+    # every codeword, then the all-ones word, left-aligned in d whole symbols
+    words = np.array([*codewords, (1 << n) - 1]) << (width - n)
+    labels = (words[:, None] >> np.arange(width - half, -1, -half)) & ((1 << half) - 1)
+    labels = labels.reshape(len(words), scheme.latency, 2)
     labels = labels.astype(np.min_scalar_type((1 << half) - 1))
     labels.flags.writeable = False  # shared by every caller through the cache
     return labels[:-1], labels[-1]
@@ -313,7 +230,7 @@ def _words_intact(
 
 
 def _detect(y: np.ndarray, levels: int, c: float, h: float) -> np.ndarray:
-    """Detected level of each received h amp + n, in place, in qam_detect's order."""
+    """Detected level of each received h amp + n, in place: rint((y/h/c + levels-1)/2), clipped."""
     y /= h
     y /= c
     y += levels - 1

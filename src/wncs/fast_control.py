@@ -101,19 +101,20 @@ def optimize_single_fast(
     require_positive(plant.sigma_w2, "disturbance power")
     g0 = noise.gamma0 if gamma is None else float(gamma)
     s = float(require_channel_power(sigma_h2))
-    fields = _fast_designs(plant, noise.ssr(plant), [s], [g0])
+    ssr = noise.ssr(plant)
+    _require_budget(g0, fast_floor(plant.a, s), "mean-square stabilizability floor")
+    fields = _fast_designs(plant, ssr, [s], [g0])
     return FastSingleDesign(*(field[0] for field in fields))
 
 
 def _fast_designs(
     plant: PlantParams, ssr: float, ss: Sequence[float], budgets: Sequence[float]
 ) -> _DesignFields:
-    """``optimize_single_fast``'s fields for each checked s at its budget, on plain floats."""
+    """``optimize_single_fast``'s fields for each checked s at its budget (at least its floor)."""
     a, sigma_w2 = plant.a, plant.sigma_w2
     a2 = a**2
     rows = []
     for s, g0 in zip(ss, budgets):
-        _require_budget(g0, fast_floor(a, s), "mean-square stabilizability floor")
         b = math.sqrt(2.0 * s / math.pi)
         u = -b * a * g0 / (1.0 + s * g0)
         e_star = s * u * u + 2.0 * b * a * u + a2  # expected_ac2, with s checked once

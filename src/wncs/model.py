@@ -261,7 +261,7 @@ def simulate_loop(
                 np.copyto(factors[:count], coeff[:, cols].T)
             _step_slab(steps[:count], scratch)
             # NaN fails the check too, and its window is stepped again
-            if not np.abs(states).max() <= guard:
+            if not (states.max() <= guard and states.min() >= -guard):
                 np.copyto(states, noise[:, cols].T)
                 _step_slab(steps[:count], scratch, guard, diverged)
             np.copyto(noise[:, cols], states.T)

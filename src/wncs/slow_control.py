@@ -101,18 +101,19 @@ def optimize_single_slow(
     require_positive(plant.sigma_w2, "disturbance power")
     g0 = noise.gamma0 if gamma is None else float(gamma)
     h = float(require_magnitude(h, "channel magnitude"))
-    fields = _slow_designs(plant, noise.ssr(plant), [h], [g0])
+    ssr = noise.ssr(plant)
+    _require_budget(g0, slow_floor(plant.a, h), "stabilizability floor (a^2-1)/h^2 =")
+    fields = _slow_designs(plant, ssr, [h], [g0])
     return SlowSingleDesign(*(field[0] for field in fields))
 
 
 def _slow_designs(
     plant: PlantParams, ssr: float, hs: Sequence[float], budgets: Sequence[float]
 ) -> _DesignFields:
-    """``optimize_single_slow``'s fields for each checked h at its budget, on plain floats."""
+    """``optimize_single_slow``'s fields for each checked h at its budget (at least its floor)."""
     a, sigma_w2 = plant.a, plant.sigma_w2
     rows = []
     for h, g0 in zip(hs, budgets):
-        _require_budget(g0, slow_floor(a, h), "stabilizability floor (a^2-1)/h^2 =")
         h2g = h * h * g0
         # (1 + h2g) * margin below is about h2g^2: refuse a channel that overflows it
         if not math.isfinite(h2g * h2g):

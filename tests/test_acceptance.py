@@ -12,14 +12,7 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from wncs.cli import main
-from wncs.coded import (
-    SCHEMES,
-    bch_decode,
-    bch_encode,
-    estimate_word_success,
-    qam_modulate,
-    required_success_probability,
-)
+from wncs.coded import SCHEMES, estimate_word_success, required_success_probability
 from wncs.experiments import (
     ExperimentSpec,
     run_multi_sweep,
@@ -35,6 +28,8 @@ from wncs.fast_control import (
 )
 from wncs.model import NoisePowers, PlantParams
 from wncs.slow_control import allocate_multi_slow, optimize_single_slow, snr_floor
+
+from codec_oracle import bch_decode, bch_encode, qam_modulate
 
 PLANT = PlantParams(a=1.5, sigma_w2=0.1)
 SIGMA_Z2 = 1e-7

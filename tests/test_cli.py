@@ -778,6 +778,15 @@ def test_verify_codec_check_reads_the_library_gray_labels(monkeypatch):
     assert not ok and "Gray adjacency broken" in detail
 
 
+@pytest.mark.parametrize("n, k, generator", [(6, 3, 0b1011), (7, 4, 0b1001)])
+def test_verify_codec_check_catches_a_code_that_is_not_perfect(monkeypatch, n, k, generator):
+    # the shortened (6, 3) Hamming code has distance 3 but misses the Hamming
+    # bound; the (7, 4) code of x^3 + 1 meets the bound at distance 2
+    monkeypatch.setattr(cli, "SCHEMES", {"odd": coded.CodingScheme("odd", n, k, generator, 4)})
+    ok, detail = cli._check_codecs()
+    assert not ok and "not a perfect single-error-correcting code" in detail
+
+
 def test_verify_threshold_check_catches_a_wrong_floor(monkeypatch):
     # the knees come from the floors the sweeps gate on, so a floor 1 % high
     # moves the single-loop knee by 0.043 dB, past the 1e-3 dB tolerance

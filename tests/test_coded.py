@@ -10,11 +10,7 @@ from wncs import coded, model
 from wncs.coded import (
     SCHEMES,
     CodingScheme,
-    bch_decode,
-    bch_encode,
     estimate_word_success,
-    qam_detect,
-    qam_modulate,
     required_success_probability,
     run_coded_control,
     word_success,
@@ -22,6 +18,7 @@ from wncs.coded import (
 from wncs.fading import substream
 from wncs.model import DIVERGENCE_GUARD, NoisePowers, PlantParams
 
+from codec_oracle import bch_decode, bch_encode, qam_detect, qam_modulate
 from test_acceptance import COMPARE_H, SIGMA_Z2, _exact_word_success, dbm
 
 PLANT = PlantParams(a=1.5, sigma_w2=0.1)
@@ -282,6 +279,31 @@ def test_link_refuses_a_code_too_long_to_tabulate():
         word_success(scheme, noise, 0.01)
 
 
+@pytest.mark.parametrize(
+    "scheme, defect",
+    [
+        (CodingScheme("wrong_degree", n=7, k=4, generator=0b10011, bits_per_symbol=4),
+         "generator degree 4 does not match n-k=3"),
+        (CodingScheme("not_perfect", n=6, k=3, generator=0b1011, bits_per_symbol=4),
+         "not a perfect code"),
+        (CodingScheme("distance_2", n=7, k=4, generator=0b1001, bits_per_symbol=4),
+         "minimum distance 2 < 3"),
+    ],
+    ids=["wrong_degree", "not_perfect", "distance_2"],
+)
+def test_link_refuses_a_code_its_flip_count_would_misjudge(scheme, defect):
+    # a word is intact iff at most one code bit flipped only for a perfect
+    # code of minimum distance 3: any other code is refused before any draw
+    noise = NoisePowers(sigma_z2=1e-7, p0=0.1)
+    rng = substream(0, 0)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=defect):
+        run_coded_control(PLANT, noise, 0.01, scheme, horizon=16, rng=rng)
+    assert rng.bit_generator.state == before
+    with pytest.raises(ValueError, match=defect):
+        word_success(scheme, noise, 0.01)
+
+
 def _reference_link_success(sent, scheme, noise, h, rng):
     """The coded link's whole chain: encode, pad, modulate, complex AWGN, detect, decode."""
     pad = scheme.latency * scheme.bits_per_symbol - scheme.n
@@ -313,6 +335,13 @@ def test_link_matches_the_codec_chain(scheme, p0_dbm, h):
     assert want.any() and not want.all()
     assert_array_equal(got, want)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("scheme", [*SCHEMES.values(), OWN_SCHEME], ids=lambda s: s.name)
+def test_library_codewords_equal_the_oracle_encoder(scheme):
+    # the link's codewords against the oracle's parity-matrix encoder, every message
+    want = bch_encode(all_messages(scheme.k), scheme) @ (1 << np.arange(scheme.n - 1, -1, -1))
+    assert coded._codewords(scheme) == want.tolist()
 
 
 @pytest.mark.parametrize("bits", sorted({s.bits_per_symbol for s in (*SCHEMES.values(), OWN_SCHEME)}))
