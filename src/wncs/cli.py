@@ -36,8 +36,8 @@ from .experiments import (
     run_selection_sweep,
     run_single_compare,
     run_trace,
+    substream,
 )
-from .fading import substream
 from .fast_control import (
     ETA,
     allocate_multi_fast,

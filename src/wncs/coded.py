@@ -24,8 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import NoisePowers, PlantParams, block_rows, divergence_guard
-from .model import mean_cost, simulate_loop
+from .model import NoisePowers, PlantParams, mean_cost, step_blocks
 
 
 @dataclass(frozen=True)
@@ -162,6 +161,14 @@ _LINK_WORDS = 1 << 15
 _CHUNK_ROWS = 64
 
 
+def _link_tables(scheme: CodingScheme, noise: NoisePowers, h: float) -> tuple:
+    """The link's levels per axis, amplitude unit, label table and mask, and Gray maps."""
+    if not (math.isfinite(h) and h != 0.0):
+        raise ValueError(f"channel gain must be finite and nonzero (got {h!r})")
+    levels, c = _axis_scale(scheme.bits_per_symbol, noise.p0)
+    return (levels, c, *_label_table(scheme), *_gray_maps(levels))
+
+
 def _words_intact(
     shape: tuple, scheme: CodingScheme, noise: NoisePowers, h: float, rng: np.random.Generator
 ) -> np.ndarray:
@@ -181,11 +188,7 @@ def _words_intact(
     Only the words holding a noise sample at or beyond ``_safe_radius`` run
     the detection chain: a sample inside it detects as the level sent.
     """
-    if not (math.isfinite(h) and h != 0.0):
-        raise ValueError(f"channel gain must be finite and nonzero (got {h!r})")
-    levels, c = _axis_scale(scheme.bits_per_symbol, noise.p0)
-    table, mask = _label_table(scheme)
-    to_gray, from_gray = _gray_maps(levels)
+    levels, c, table, mask, to_gray, from_gray = _link_tables(scheme, noise, h)
     to_gray = to_gray.astype(table.dtype)  # detected labels at the table's width, not int64
     amplitude = (2.0 * from_gray - (levels - 1)) * c
     tau = _safe_radius(levels, c, h)
@@ -266,11 +269,7 @@ def word_success(scheme: CodingScheme, noise: NoisePowers, h: float) -> float:
     a word succeeds iff at most one code bit is wrong over its 2d slots
     (Cho & Yoon, IEEE Trans. Commun. 2002).
     """
-    if not (math.isfinite(h) and h != 0.0):
-        raise ValueError(f"channel gain must be finite and nonzero (got {h!r})")
-    levels, c = _axis_scale(scheme.bits_per_symbol, noise.p0)
-    table, mask = _label_table(scheme)
-    to_gray, from_gray = _gray_maps(levels)
+    levels, c, table, mask, to_gray, from_gray = _link_tables(scheme, noise, h)
     scale = math.sqrt(2.0 * noise.sigma_z2) / abs(h)
     # beyond[m + levels] = P(axis noise > (2m - 1) c), m = j - i the detected
     # level's offset from the sent one
@@ -347,28 +346,23 @@ def run_coded_control(
     a, std = plant.a, math.sqrt(plant.sigma_w2)
     powers = a ** np.arange(d - 2, -1, -1)
 
-    def blocks():
-        # the analog cells' block pair: plant noise, drawn one block at a
-        # time as std z (normal(0, std) but for the sign of a zero, which no
-        # cost depends on), and the per-step factors
-        rows = block_rows(horizon)
-        pair = np.empty((2, min(replicas, rows), horizon))
-        for start in range(0, replicas, rows):
-            n_t, factors = pair[:, : min(rows, replicas - start)]
-            rng.standard_normal(out=n_t)
-            n_t *= std
-            decoded = success[start : start + len(n_t)]
-            # (rows, epochs, d) view of the whole epochs: writes land in n_t
-            epochs = n_t[:, : n_epochs * d].reshape(len(n_t), n_epochs, d)
-            for first in range(0, len(n_t), _CHUNK_ROWS):
-                chunk = slice(first, first + _CHUNK_ROWS)
-                open_loop = epochs[chunk, :, :-1] @ powers
-                np.add(epochs[chunk, :, -1], a * open_loop, out=epochs[chunk, :, -1],
-                       where=decoded[chunk])
-            # a decoded epoch's last step restarts the state from n_t: factor
-            # 0, and n_t + 0 x is n_t but for the sign of a zero
-            factors.fill(a)
-            np.copyto(factors[:, d - 1 : n_epochs * d : d], 0.0, where=decoded)
-            yield simulate_loop(factors, n_t, divergence_guard(std))
+    def fill(n_t: np.ndarray, factors: np.ndarray, start: int) -> np.ndarray:
+        # plant noise drawn as std z (normal(0, std) but for the sign of a
+        # zero, which no cost depends on), then the per-step factors
+        rng.standard_normal(out=n_t)
+        n_t *= std
+        decoded = success[start : start + len(n_t)]
+        # (rows, epochs, d) view of the whole epochs: writes land in n_t
+        epochs = n_t[:, : n_epochs * d].reshape(len(n_t), n_epochs, d)
+        for first in range(0, len(n_t), _CHUNK_ROWS):
+            chunk = slice(first, first + _CHUNK_ROWS)
+            open_loop = epochs[chunk, :, :-1] @ powers
+            np.add(epochs[chunk, :, -1], a * open_loop, out=epochs[chunk, :, -1],
+                   where=decoded[chunk])
+        # a decoded epoch's last step restarts the state from n_t: factor
+        # 0, and n_t + 0 x is n_t but for the sign of a zero
+        factors.fill(a)
+        np.copyto(factors[:, d - 1 : n_epochs * d : d], 0.0, where=decoded)
+        return factors
 
-    return mean_cost(blocks(), replicas)
+    return mean_cost(step_blocks(replicas, horizon, std, fill, 0.0), replicas)

@@ -20,13 +20,11 @@ import numpy as np
 
 from .coded import SCHEMES, run_coded_control
 from .coded import required_success_probability, word_success
-from .fading import rayleigh_gain_samples, substream
 from .fast_control import allocate_multi_fast, fast_snr_floor
 from .model import (
     GainPair,
     NoisePowers,
     PlantParams,
-    block_rows,
     divergence_guard,
     gains_overflow,
     mean_cost,
@@ -34,7 +32,7 @@ from .model import (
     require_magnitude,
     require_positive,
     sequential_sum,
-    simulate_loop,
+    step_blocks,
 )
 from .slow_control import allocate_multi_slow, optimize_single_slow, select_plants, slow_floor
 from .slow_control import snr_floor, summed_floor
@@ -139,16 +137,31 @@ def _run_cells(cells: dict) -> dict:
         pool.shutdown(cancel_futures=True)
 
 
-def _noise_guard(spec: ExperimentSpec, g: float) -> float:
-    """The divergence guard of a loop whose per-step noise is g z + w."""
-    return divergence_guard(math.sqrt(g * g * spec.sigma_z2 + spec.plant.sigma_w2))
+def substream(root_seed: int, *key: int) -> np.random.Generator:
+    """Independent generator for (root_seed, key...).
+
+    Keyed, not sequential: the same (seed, key) always yields the same stream
+    and distinct keys yield statistically independent streams.  Keys must be
+    non-negative integers.
+    """
+    if root_seed < 0 or any(k < 0 for k in key):
+        raise ValueError("substream keys must be non-negative integers")
+    return np.random.default_rng(np.random.SeedSequence([int(root_seed), *map(int, key)]))
+
+
+def rayleigh_gain_samples(
+    mean_power_gain: float, rng: np.random.Generator, size: int
+) -> np.ndarray:
+    """Vector of block gains h = |H|, H complex Gaussian, E[h^2] = mean_power_gain."""
+    require_positive(mean_power_gain, "mean power gain")
+    return rng.rayleigh(scale=np.sqrt(mean_power_gain / 2.0), size=size)
 
 
 def _simulated_blocks(
     spec: ExperimentSpec, key: tuple[int, ...], g: float, a_c: float,
     fading: Optional[tuple[float, float]] = None, x0: float = 0.0,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The kernel's (states, diverged) for the replicas, one row block at a time.
+    """The analog loop's ``step_blocks``, filled from its substreams.
 
     The loop is x(t+1) = c_t x(t) + g z(t) + w(t) with c_t = a_c, or with
     c_t = a_c + gk |h_t| when ``fading`` = (gk, sigma_h2) draws a Gaussian
@@ -158,37 +171,37 @@ def _simulated_blocks(
 
     Each stream's block is one ``standard_normal`` call into a replica-major
     (rows, T) array, the kernel's layout, and is scaled there: z s_z g is the
-    noise, w s_w is added to it from a second array, which h then fills with
+    noise, w s_w is added to it from the spare array, which h then fills with
     the factors a_c + gk |h s_h|.  A ``normal(0, s)`` draw is 0 + s n, the same
     value but for the sign of a zero, so these are the values of per-purpose
-    ``normal`` draws.  Every draw runs on the thread that takes the blocks.
+    ``normal`` draws.  A generator, so that the substreams are made and every
+    draw runs on the thread that takes the blocks.
     """
-    rows = block_rows(spec.horizon)
     z_rng = substream(spec.seed, *key, _DRAW_Z)
     w_rng = substream(spec.seed, *key, _DRAW_W)
     z_std, w_std = math.sqrt(spec.sigma_z2), math.sqrt(spec.plant.sigma_w2)
-    pair = np.empty((2, min(rows, spec.replicas), spec.horizon))
     if fading is not None:
         product, sigma_h2 = fading
         h_rng, h_std = substream(spec.seed, *key, _DRAW_H), math.sqrt(sigma_h2)
 
-    for start in range(0, spec.replicas, rows):
-        noise, second = pair[:, : min(rows, spec.replicas - start)]
+    def fill(noise: np.ndarray, second: np.ndarray, start: int) -> "float | np.ndarray":
         z_rng.standard_normal(out=noise)
         noise *= z_std
         noise *= g
         w_rng.standard_normal(out=second)
         second *= w_std
         noise += second
-        coeff: "float | np.ndarray" = a_c
-        if fading is not None:
-            coeff = second
-            h_rng.standard_normal(out=coeff)
-            coeff *= h_std
-            np.abs(coeff, out=coeff)
-            coeff *= product
-            coeff += a_c
-        yield simulate_loop(coeff, noise, _noise_guard(spec, g), x0)
+        if fading is None:
+            return a_c
+        h_rng.standard_normal(out=second)
+        second *= h_std
+        np.abs(second, out=second)
+        second *= product
+        second += a_c
+        return second
+
+    noise_std = math.sqrt(g * g * spec.sigma_z2 + spec.plant.sigma_w2)
+    yield from step_blocks(spec.replicas, spec.horizon, noise_std, fill, x0)
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +244,10 @@ def _trace_sums(
     """One trace cell: replica 0's states (inf past the guard) and the running
     cost averaged across replicas, inf at every step once any replica diverges."""
     first, sum_sq = None, np.zeros(spec.horizon)
+    guard = divergence_guard(math.sqrt(g * g * spec.sigma_z2 + spec.plant.sigma_w2))
     for states, diverged in _simulated_blocks(spec, (_KIND_TRACE, idx), g, a_c, x0=x0):
         if first is None:
-            first = np.where(np.abs(states[0]) < _noise_guard(spec, g), states[0], math.inf)
+            first = np.where(np.abs(states[0]) < guard, states[0], math.inf)
         if diverged.any():
             return first, np.full(spec.horizon, math.inf)
         # squares summed in place, in dense row order after the running sum:

@@ -15,14 +15,14 @@ so every design question in this package reduces to placing the closed-loop
 factor A_c and the noise amplification G under a transmit-SNR budget.  The
 quadratic cost is the long-run time average of E[x(t)^2] summed over plants.
 Every simulated loop, analog or coded, is the recursion x(t+1) = c_t x(t) + n_t
-that ``simulate_loop`` steps.
+that ``simulate_loop`` steps, one row block at a time through ``step_blocks``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -267,6 +267,27 @@ def simulate_loop(
             np.copyto(noise[:, cols], states.T)
             slab[0] = states[-1]
     return noise, diverged
+
+
+def step_blocks(
+    replicas: int, horizon: int, noise_std: float,
+    fill: Callable[[np.ndarray, np.ndarray, int], "float | np.ndarray"], x0: float,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every simulation cell's block loop: the kernel's (states, diverged), a row block at a time.
+
+    The ``replicas`` rows are stepped ``block_rows(horizon)`` at a time, the
+    last block holding the rest, from x0 and under ``divergence_guard(noise_std)``.
+    ``fill(noise, spare, start)`` writes the noise of the block's rows, from
+    replica ``start`` on, into ``noise`` and returns their factors: a scalar,
+    or ``spare`` filled.  Both are (rows, T) views of one block pair that
+    every block reuses, so a cell holds two blocks, whatever its replicas.
+    """
+    rows = block_rows(horizon)
+    pair = np.empty((2, min(rows, replicas), horizon))
+    guard = divergence_guard(noise_std)
+    for start in range(0, replicas, rows):
+        noise, spare = pair[:, : min(rows, replicas - start)]
+        yield simulate_loop(fill(noise, spare, start), noise, guard, x0)
 
 
 def mean_square_per_replica(states: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from wncs.experiments import (
     run_selection_sweep,
     run_single_compare,
 )
-from wncs.fading import substream
+from wncs.experiments import substream
 from wncs.fast_control import (
     ETA,
     allocate_multi_fast,

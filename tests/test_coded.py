@@ -15,7 +15,7 @@ from wncs.coded import (
     run_coded_control,
     word_success,
 )
-from wncs.fading import substream
+from wncs.experiments import substream
 from wncs.model import DIVERGENCE_GUARD, NoisePowers, PlantParams
 
 from codec_oracle import bch_decode, bch_encode, qam_detect, qam_modulate

@@ -21,8 +21,8 @@ from wncs.experiments import (
     run_selection_sweep,
     run_single_compare,
     run_trace,
+    substream,
 )
-from wncs.fading import substream
 from wncs.model import DIVERGENCE_GUARD, NoisePowers, PlantParams
 from wncs.fast_control import optimize_single_fast
 from wncs.slow_control import optimize_single_slow

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from wncs.fading import rayleigh_gain_samples, substream
+from wncs.experiments import rayleigh_gain_samples, substream
 
 
 def test_substream_is_deterministic_per_key():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from wncs.fading import substream
+from wncs.experiments import substream
 from wncs.fast_control import (
     ETA,
     allocate_multi_fast,

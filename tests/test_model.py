@@ -291,6 +291,43 @@ def test_the_cost_reduction_holds_one_float_per_replica():
     assert peak < 4 * 2**20
 
 
+@pytest.mark.parametrize("factor", ["scalar", "array"])
+def test_step_blocks_fills_row_blocks_that_step_as_one_dense_loop(monkeypatch, factor):
+    # 7-row blocks over 7 k + 3 replicas: fill is asked for each block from
+    # its first replica, the last block holding 3 rows, and the blocks'
+    # states and flags equal one dense simulate_loop on the same noise
+    replicas, horizon, noise_std, x0 = 7 * 4 + 3, 40, 2.0, 0.5
+    monkeypatch.setattr(model, "BLOCK_ELEMENTS", 7 * horizon)
+    rng = np.random.default_rng(3)
+    noise = noise_std * rng.standard_normal((replicas, horizon))
+    coeff = 0.9 if factor == "scalar" else rng.uniform(-0.9, 0.9, (replicas, horizon))
+    guard = model.divergence_guard(noise_std)
+    # the guard scales with the noise std: replica 9 passes DIVERGENCE_GUARD
+    # but stays within it, and only replica 5, past it, is flagged
+    noise[5, 20], noise[9, 10] = 3.0 * DIVERGENCE_GUARD, 1.5 * DIVERGENCE_GUARD
+    asked = []
+
+    def fill(block, spare, start):
+        asked.append((start, len(block)))
+        block[:] = noise[start : start + len(block)]
+        if np.isscalar(coeff):
+            return coeff
+        spare[:] = coeff[start : start + len(spare)]
+        return spare
+
+    # each block's states are a view of the block pair the next block reuses
+    blocks = [(states.copy(), diverged)
+              for states, diverged in model.step_blocks(replicas, horizon, noise_std, fill, x0)]
+    assert asked == [(0, 7), (7, 7), (14, 7), (21, 7), (28, 3)]
+    states = np.concatenate([states for states, _ in blocks])
+    diverged = np.concatenate([diverged for _, diverged in blocks])
+    expected, expected_diverged = simulate_loop(coeff, noise.copy(), guard, x0)
+    assert states.tobytes() == expected.tobytes()
+    assert_array_equal(diverged, expected_diverged)
+    assert np.flatnonzero(diverged).tolist() == [5]
+    assert states[5, 20] == guard and states[9, 10] > DIVERGENCE_GUARD
+
+
 #: float64 edge values: infinities, NaN, signed zeros, subnormals and the largest magnitudes
 EDGE_FLOATS = [math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
                1e308, -1e308, 1.7976931348623157e308]
