@@ -197,7 +197,8 @@ def _words_intact(
     # wider matmul would copy the bits at that width
     weights = (1 << np.arange(scheme.k - 1, -1, -1)).astype(np.min_scalar_type(len(table) - 1))
     words = np.empty(shape, dtype=weights.dtype)
-    for start in range(0, len(words), _CHUNK_ROWS):
+    # rows of no words draw nothing: skip them, however many there are
+    for start in range(0, len(words) if words.size else 0, _CHUNK_ROWS):
         chunk = words[start : start + _CHUNK_ROWS]
         sent = rng.integers(0, 2, size=(*chunk.shape, scheme.k), dtype=np.uint8)
         np.matmul(sent, weights, out=chunk)

@@ -34,7 +34,7 @@ from .model import (
     sequential_sum,
     step_blocks,
 )
-from .slow_control import allocate_multi_slow, optimize_single_slow, select_plants, slow_floor
+from .slow_control import allocate_multi_slow, optimize_single_slow, slow_floor
 from .slow_control import snr_floor, summed_floor
 from .slow_control import Infeasible, optimize_identical_actuator, optimize_identical_controller
 
@@ -47,8 +47,8 @@ MAX_HORIZON = 1 << 18
 #: cell threads, which run every recipe's simulation cells two at a time: a
 #: constant, whatever the replica count, and no option sets it
 _DRAW_THREADS = 2
-#: the most channel draws and per-budget counts a selection sweep holds at
-#: once, realizations x (largest M0 + grid points): about 0.7 GB at peak
+#: the bound on realizations x (largest M0 + grid points) of a selection
+#: sweep, which holds one realizations x M0 floor array: about 180 MB at peak
 MAX_SELECTION_VALUES = 1 << 24
 
 
@@ -537,29 +537,25 @@ def run_selection_sweep(
         )
     labels = [f"m{m0}_avg_selected" for m0 in m0_values]
     _refuse_clashes(m0_values, labels, "M0 values")
+    budgets = [p0 / spec.sigma_z2 for p0 in spec.powers_w]
     series: dict[str, tuple[float, ...]] = {}
     for mi, (m0, label) in enumerate(zip(m0_values, labels)):
-        gains = np.stack(
-            [
-                rayleigh_gain_samples(
-                    mean_power_gain,
-                    substream(spec.seed, _KIND_SELECT, mi, j, _DRAW_H),
-                    realizations,
-                )
-                for j in range(m0)
-            ],
-            axis=1,
-        )
+        # plant j's floors fill column j; sorted, a row's prefix sums are the
+        # least budgets that admit its 1, 2, ... cheapest plants
+        floors = np.empty((realizations, m0))
         with np.errstate(divide="ignore", over="ignore"):
-            floors = slow_floor(spec.plant.a, gains)
+            for j in range(m0):
+                rng = substream(spec.seed, _KIND_SELECT, mi, j, _DRAW_H)
+                h = rayleigh_gain_samples(mean_power_gain, rng, realizations)
+                floors[:, j] = slow_floor(spec.plant.a, h)
         if not np.isfinite(floors).all():
             raise ValueError(
                 f"mean power gain {mean_power_gain!r} is too small: a drawn channel's "
                 "stabilizability floor (a^2-1)/h^2 is not finite"
             )
-        budgets = [p0 / spec.sigma_z2 for p0 in spec.powers_w]
-        _, counts = select_plants(np.arange(m0), floors, budgets)
-        series[label] = tuple(float(c.mean()) for c in counts.T)
+        floors.sort(axis=1)
+        cumulative = np.cumsum(floors, axis=1, out=floors)
+        series[label] = tuple(float((cumulative <= b).sum(axis=1).mean()) for b in budgets)
     meta = {
         "seed": spec.seed,
         "realizations": realizations,

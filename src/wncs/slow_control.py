@@ -139,23 +139,6 @@ def _slow_designs(
     return tuple(zip(*rows))
 
 
-def select_plants(
-    ids: Sequence[int], floors: np.ndarray, budgets: Sequence[float]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Largest supportable plant set per budget: cheapest floors first.
-
-    ``floors[..., j]`` is the stabilizability floor (slow or fast) of plant
-    ``ids[j]``.  Plants are ranked by floor, ties by id, and each budget keeps
-    the longest ranked prefix whose summed floors are <= the budget.  Returns
-    the ranking, (..., M) column indices, and the admitted counts, (..., B).
-    """
-    floors = np.asarray(floors, dtype=float)
-    order = np.lexsort((np.broadcast_to(ids, floors.shape), floors))
-    cumulative = np.cumsum(np.take_along_axis(floors, order, axis=-1), axis=-1)
-    counts = np.stack([(cumulative <= b).sum(axis=-1) for b in budgets], axis=-1)
-    return order, counts
-
-
 @dataclass(frozen=True)
 class SnrAllocation:
     """Per-plant SNR shares plus the Lagrange multiplier that prices the budget.

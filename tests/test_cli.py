@@ -440,6 +440,9 @@ def test_usage_errors_exit_1(tmp_path):
         ["multi-slow", "--sigma-w2", "1e308"],
         ["multi-fast", "--sigma-w2", "1e308"],
         ["trace", "--sigma-w2", "1e308"],
+        # a replica count whose per-replica costs no allocator grants (7 TiB)
+        ["multi-slow", "--grid", "20dBm", "--horizon", "1", "--replicas", "1000000000000"],
+        ["compare", "--grid", "20dBm", "--horizon", "1", "--replicas", "1000000000000"],
     ],
     ids=" ".join,
 )

@@ -1,5 +1,6 @@
 """Experiment recipes: traces, comparisons, allocation sweeps, selection."""
 import concurrent.futures
+import itertools
 import math
 import sys
 import threading
@@ -21,6 +22,7 @@ from wncs.experiments import (
     run_selection_sweep,
     run_single_compare,
     run_trace,
+    rayleigh_gain_samples,
     substream,
 )
 from wncs.model import DIVERGENCE_GUARD, NoisePowers, PlantParams
@@ -654,8 +656,86 @@ def test_selection_sweep_deterministic_per_seed():
     assert a.series != c.series
 
 
+def test_selection_sweep_counts_equal_a_brute_force_oracle():
+    # per realization, the largest subset of the redrawn plants whose exactly
+    # summed floors fit the budget; the grid runs from budgets that admit no
+    # plant in some realization to budgets that admit every plant
+    spec = make_spec(plant=PlantParams(a=1.2, sigma_w2=0.1), seed=11,
+                     powers_w=tuple(1e-3 * 10.0 ** (dbm / 10.0) for dbm in range(0, 31, 3)))
+    m0_values, realizations = (1, 3, 6), 400
+    result = run_selection_sweep(spec, m0_values=m0_values, realizations=realizations)
+    budgets = [p0 / spec.sigma_z2 for p0 in spec.powers_w]
+    seen = set()
+    for mi, m0 in enumerate(m0_values):
+        draws = [
+            rayleigh_gain_samples(1e-4, substream(11, experiments._KIND_SELECT, mi, j,
+                                                  experiments._DRAW_H), realizations)
+            for j in range(m0)
+        ]
+        counts = [[0] * realizations for _ in budgets]
+        for r in range(realizations):
+            floors = [(1.2 * 1.2 - 1.0) / (float(h[r]) * float(h[r])) for h in draws]
+            cheapest = [min(math.fsum(s) for s in itertools.combinations(floors, k))
+                        for k in range(m0 + 1)]
+            for bi, budget in enumerate(budgets):
+                counts[bi][r] = max(k for k in range(m0 + 1) if cheapest[k] <= budget)
+                seen.add((counts[bi][r] == 0, counts[bi][r] == m0))
+        expected = tuple(sum(c) / realizations for c in counts)
+        assert result.series[f"m{m0}_avg_selected"] == expected
+    assert seen == {(True, False), (False, True), (False, False)}
+
+
+def test_a_selection_sweep_holds_one_floor_array():
+    # 2500 realizations of 400 plants: the sweep holds one (2500, 400) float
+    # array, 7.63 MiB, and sorts and sums it in place.  Per-plant draws
+    # stacked into a copy, and floors and prefix sums beside it, peak at 38 MiB
+    spec = make_spec(plant=PlantParams(a=1.2, sigma_w2=0.1), powers_w=(1e-3, 1e-2, 0.1))
+    sweep = lambda: run_selection_sweep(spec, m0_values=(400,), realizations=2500)
+    sweep()
+    tracemalloc.start()
+    try:
+        sweep()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+
+
 def test_sweep_result_is_plain_data():
     res = SweepResult(x_name="p0_w", x=(1.0, 2.0), series={"j": (0.5, math.inf)})
     assert res.meta == {}
     # a cell is bounded iff it is finite; there is no second table to disagree
     assert res.bounded == {"j": (True, False)}
+
+
+def test_substream_is_deterministic_per_key():
+    a = substream(123, 4, 5).normal(size=8)
+    b = substream(123, 4, 5).normal(size=8)
+    assert_array_equal(a, b)
+
+
+def test_substream_distinct_keys_distinct_streams():
+    # keys of the same arity must give unrelated streams (callers always use a
+    # fixed key depth: trailing zeros are indistinguishable to the seeding)
+    base = substream(123, 0, 0).normal(size=8)
+    for key in [(123, 0, 1), (123, 1, 0), (124, 0, 0), (123, 2, 2)]:
+        other = substream(*key).normal(size=8)
+        assert not np.array_equal(base, other)
+
+
+def test_substream_rejects_negative_keys():
+    with pytest.raises(ValueError):
+        substream(-1)
+    with pytest.raises(ValueError):
+        substream(0, -2)
+
+
+def test_rayleigh_gain_samples_mean_power():
+    # E[h^2] must equal the requested mean power gain
+    rng = substream(7, 1)
+    h = rayleigh_gain_samples(1e-4, rng, size=200_000)
+    assert np.all(h > 0.0)
+    assert np.mean(h**2) == pytest.approx(1e-4, rel=0.01)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            rayleigh_gain_samples(bad, rng, size=4)

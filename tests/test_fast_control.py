@@ -16,7 +16,7 @@ from wncs.fast_control import (
     stabilizable_fast,
 )
 from wncs.model import NoisePowers, PlantParams
-from wncs.slow_control import Infeasible, select_plants
+from wncs.slow_control import Infeasible
 
 PLANT = PlantParams(a=1.5, sigma_w2=0.1)
 NOISE = NoisePowers(sigma_z2=1e-7, p0=0.1)  # gamma0 = 1e6
@@ -180,20 +180,6 @@ def test_single_fast_below_its_floor_is_infeasible():
     # no budget stabilizes a >= 1/sqrt(1 - 2/pi) under sign-only knowledge
     with pytest.raises(Infeasible, match="floor inf"):
         optimize_single_fast(PlantParams(a=1.7, sigma_w2=0.1), NOISE, 1e-4)
-
-
-def test_select_plants_fast_best_channels_first():
-    def selected_ids(plants, plant, noise):
-        ids = [pid for pid, _ in plants]
-        floors = [fast_snr_floor(plant, s) for _, s in plants]
-        order, counts = select_plants(ids, floors, [noise.gamma0])
-        return tuple(ids[i] for i in order[: counts[0]])
-
-    plants = [(1, 1e-4), (2, 4e-4), (3, 1e-6)]
-    assert selected_ids(plants, PLANT, NOISE) == (2, 1)
-    rich = NoisePowers(sigma_z2=1e-7, p0=1e3)
-    assert selected_ids(plants, PLANT, rich) == (2, 1, 3)
-    assert selected_ids(plants, PlantParams(a=1.7, sigma_w2=0.1), rich) == ()
 
 
 def test_fast_allocation_reference_instance():

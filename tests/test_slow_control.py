@@ -16,7 +16,6 @@ from wncs.slow_control import (
     optimize_identical_actuator,
     optimize_identical_controller,
     optimize_single_slow,
-    select_plants,
     snr_floor,
 )
 
@@ -131,33 +130,6 @@ def test_single_design_boundary_budget_degenerates():
 def test_single_design_infeasible_budget_raises():
     with pytest.raises(ValueError, match="floor"):
         optimize_single_slow(PLANT, NOISE, 0.01, gamma=12499.0)
-
-
-def selected_ids(plants, plant, noise):
-    """Ids that ``select_plants`` admits at one budget, in admission order."""
-    ids = [pid for pid, _ in plants]
-    order, counts = select_plants(ids, [snr_floor(plant, h) for _, h in plants], [noise.gamma0])
-    return tuple(ids[i] for i in order[: counts[0]])
-
-
-def test_select_plants_best_channels_first():
-    plants = [(1, 0.01), (2, 0.02), (3, 0.001)]
-    assert selected_ids(plants, PLANT, NOISE) == (2, 1)
-    # all fit with a bigger budget: descending gain order
-    rich = NoisePowers(sigma_z2=1e-7, p0=1e3)
-    assert selected_ids(plants, PLANT, rich) == (2, 1, 3)
-    # nothing fits
-    poor = NoisePowers(sigma_z2=1e-7, p0=1e-5)
-    assert selected_ids(plants, PLANT, poor) == ()
-    # one call answers a whole budget grid for a batch of realizations
-    floors = [[snr_floor(PLANT, h) for _, h in plants]] * 2
-    _, counts = select_plants([1, 2, 3], floors, [1e-5 / 1e-7, NOISE.gamma0, 1e3 / 1e-7])
-    assert counts.tolist() == [[0, 2, 3], [0, 2, 3]]
-
-
-def test_select_plants_deterministic_on_ties():
-    plants = [(5, 0.02), (2, 0.02), (9, 0.02)]
-    assert selected_ids(plants, PLANT, NOISE) == (2, 5, 9)
 
 
 def test_allocation_reference_instance():
