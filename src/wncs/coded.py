@@ -153,12 +153,10 @@ def _label_table(scheme: CodingScheme) -> tuple[np.ndarray, np.ndarray]:
 
 #: set bits of every byte
 _POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
-#: words the link detects at a time on each axis: its temporaries stay this small
+#: words the link draws messages for, or detects on each axis, at a time: its
+#: temporaries stay this small.  A multiple of 4, so that each message chunk
+#: takes whole 32-bit words from the generator, as one dense uint8 draw does
 _LINK_WORDS = 1 << 15
-#: rows of messages drawn, or of epochs' plant noise combined, at a time.
-#: A multiple of 4, so that each message chunk takes whole 32-bit words from
-#: the generator and the chunks equal one dense uint8 draw
-_CHUNK_ROWS = 64
 
 
 def _link_tables(scheme: CodingScheme, noise: NoisePowers, h: float) -> tuple:
@@ -174,16 +172,16 @@ def _words_intact(
 ) -> np.ndarray:
     """Send uniform k-bit messages of ``shape`` over the link; True where one arrives intact.
 
-    The messages are drawn first, ``_CHUNK_ROWS`` rows at a time, and each is
-    read as its ``_label_table`` row.  Then the link encodes, zero-pads to
+    The messages are drawn first, ``_LINK_WORDS`` words at a time, and each
+    is read as its ``_label_table`` row.  Then the link encodes, zero-pads to
     whole symbols, modulates at power p0, scales by h, adds complex AWGN of
     power sigma_z2 per real dimension (real parts drawn first), detects and
     decodes.  A perfect t = 1 code returns the sent message iff at most one
     code bit is wrong, so each axis is detected in real arithmetic from the
     codeword's label-table row, and the word succeeds iff its label XOR has
-    at most one set bit on code bits.  The words are detected a chunk at a
-    time, every real axis before any imaginary one: consecutive chunks of a
-    normal draw equal the dense draw, so the chunk size changes no result.
+    at most one set bit on code bits.  The words are detected in the same
+    chunks, every real axis before any imaginary one: consecutive chunks of a
+    draw equal the dense draw, so the chunk size changes no result.
 
     Only the words holding a noise sample at or beyond ``_safe_radius`` run
     the detection chain: a sample inside it detects as the level sent.
@@ -196,13 +194,11 @@ def _words_intact(
     # message bits read as MSB-first integers at the table's index width: a
     # wider matmul would copy the bits at that width
     weights = (1 << np.arange(scheme.k - 1, -1, -1)).astype(np.min_scalar_type(len(table) - 1))
-    words = np.empty(shape, dtype=weights.dtype)
-    # rows of no words draw nothing: skip them, however many there are
-    for start in range(0, len(words) if words.size else 0, _CHUNK_ROWS):
-        chunk = words[start : start + _CHUNK_ROWS]
-        sent = rng.integers(0, 2, size=(*chunk.shape, scheme.k), dtype=np.uint8)
+    flat = np.empty(math.prod(shape), dtype=weights.dtype)
+    for start in range(0, flat.size, _LINK_WORDS):
+        chunk = flat[start : start + _LINK_WORDS]
+        sent = rng.integers(0, 2, size=(chunk.size, scheme.k), dtype=np.uint8)
         np.matmul(sent, weights, out=chunk)
-    flat = words.reshape(-1)
     # code bits wrong per word, summed as a matmul, far faster than sum() over
     # so short an axis; a code whose table fits in memory has n < 256, so the
     # uint8 count cannot wrap
@@ -355,11 +351,10 @@ def run_coded_control(
         decoded = success[start : start + len(n_t)]
         # (rows, epochs, d) view of the whole epochs: writes land in n_t
         epochs = n_t[:, : n_epochs * d].reshape(len(n_t), n_epochs, d)
-        for first in range(0, len(n_t), _CHUNK_ROWS):
-            chunk = slice(first, first + _CHUNK_ROWS)
-            open_loop = epochs[chunk, :, :-1] @ powers
-            np.add(epochs[chunk, :, -1], a * open_loop, out=epochs[chunk, :, -1],
-                   where=decoded[chunk])
+        # each epoch's open-loop sum a N, in the spare block before its factors
+        open_loop = np.matmul(epochs[:, :, :-1], powers, out=factors[:, :n_epochs])
+        open_loop *= a
+        np.add(epochs[:, :, -1], open_loop, out=epochs[:, :, -1], where=decoded)
         # a decoded epoch's last step restarts the state from n_t: factor
         # 0, and n_t + 0 x is n_t but for the sign of a zero
         factors.fill(a)

@@ -47,8 +47,9 @@ MAX_HORIZON = 1 << 18
 #: cell threads, which run every recipe's simulation cells two at a time: a
 #: constant, whatever the replica count, and no option sets it
 _DRAW_THREADS = 2
-#: the bound on realizations x (largest M0 + grid points) of a selection
-#: sweep, which holds one realizations x M0 floor array: about 180 MB at peak
+#: the bound on realizations x largest M0 of a selection sweep, which holds
+#: one realizations x M0 floor array: at the bound it peaks at 180 MB with
+#: M0 = 1023, and at 436 MB with M0 = 1, as one plant's draws take 3 columns
 MAX_SELECTION_VALUES = 1 << 24
 
 
@@ -529,11 +530,11 @@ def run_selection_sweep(
         raise ValueError(f"realizations must be >= 1 (got {realizations})")
     if any(m < 1 for m in m0_values):
         raise ValueError("every M0 must be >= 1")
-    largest, points = max(m0_values), len(spec.powers_w)
-    if realizations * (largest + points) > MAX_SELECTION_VALUES:
+    largest = max(m0_values)
+    if realizations * largest > MAX_SELECTION_VALUES:
         raise ValueError(
-            f"realizations x (largest M0 + grid points) = {realizations} x ({largest} + {points}) "
-            f"exceeds the selection sweep's bound of {MAX_SELECTION_VALUES} values held at once"
+            f"realizations x largest M0 = {realizations} x {largest} exceeds the "
+            f"selection sweep's bound of {MAX_SELECTION_VALUES} values held at once"
         )
     labels = [f"m{m0}_avg_selected" for m0 in m0_values]
     _refuse_clashes(m0_values, labels, "M0 values")

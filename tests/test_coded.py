@@ -450,10 +450,10 @@ def test_coded_loop_matches_per_symbol_reference(name, p0, horizon):
 @pytest.mark.parametrize("replicas, horizon",
                          [(130, 101), (130, 1), (50, 101), (1100, 11), (1400, 101)])
 def test_coded_loop_matches_the_reference_across_noise_stage_fills(name, replicas, horizon):
-    # 130 replicas leave a last plant-noise chunk of 2 rows, 50 fill the
-    # stage only partly, a 1-step horizon is shorter than every epoch, 1100
-    # replicas are 18 chunks of one kernel block, and 1400 replicas at
-    # T = 101 are two kernel blocks, the last of 103 rows
+    # 130 and 50 replicas fill one kernel block only partly, a 1-step
+    # horizon is shorter than every epoch, 1100 replicas at T = 11 are one
+    # block, and 1400 replicas at T = 101 are two kernel blocks, the last of
+    # 103 rows, whose up to 141400 link words take five 2^15-word chunks
     noise = NoisePowers(sigma_z2=1e-7, p0=1.0)
     scheme = SCHEMES[name]
     got = run_coded_control(PLANT, noise, 0.01, scheme, horizon, substream(5, 2), replicas)
@@ -484,16 +484,16 @@ def _word_estimates():
 
 
 def test_chunk_sizes_change_no_coded_result(monkeypatch):
-    # 64-row chunks and one 2^15-word link chunk by default; then messages
-    # and plant noise in 4-row chunks and link words in 999-word chunks.
-    # Message chunks must stay a multiple of 4 rows to take whole 32-bit
-    # words of the generator; 1001 words leave a last message chunk of 41
-    # rows by default and of 1 row in 4-row chunks
+    # one 2^15-word chunk of messages and of link noise by default; then
+    # chunks of 4 words, and of 996, which leave a last chunk of 1 word and
+    # of 5 from 1001 words.  Each message chunk must take whole 32-bit words
+    # of the generator, so a chunk's words are a multiple of 4
+    assert coded._LINK_WORDS % 4 == 0
     default, estimates = _coded_cells(), _word_estimates()
-    monkeypatch.setattr(coded, "_CHUNK_ROWS", 4)
-    monkeypatch.setattr(coded, "_LINK_WORDS", 999)
-    assert _coded_cells() == default
-    assert _word_estimates() == estimates
+    for link_words in (4, 996):
+        monkeypatch.setattr(coded, "_LINK_WORDS", link_words)
+        assert _coded_cells() == default
+        assert _word_estimates() == estimates
 
 
 def test_kernel_row_blocks_change_no_coded_result(monkeypatch):
@@ -522,3 +522,23 @@ def test_coded_cell_memory_is_bounded_by_the_chunks():
         tracemalloc.stop()
     assert math.isfinite(cost)
     assert peak < 13 * 2**20
+
+
+def test_a_coded_block_holds_little_beside_the_block_pair():
+    # 262 replicas at T = 500 are one kernel block, whose pair of (262, 500)
+    # float arrays is 2.0 MiB.  Each epoch's open-loop sum goes into the
+    # spare block before its factors do, so the cell peaks at about 2.3 MiB;
+    # combined in 64-row pieces it peaked at 2.6 MiB, and with a
+    # block-sized open-loop temporary at 3.1 MiB
+    noise = NoisePowers(sigma_z2=1e-7, p0=0.1)
+    args = (PLANT, noise, 0.01, SCHEMES["bch7_4_qam256"], 500)
+    assert model.block_rows(500) == 262
+    run_coded_control(*args, substream(0, 1), replicas=262)  # builds the cached tables
+    tracemalloc.start()
+    try:
+        cost = run_coded_control(*args, substream(0, 1), replicas=262)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(cost)
+    assert peak < 2.5 * 2**20
