@@ -650,14 +650,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "verify":
         return cmd_verify()
+    config = None
     try:
         config = parse_config(args.command, args)
         return _finish(_RECIPES[args.command][2](config), config)
     except ValueError as exc:
         print(f"wncs {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except MemoryError as exc:  # numpy names the array it could not allocate
-        print(f"wncs {args.command}: error: {config.replicas} replicas: {exc}", file=sys.stderr)
+    except MemoryError as exc:  # numpy names the array; the message names what the run holds
+        held = "while reading settings" if config is None else f"with {config.replicas} replicas"
+        if config is not None and config.kind == "select-sweep":
+            held = f"with {config.realizations} realizations of {max(config.m0)} plants"
+        print(f"wncs {args.command}: error: out of memory {held}: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

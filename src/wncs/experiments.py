@@ -410,6 +410,7 @@ def run_multi_sweep(
     ids = [pid for pid, _ in channels]
     if any(pid < 0 for pid in ids):
         raise ValueError(f"plant ids must be non-negative (got {ids})")
+    _refuse_clashes(ids, [f"p{pid}_w" for pid in ids], "plant ids")
     slow = regime == "slow"
     kind = _KIND_MULTI_SLOW if slow else _KIND_MULTI_FAST
     names: list[str] = []

@@ -23,9 +23,8 @@ from typing import Optional, Sequence
 
 from .model import GainPair, NoisePowers, PlantParams, gains_overflow, require_positive
 from .model import require_ssr
-from .slow_control import (
-    _BOUNDARY_RTOL, _DesignFields, MultiDesign, SnrAllocation, _require_budget, _split_slack,
-)
+from .slow_control import _BOUNDARY_RTOL, _DesignFields, MultiDesign, SnrAllocation, _allocate
+from .slow_control import _require_budget
 
 #: stabilizability constant for sign-only channel knowledge, 1 - 2/pi
 ETA = 1.0 - 2.0 / math.pi
@@ -142,10 +141,10 @@ def allocate_multi_fast(
 
     Equalizing marginal costs gives the interior share
 
-        gamma_i(lam) = floor_i + (|A| / (1 - eta A^2)) sqrt(2 / (pi sigma_h2_i lam)),
+        gamma_i(lam) = floor_i + (|A| / (1 - eta A^2)) sqrt(2 sigma_w2 / (pi sigma_h2_i lam)),
 
     and sum gamma_i = gamma0 has the closed-form root
-    lam = (2/pi) (A / (1 - eta A^2) / s)^2, s = (gamma0 - sum floors) /
+    lam = sigma_w2 (2/pi) (A / (1 - eta A^2) / s)^2, s = (gamma0 - sum floors) /
     sum 1/sqrt(sigma_h2_i): the slack splits in proportion to
     1/sqrt(sigma_h2_i).  Every share sits strictly above its floor whenever
     there is slack, so the allocation is channel-inverting in the average
@@ -156,13 +155,9 @@ def allocate_multi_fast(
     ids = tuple(pid for pid, _ in channel_powers)
     ss = [float(require_channel_power(v)) for _, v in channel_powers]
     a = plant.a
-    # an unstabilizable plant's floors are inf, so the split refuses it
-    shares, s = _split_slack(
-        [fast_floor(a, v) for v in ss], [1.0 / math.sqrt(v) for v in ss], noise.gamma0
-    )
-    multiplier = None if s is None else (2.0 / math.pi) * (a / (1.0 - ETA * a * a) / s) ** 2
-
-    require_positive(plant.sigma_w2, "disturbance power")
-    ssr = noise.ssr(plant)
-    gains, _, _, costs = _fast_designs(plant, ssr, ss, shares)
-    return SnrAllocation(ids, tuple(shares), multiplier), MultiDesign(ids, gains, costs)
+    # an unstabilizable plant's floors are inf, so the split refuses it; its
+    # price is finite, as no float a makes 1 - eta a^2 exactly 0
+    floors = [fast_floor(a, v) for v in ss]
+    price = a * math.sqrt(2.0 / math.pi) / (1.0 - ETA * a * a)
+    weights = [1.0 / math.sqrt(v) for v in ss]
+    return _allocate(ids, ss, floors, weights, price, plant, noise, _fast_designs)

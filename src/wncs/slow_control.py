@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -76,13 +76,13 @@ class SlowSingleDesign:
 
     On the feasibility boundary the optimum is a limit (K -> 0, G -> inf with
     the product finite): ``gains`` is None, ``j_ave`` is inf and only
-    ``gain_product`` and ``a_c`` remain meaningful.
+    ``a_c`` and ``gain_product`` remain meaningful.
     """
 
     gains: Optional[GainPair]
     a_c: float
-    j_ave: float
     gain_product: float
+    j_ave: float
 
 
 def optimize_single_slow(
@@ -126,7 +126,7 @@ def _slow_designs(
         # the product G K stays finite and the cost diverges (G -> inf)
         margin = grown - a * a
         if margin <= _BOUNDARY_RTOL * grown:
-            rows.append((None, a_c, math.inf, -(a * a - 1.0) / (a * h)))
+            rows.append((None, a_c, -(a * a - 1.0) / (a * h), math.inf))
             continue
         j_ave = sigma_w2 * grown / margin
         if j_ave == math.inf:  # the product overflows where the cost need not: divide first
@@ -135,7 +135,7 @@ def _slow_designs(
         g = a * h * math.sqrt(g0 * ssr / (grown * margin))
         if not (math.isfinite(k) and math.isfinite(g)):
             raise gains_overflow(k, g, ssr)
-        rows.append((GainPair(k, g), a_c, j_ave, g * k))
+        rows.append((GainPair(k, g), a_c, g * k, j_ave))
     return tuple(zip(*rows))
 
 
@@ -143,8 +143,9 @@ def _slow_designs(
 class SnrAllocation:
     """Per-plant SNR shares plus the Lagrange multiplier that prices the budget.
 
-    ``multiplier`` is None when no interior split was needed (single plant, or
-    a budget that sits exactly on the summed floors).
+    In both fading regimes ``multiplier`` is the budget's marginal cost
+    -dJ_total/dgamma0.  It is None when no interior split was needed (single
+    plant, or a budget that sits exactly on the summed floors).
     """
 
     plant_ids: tuple[int, ...]
@@ -169,25 +170,33 @@ class MultiDesign:
         return sequential_sum(self.predicted_costs)
 
 
-def _split_slack(
-    floors: list[float], weights: list[float], gamma0: float
-) -> tuple[list[float], Optional[float]]:
-    """Each plant's floor plus its share of the slack gamma0 - sum(floors), on plain floats.
+def _allocate(
+    ids: tuple[int, ...], values: list[float], floors: list[float], weights: list[float],
+    price: float, plant: PlantParams, noise: NoisePowers, designs: Callable[..., _DesignFields],
+) -> tuple[SnrAllocation, MultiDesign]:
+    """Both allocators' split of gamma0, its multiplier, and each plant's design at its share.
 
-    The slack splits in proportion to ``weights``; returns the shares and the
-    slack per unit weight s.  s is None when nothing is split: one plant takes
-    the whole budget, and a budget on the summed floors pins every share.
-    Both sums are ``pairwise_sum``'s, numpy's sums on plain floats.
+    Each plant gets its floor plus a share of the slack gamma0 - sum(floors)
+    in proportion to its weight, s per unit weight; the multiplier is then
+    sigma_w2 (price / s)^2.  Nothing is split when one plant takes the whole
+    budget or a budget on the summed floors pins every share.  The sums are
+    ``pairwise_sum``'s.  ``designs`` runs the regime's design loop over the
+    checked channel ``values``; the loop's last field is each plant's cost.
     """
+    gamma0 = noise.gamma0
     total = summed_floor(floors)
     _require_budget(gamma0, total, "summed stabilizability floors")
-    if len(floors) == 1:
-        return [gamma0], None
+    shares, multiplier = floors, None
     slack = gamma0 - total
-    if slack <= _BOUNDARY_RTOL * gamma0:
-        return floors, None
-    s = slack / pairwise_sum(weights)
-    return [f + s * w for f, w in zip(floors, weights)], s
+    if len(floors) == 1:
+        shares = [gamma0]
+    elif slack > _BOUNDARY_RTOL * gamma0:
+        s = slack / pairwise_sum(weights)
+        shares = [f + s * w for f, w in zip(floors, weights)]
+        multiplier = plant.sigma_w2 * (price / s) ** 2
+    require_positive(plant.sigma_w2, "disturbance power")
+    fields = designs(plant, noise.ssr(plant), values, shares)
+    return SnrAllocation(ids, tuple(shares), multiplier), MultiDesign(ids, fields[0], fields[-1])
 
 
 def _channel_magnitudes(
@@ -230,13 +239,8 @@ def allocate_multi_slow(
     """
     ids, hs = _channel_magnitudes(channel_gains, "allocate_multi_slow", noise.gamma0, "h^2 gamma0")
     a = plant.a
-    shares, s = _split_slack([slow_floor(a, h) for h in hs], [1.0 / h for h in hs], noise.gamma0)
-    multiplier = None if s is None else plant.sigma_w2 * (a / s) ** 2
-
-    require_positive(plant.sigma_w2, "disturbance power")
-    ssr = noise.ssr(plant)
-    gains, _, costs, _ = _slow_designs(plant, ssr, hs, shares)
-    return SnrAllocation(ids, tuple(shares), multiplier), MultiDesign(ids, gains, costs)
+    floors = [slow_floor(a, h) for h in hs]
+    return _allocate(ids, hs, floors, [1.0 / h for h in hs], a, plant, noise, _slow_designs)
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +279,8 @@ def _budget_multiplier(
     [min lam_i, max lam_i] brackets the root.  Illinois regula falsi (Dowell &
     Jarratt, 1971) on log lam shrinks the bracket to a budget residual of
     _BUDGET_RTOL.  Each residual steps through the plants on plain floats,
-    with ``_stable_quadratic_root``'s operations inline, and sums its terms
-    with ``pairwise_sum``, numpy's sum on plain floats.
+    taking each k~_i from ``_stable_quadratic_root``, and sums its terms with
+    ``pairwise_sum``, numpy's sum on plain floats.
     """
     # numpy's power, not float ** -2, which differs in the last bit on a few h
     inv_h2 = pairwise_sum((np.array(hs) ** -2).tolist())
@@ -296,13 +300,7 @@ def _budget_multiplier(
     def residual(lam: float) -> tuple[float, list[float]]:
         k_tilde, terms = [], []
         for h, h2, c_h, scale_h in plants:
-            d, c, ds = d_unit * lam + h2, c_h * lam, scale_h * lam
-            t = abs(d) + math.sqrt(d * d + c)
-            if d >= 0.0:
-                num, den = -c, t * ds
-            else:
-                num, den = -t, ds
-            k = num / den if den else _over_zero(num, den)
+            k = _stable_quadratic_root(d_unit * lam + h2, c_h * lam, scale_h * lam)
             a_c = a + h * k
             den = 1.0 - a_c * a_c
             k_tilde.append(k)

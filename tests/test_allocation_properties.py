@@ -54,7 +54,8 @@ REGIMES = {
         fast_snr_floor,
         optimize_single_fast,
         lambda plant, s, lam: fast_snr_floor(plant, s)
-        + abs(plant.a) / (1.0 - ETA * plant.a**2) * math.sqrt(2.0 / (math.pi * s * lam)),
+        + abs(plant.a) / (1.0 - ETA * plant.a**2)
+        * math.sqrt(2.0 * plant.sigma_w2 / (math.pi * s * lam)),
         allocate_multi_fast,
     ),
 }
@@ -119,6 +120,29 @@ def test_slow_allocation_properties(instance):
 @given(instances("fast"))
 def test_fast_allocation_properties(instance):
     check_allocation("fast", instance)
+
+
+@pytest.mark.parametrize("regime, channels", [
+    ("slow", [(1, 0.01), (2, 0.02), (3, 0.05)]),
+    ("fast", [(1, 1e-4), (2, 4e-4), (3, 2.5e-3)]),
+])
+@pytest.mark.parametrize("a", [1.2, -1.2])
+@pytest.mark.parametrize("sigma_w2", [0.1, 4.0])
+def test_multiplier_is_the_marginal_cost_of_the_budget(regime, channels, a, sigma_w2):
+    # the Lagrange multiplier of the budget is -dJ_total/dgamma0 (Boyd &
+    # Vandenberghe, Convex Optimization, 5.6): a central difference of the
+    # allocated total cost over gamma0 reads it
+    rg = REGIMES[regime]
+    plant = PlantParams(a=a, sigma_w2=sigma_w2)
+    gamma0 = 3.0 * sum(rg.floor(plant, c) for _, c in channels)
+    step = 1e-4 * gamma0
+
+    def total_cost(budget):
+        return rg.allocate(channels, plant, NoisePowers(SIGMA_Z2, budget * SIGMA_Z2))[1].total_cost
+
+    alloc, _ = rg.allocate(channels, plant, NoisePowers(SIGMA_Z2, gamma0 * SIGMA_Z2))
+    slope = (total_cost(gamma0 + step) - total_cost(gamma0 - step)) / (2.0 * step)
+    assert alloc.multiplier == pytest.approx(-slope, rel=1e-5)
 
 
 def bisect_decreasing(residual, start=1.0, rel_tol=1e-12, max_expand=1100, max_iter=400):
@@ -373,7 +397,7 @@ def golden_designs():
 
 #: SHA-256 of the float.hex of every number in ``golden_designs``: any bit of
 #: any share, gain, product, closed loop, multiplier or cost moves it
-GOLDEN_SHA256 = "ea6e738d84dbc0525b6bb0cb60d370a53b207b488086806e6ed1f19f53c5706f"
+GOLDEN_SHA256 = "64e1fdad8533b0e5cbd58b0b72677063796a2c39b978488d8cc721e4e9af96ec"
 
 
 def test_golden_designs_are_bit_for_bit_unchanged():

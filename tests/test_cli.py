@@ -541,6 +541,33 @@ def test_a_selection_sweep_too_large_to_hold_is_refused_at_once(tmp_path, capsys
     assert not out.exists()
 
 
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError("Unable to allocate 7.45 GiB for an array with shape (1000000, 1000)")
+
+
+@pytest.mark.parametrize(
+    "name, argv, held",
+    [("run_selection_sweep", ["select-sweep", "--realizations", "300", "--m0", "2,7"],
+      "with 300 realizations of 7 plants"),
+     ("run_trace", ["trace", "--replicas", "40"], "with 40 replicas"),
+     ("parse_config", ["select-sweep"], "while reading settings")],
+    ids=["select-sweep", "trace", "settings"],
+)
+def test_running_out_of_memory_names_what_the_run_holds(tmp_path, capsys, monkeypatch, name,
+                                                        argv, held):
+    # select-sweep reads no replica count, and a MemoryError can come before
+    # the settings are resolved: neither may name replicas it never held
+    monkeypatch.setattr(cli, name, _out_of_memory)
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        f"wncs {argv[0]}: error: out of memory {held}: Unable to allocate 7.45 GiB for an "
+        "array with shape (1000000, 1000)"
+    ]
+    assert not out.exists()
+
+
 def test_a_selection_sweep_on_a_long_grid_is_not_refused(tmp_path):
     # it holds 4200 x 2 floors whatever its 4001 grid points; counted as
     # 4200 x (2 + 4001) values, more than the bound, it was refused
@@ -829,7 +856,7 @@ _PINNED = [
      "78ca5d378ed7e4c88f739c9fd593e79a1d153065c46af89e87381ec9ec5f2cf5"),
     ("multi-fast --grid '8:12:2 dBm' --horizon 30 --replicas 8", EXIT_OK,
      "586e7e4b1a1737612e79b4c663b63b1747c222e68ee1b9c4270cf11b3fdc2fdf",
-     "f5d6c28da9e512bfb6666c74dab7f1340b388bb2cccbaeee96df91fbd7734b1a"),
+     "676253b0f67381cdefeb432e7846e8e397b22741515e2f1324cb7cba223340d7"),
     ("select-sweep --grid '0:10:5 dBm' --m0 2,3 --realizations 200", EXIT_OK,
      "a18303df6a5b0e69539cf8e160dc6cff8383243780c2a5b15df8988fa332ddfe",
      "bbe8a4b79670f9f745c7952641966eed21fbae0ecea8e283763e17a6f2498318"),

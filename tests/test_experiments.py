@@ -231,6 +231,18 @@ def test_run_multi_sweep_fast_reference_allocation():
         run_multi_sweep(spec, ((1, 1e-4), (-1, 4e-4)), regime="fast")
 
 
+@pytest.mark.parametrize("regime, channels", [
+    ("slow", ((1, 0.01), (1, 0.02))), ("fast", ((2, 1e-4), (3, 4e-4), (2, 1e-4)))
+])
+def test_run_multi_sweep_refuses_a_plant_id_given_twice(regime, channels):
+    # two plants under one id would share one column set and one set of
+    # substreams, the second plant's costs overwriting the first's
+    spec = make_spec(horizon=10, replicas=4)
+    pid = channels[-1][0]
+    with pytest.raises(ValueError, match=f"plant ids {pid} and {pid} share the column label 'p{pid}_w'"):
+        run_multi_sweep(spec, channels, regime=regime)
+
+
 def _allocated_on_the_reported_floors(channels, regime, plant=PLANT):
     """Whether a grid point exactly on a sweep's own ``floors_total`` is allocated."""
     # with sigma_z2 = 1 W the budget gamma0 is p0 exactly

@@ -276,6 +276,20 @@ def test_an_unstabilizable_plant_is_infeasible_at_every_entry_point(design):
         design(PlantParams(a=1.7, sigma_w2=0.1))
 
 
+def test_the_allocation_refuses_every_unstabilizable_float_near_the_boundary():
+    # the allocation's price divides by 1 - eta a^2: on every float a within
+    # 64 ulps of the boundary it is not 0, and past the boundary the inf
+    # floors refuse the plant by name
+    a_crit = 1.0 / math.sqrt(ETA)
+    for a in a_crit + np.arange(-64, 65) * np.spacing(a_crit):
+        for sign in (1.0, -1.0):
+            plant = PlantParams(a=sign * float(a), sigma_w2=0.1)
+            assert 1.0 - ETA * plant.a * plant.a != 0.0
+            if not stabilizable_fast(plant):
+                with pytest.raises(Infeasible, match="floors inf"):
+                    allocate_multi_fast([(1, 1e-4), (2, 4e-4)], plant, NOISE)
+
+
 def test_sign_flip_controls_simulated_growth():
     # with the flip the reference design holds E[x^2] bounded; without any
     # channel knowledge the same budget cannot avoid mean-square growth
