@@ -21,7 +21,7 @@ import re
 import sys
 from dataclasses import replace
 from types import SimpleNamespace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -343,7 +343,7 @@ def _fmt(value: float) -> str:
 
 
 def emit_csv(result: SweepResult, path: str, config: Optional[SimpleNamespace] = None) -> None:
-    """Write the result table as CSV plus a <path>.meta.json sidecar.
+    """Write the result table as CSV, row by row, plus a <path>.meta.json sidecar.
 
     Unbounded cells become the INF token, and non-finite meta values null, so
     the sidecar is strict JSON.  The sidecar records the seed, replica count,
@@ -351,13 +351,16 @@ def emit_csv(result: SweepResult, path: str, config: Optional[SimpleNamespace] =
     to the exact run that produced it.
     """
     names, bounded = list(result.series), result.bounded
-    lines = [",".join([result.x_name, *names])]
-    for i, xv in enumerate(result.x):
-        cells = [_fmt(xv)]
-        for name in names:
-            cells.append(_fmt(result.series[name][i]) if bounded[name][i] else INF_TOKEN)
-        lines.append(",".join(cells))
-    _write(path, "\n".join(lines) + "\n")
+
+    def lines() -> Iterator[str]:
+        yield ",".join([result.x_name, *names]) + "\n"
+        for i, xv in enumerate(result.x):
+            cells = [_fmt(xv)]
+            for name in names:
+                cells.append(_fmt(result.series[name][i]) if bounded[name][i] else INF_TOKEN)
+            yield ",".join(cells) + "\n"
+
+    _write(path, lines())
     sidecar = {
         "package_version": __version__,
         "x_name": result.x_name,
@@ -368,19 +371,18 @@ def emit_csv(result: SweepResult, path: str, config: Optional[SimpleNamespace] =
     }
     if config is not None:
         cfg = vars(config)
-        canonical = json.dumps(cfg, sort_keys=True)
         sidecar["config"] = cfg
-        sidecar["config_sha256"] = hashlib.sha256(canonical.encode()).hexdigest()
+        sidecar["config_sha256"] = hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()
         sidecar["seed"] = config.seed
         sidecar["replicas"] = config.replicas
     text = json.dumps(sidecar, indent=2, sort_keys=True, allow_nan=False)
-    _write(path + ".meta.json", text + "\n")
+    _write(path + ".meta.json", [text, "\n"])
 
 
-def _write(path: str, text: str) -> None:
+def _write(path: str, lines: Iterable[str]) -> None:
     try:
         with open(path, "w", encoding="utf-8", newline="") as f:
-            f.write(text)
+            f.writelines(lines)
     except OSError as exc:
         raise ValueError(f"cannot write {path!r}: {exc}") from exc
 

@@ -25,7 +25,6 @@ from .model import (
     GainPair,
     NoisePowers,
     PlantParams,
-    divergence_guard,
     gains_overflow,
     mean_cost,
     predicted_cost_slow,
@@ -49,7 +48,7 @@ MAX_HORIZON = 1 << 18
 _DRAW_THREADS = 2
 #: the bound on realizations x largest M0 of a selection sweep, which holds
 #: one realizations x M0 floor array: at the bound it peaks at 180 MB with
-#: M0 = 1023, and at 436 MB with M0 = 1, as one plant's draws take 3 columns
+#: M0 = 1023, and at 419 MB with M0 = 1, as one plant's draws take 3 columns
 MAX_SELECTION_VALUES = 1 << 24
 
 
@@ -245,10 +244,9 @@ def _trace_sums(
     """One trace cell: replica 0's states (inf past the guard) and the running
     cost averaged across replicas, inf at every step once any replica diverges."""
     first, sum_sq = None, np.zeros(spec.horizon)
-    guard = divergence_guard(math.sqrt(g * g * spec.sigma_z2 + spec.plant.sigma_w2))
     for states, diverged in _simulated_blocks(spec, (_KIND_TRACE, idx), g, a_c, x0=x0):
         if first is None:
-            first = np.where(np.abs(states[0]) < guard, states[0], math.inf)
+            first = states[0].copy()
         if diverged.any():
             return first, np.full(spec.horizon, math.inf)
         # squares summed in place, in dense row order after the running sum:
@@ -557,7 +555,7 @@ def run_selection_sweep(
             )
         floors.sort(axis=1)
         cumulative = np.cumsum(floors, axis=1, out=floors)
-        series[label] = tuple(float((cumulative <= b).sum(axis=1).mean()) for b in budgets)
+        series[label] = tuple(np.count_nonzero(cumulative <= b) / realizations for b in budgets)
     meta = {
         "seed": spec.seed,
         "realizations": realizations,

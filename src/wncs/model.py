@@ -26,8 +26,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-#: trajectories whose magnitude passes this guard are truncated and reported
-#: as diverged instead of polluting averages with overflow
+#: trajectories whose magnitude passes this guard are reported as diverged,
+#: with inf past it, instead of polluting averages with overflow
 DIVERGENCE_GUARD = 1e12
 #: replica-steps that every simulation cell, analog or coded, draws and steps
 #: at a time, whatever the replica count
@@ -191,11 +191,6 @@ def predicted_cost_slow(
     return (gains.g**2 * noise.sigma_z2 + plant.sigma_w2) / (1.0 - a_c**2)
 
 
-def divergence_guard(noise_std: float) -> float:
-    """DIVERGENCE_GUARD times a loop's per-step noise std, if above 1: states scale with it."""
-    return min(DIVERGENCE_GUARD * max(1.0, noise_std), float(np.finfo(float).max))
-
-
 def block_rows(horizon: int) -> int:
     """Rows of every simulation cell's (rows, T) blocks: ``BLOCK_ELEMENTS`` over T, at least 1."""
     return max(1, BLOCK_ELEMENTS // horizon)
@@ -276,7 +271,8 @@ def step_blocks(
     """Every simulation cell's block loop: the kernel's (states, diverged), a row block at a time.
 
     The ``replicas`` rows are stepped ``block_rows(horizon)`` at a time, the
-    last block holding the rest, from x0 and under ``divergence_guard(noise_std)``.
+    last block holding the rest, from x0 and under DIVERGENCE_GUARD times
+    ``noise_std`` if above 1 (states scale with it); each clamped state is inf.
     ``fill(noise, spare, start)`` writes the noise of the block's rows, from
     replica ``start`` on, into ``noise`` and returns their factors: a scalar,
     or ``spare`` filled.  Both are (rows, T) views of one block pair that
@@ -284,10 +280,13 @@ def step_blocks(
     """
     rows = block_rows(horizon)
     pair = np.empty((2, min(rows, replicas), horizon))
-    guard = divergence_guard(noise_std)
+    guard = min(DIVERGENCE_GUARD * max(1.0, noise_std), float(np.finfo(float).max))
     for start in range(0, replicas, rows):
         noise, spare = pair[:, : min(rows, replicas - start)]
-        yield simulate_loop(fill(noise, spare, start), noise, guard, x0)
+        states, diverged = simulate_loop(fill(noise, spare, start), noise, guard, x0)
+        if diverged.any():
+            np.copyto(states, math.inf, where=~(np.abs(states) < guard))
+        yield states, diverged
 
 
 def mean_square_per_replica(states: np.ndarray, out: np.ndarray) -> np.ndarray:

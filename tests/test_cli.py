@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -163,6 +164,25 @@ def test_emit_csv_sidecar(tmp_path):
     assert sidecar["rows"] == 2
     assert sidecar["meta"]["feasible_points"] == 1
     assert "package_version" in sidecar
+
+
+def test_emit_csv_writes_a_long_table_without_holding_its_text(tmp_path):
+    # each row is written as it is formatted, so emitting a 50k-row table
+    # never holds as much as the CSV's own bytes
+    rows = 50_000
+    values = tuple(np.random.default_rng(0).standard_normal(rows).tolist())
+    result = SweepResult(x_name="t", x=tuple(map(float, range(rows))),
+                         series={"x": values, "j": values[::-1], "k": (math.inf,) * rows})
+    path = tmp_path / "long.csv"
+    tracemalloc.start()
+    try:
+        emit_csv(result, str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    lines = path.read_text().splitlines()
+    assert len(lines) == rows + 1 and lines[-1] == f"{rows - 1.0!r},{values[-1]!r},{values[0]!r},INF"
+    assert peak < path.stat().st_size
 
 
 def test_sidecar_is_strict_json(tmp_path):

@@ -295,15 +295,16 @@ def test_the_cost_reduction_holds_one_float_per_replica():
 def test_step_blocks_fills_row_blocks_that_step_as_one_dense_loop(monkeypatch, factor):
     # 7-row blocks over 7 k + 3 replicas: fill is asked for each block from
     # its first replica, the last block holding 3 rows, and the blocks'
-    # states and flags equal one dense simulate_loop on the same noise
+    # states and flags equal one dense simulate_loop on the same noise, with
+    # every state it clamped handed back as inf
     replicas, horizon, noise_std, x0 = 7 * 4 + 3, 40, 2.0, 0.5
     monkeypatch.setattr(model, "BLOCK_ELEMENTS", 7 * horizon)
     rng = np.random.default_rng(3)
     noise = noise_std * rng.standard_normal((replicas, horizon))
     coeff = 0.9 if factor == "scalar" else rng.uniform(-0.9, 0.9, (replicas, horizon))
-    guard = model.divergence_guard(noise_std)
     # the guard scales with the noise std: replica 9 passes DIVERGENCE_GUARD
     # but stays within it, and only replica 5, past it, is flagged
+    guard = DIVERGENCE_GUARD * noise_std
     noise[5, 20], noise[9, 10] = 3.0 * DIVERGENCE_GUARD, 1.5 * DIVERGENCE_GUARD
     asked = []
 
@@ -322,10 +323,14 @@ def test_step_blocks_fills_row_blocks_that_step_as_one_dense_loop(monkeypatch, f
     states = np.concatenate([states for states, _ in blocks])
     diverged = np.concatenate([diverged for _, diverged in blocks])
     expected, expected_diverged = simulate_loop(coeff, noise.copy(), guard, x0)
+    clamped = np.abs(expected) == guard
+    assert clamped[5, 20] and not np.delete(clamped, 5, axis=0).any()
+    expected[clamped] = math.inf
     assert states.tobytes() == expected.tobytes()
     assert_array_equal(diverged, expected_diverged)
     assert np.flatnonzero(diverged).tolist() == [5]
-    assert states[5, 20] == guard and states[9, 10] > DIVERGENCE_GUARD
+    assert states[5, 20] == math.inf and DIVERGENCE_GUARD < states[9, 10] < guard
+    assert not (np.abs(states) == guard).any()
 
 
 #: float64 edge values: infinities, NaN, signed zeros, subnormals and the largest magnitudes
