@@ -339,26 +339,23 @@ def parse_config(kind: str, args: argparse.Namespace) -> SimpleNamespace:
 
 
 def _fmt(value: float) -> str:
-    return repr(float(value))
+    return repr(float(value)) if math.isfinite(value) else INF_TOKEN
 
 
 def emit_csv(result: SweepResult, path: str, config: Optional[SimpleNamespace] = None) -> None:
     """Write the result table as CSV, row by row, plus a <path>.meta.json sidecar.
 
-    Unbounded cells become the INF token, and non-finite meta values null, so
+    Non-finite cells become the INF token, and non-finite meta values null, so
     the sidecar is strict JSON.  The sidecar records the seed, replica count,
     resolved configuration and its hash, so a CSV can always be traced back
     to the exact run that produced it.
     """
-    names, bounded = list(result.series), result.bounded
+    names = list(result.series)
 
     def lines() -> Iterator[str]:
         yield ",".join([result.x_name, *names]) + "\n"
-        for i, xv in enumerate(result.x):
-            cells = [_fmt(xv)]
-            for name in names:
-                cells.append(_fmt(result.series[name][i]) if bounded[name][i] else INF_TOKEN)
-            yield ",".join(cells) + "\n"
+        for row in zip(result.x, *result.series.values()):
+            yield ",".join(map(_fmt, row)) + "\n"
 
     _write(path, lines())
     sidecar = {

@@ -101,11 +101,6 @@ class SweepResult:
             if len(ys) != len(self.x):
                 raise ValueError(f"series {name!r} length {len(ys)} != grid {len(self.x)}")
 
-    @property
-    def bounded(self) -> dict[str, tuple[bool, ...]]:
-        """Per series, whether each cell holds a finite value."""
-        return {name: tuple(map(math.isfinite, ys)) for name, ys in self.series.items()}
-
 
 def _refuse_clashes(values: Sequence, labels: Sequence[str], what: str) -> None:
     """ValueError naming two entries of ``values`` whose column labels coincide."""

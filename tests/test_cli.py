@@ -153,6 +153,10 @@ def test_emit_csv_layout_and_inf_token(tmp_path):
     assert text.endswith("\n")
     # values round-trip exactly through repr
     assert float(lines[1].split(",")[2]) == 1.25
+    # every non-finite cell prints the one token, whatever its sign or NaN-ness
+    odd = SweepResult(x_name="t", x=(0.0,), series={"lo": (-math.inf,), "nan": (math.nan,)})
+    emit_csv(odd, str(path))
+    assert path.read_text().splitlines()[1] == f"0.0,{INF_TOKEN},{INF_TOKEN}"
 
 
 def test_emit_csv_sidecar(tmp_path):
@@ -168,7 +172,7 @@ def test_emit_csv_sidecar(tmp_path):
 
 def test_emit_csv_writes_a_long_table_without_holding_its_text(tmp_path):
     # each row is written as it is formatted, so emitting a 50k-row table
-    # never holds as much as the CSV's own bytes
+    # never holds as much as the CSV's own bytes, nor a per-cell table
     rows = 50_000
     values = tuple(np.random.default_rng(0).standard_normal(rows).tolist())
     result = SweepResult(x_name="t", x=tuple(map(float, range(rows))),
@@ -183,6 +187,7 @@ def test_emit_csv_writes_a_long_table_without_holding_its_text(tmp_path):
     lines = path.read_text().splitlines()
     assert len(lines) == rows + 1 and lines[-1] == f"{rows - 1.0!r},{values[-1]!r},{values[0]!r},INF"
     assert peak < path.stat().st_size
+    assert peak < 2**16
 
 
 def test_sidecar_is_strict_json(tmp_path):

@@ -117,7 +117,7 @@ def test_run_trace_flags_guard_crossings():
     crossed = next(t for t, x in enumerate(xs) if math.isinf(x))
     assert 0 < crossed and all(map(math.isinf, xs[crossed:]))
     assert max(abs(x) for x in xs[:crossed]) < DIVERGENCE_GUARD
-    assert not any(result.bounded["j_ac3"])
+    assert not any(map(math.isfinite, result.series["j_ac3"]))
     assert all(map(math.isinf, result.series["j_ac3"]))
 
 
@@ -141,14 +141,14 @@ def test_run_single_compare_columns_and_flags():
     }
     assert set(result.series) == expected_cols
     # below threshold: analog columns unbounded
-    assert not result.bounded["analog_pred"][0]
-    assert not result.bounded["analog_sim"][0]
+    assert not math.isfinite(result.series["analog_pred"][0])
+    assert not math.isfinite(result.series["analog_sim"][0])
     assert math.isinf(result.series["analog_pred"][0])
     # above: prediction equals the closed form
     noise = spec.noise_at(0.1)
     expected = optimize_single_slow(PLANT, noise, 0.01).j_ave
     assert result.series["analog_pred"][1] == pytest.approx(expected, rel=1e-12)
-    assert result.bounded["analog_pred"][1]
+    assert math.isfinite(result.series["analog_pred"][1])
     assert result.meta["feasible_points"] == 1
     assert result.meta["threshold_p0_w"] == pytest.approx(12500.0 * 1e-7, rel=1e-9)
 
@@ -202,7 +202,7 @@ def test_run_multi_sweep_slow_reference_costs():
     }
     assert set(result.series) == names
     # first grid point sits under the summed floors: everything unbounded
-    assert not any(result.bounded[n][0] for n in names)
+    assert not any(math.isfinite(result.series[n][0]) for n in names)
     assert result.meta["allocations"][0] is None
     # second point: allocation shares recover the closed-form split
     alloc = result.meta["allocations"][1]
@@ -222,7 +222,7 @@ def test_run_multi_sweep_fast_reference_allocation():
     alloc = result.meta["allocations"][0]
     assert_allclose(alloc["gamma"], (678088.7954714694, 321911.204527818), rtol=1e-8)
     assert result.series["j_total_pred"][0] == pytest.approx(1.202478242825697, rel=1e-9)
-    assert result.bounded["j_total_pred"][0]
+    assert math.isfinite(result.series["j_total_pred"][0])
     with pytest.raises(ValueError):
         run_multi_sweep(spec, ((1, 1e-4),), regime="medium")
     with pytest.raises(ValueError):
@@ -278,7 +278,6 @@ def test_run_multi_sweep_deterministic():
     a = run_multi_sweep(spec, ((1, 0.01), (2, 0.02)), regime="slow")
     b = run_multi_sweep(spec, ((1, 0.01), (2, 0.02)), regime="slow")
     assert a.series == b.series
-    assert a.bounded == b.bounded
 
 
 def _block_sensitive_results():
@@ -287,7 +286,7 @@ def _block_sensitive_results():
     compare = run_single_compare(spec, h=0.01, schemes=())
     slow = run_multi_sweep(spec, ((1, 0.01), (2, 0.02)), regime="slow")
     fast = run_multi_sweep(spec, ((1, 1e-4), (2, 4e-4)), regime="fast")
-    return [(r.series, r.bounded) for r in (trace, compare, slow, fast)]
+    return [r.series for r in (trace, compare, slow, fast)]
 
 
 def test_block_size_changes_no_result(monkeypatch):
@@ -310,7 +309,7 @@ def test_fast_sweep_memory_is_bounded_by_the_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert result.bounded["j1_sim"][0]
+    assert math.isfinite(result.series["j1_sim"][0])
     assert peak < 64 * 2**20
 
 
@@ -716,8 +715,6 @@ def test_a_selection_sweep_holds_one_floor_array():
 def test_sweep_result_is_plain_data():
     res = SweepResult(x_name="p0_w", x=(1.0, 2.0), series={"j": (0.5, math.inf)})
     assert res.meta == {}
-    # a cell is bounded iff it is finite; there is no second table to disagree
-    assert res.bounded == {"j": (True, False)}
 
 
 def test_substream_is_deterministic_per_key():
