@@ -155,7 +155,7 @@ def _label_table(scheme: CodingScheme) -> tuple[np.ndarray, np.ndarray]:
 _POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 #: words the link draws messages for, or detects on each axis, at a time: its
 #: temporaries stay this small.  A multiple of 4, so that each message chunk
-#: takes whole 32-bit words from the generator, as one dense uint8 draw does
+#: takes whole 32-bit words from the generator, as one dense draw does
 _LINK_WORDS = 1 << 15
 
 
@@ -165,6 +165,25 @@ def _link_tables(scheme: CodingScheme, noise: NoisePowers, h: float) -> tuple:
         raise ValueError(f"channel gain must be finite and nonzero (got {h!r})")
     levels, c = _axis_scale(scheme.bits_per_symbol, noise.p0)
     return (levels, c, *_label_table(scheme), *_gray_maps(levels))
+
+
+def _draw_messages(size: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """``size`` uniform k-bit messages, each read MSB first as an integer of the least width.
+
+    Each bit is the top bit of one byte of whole 32-bit words, low byte first,
+    drawn ``_LINK_WORDS`` messages at a time: the generator calls and the bits
+    of a uint8 draw of one 0/1 byte a bit.  No temporary outlives its chunk.
+    """
+    flat = np.zeros(size, dtype=np.min_scalar_type((1 << k) - 1))
+    for start in range(0, size, _LINK_WORDS):
+        chunk = flat[start : start + _LINK_WORDS]
+        words = rng.integers(0, 1 << 32, size=-(-chunk.size * k // 4), dtype=np.uint32)
+        bits = words.astype("<u4", copy=False).view(np.uint8)
+        np.right_shift(bits, 7, out=bits)
+        for column in bits[: chunk.size * k].reshape(chunk.size, k).T:
+            chunk <<= 1
+            chunk |= column
+    return flat
 
 
 def _words_intact(
@@ -191,14 +210,7 @@ def _words_intact(
     amplitude = (2.0 * from_gray - (levels - 1)) * c
     tau = _safe_radius(levels, c, h)
     std = math.sqrt(noise.sigma_z2)
-    # message bits read as MSB-first integers at the table's index width: a
-    # wider matmul would copy the bits at that width
-    weights = (1 << np.arange(scheme.k - 1, -1, -1)).astype(np.min_scalar_type(len(table) - 1))
-    flat = np.empty(math.prod(shape), dtype=weights.dtype)
-    for start in range(0, flat.size, _LINK_WORDS):
-        chunk = flat[start : start + _LINK_WORDS]
-        sent = rng.integers(0, 2, size=(chunk.size, scheme.k), dtype=np.uint8)
-        np.matmul(sent, weights, out=chunk)
+    flat = _draw_messages(math.prod(shape), scheme.k, rng)
     # code bits wrong per word, summed as a matmul, far faster than sum() over
     # so short an axis; a code whose table fits in memory has n < 256, so the
     # uint8 count cannot wrap

@@ -43,13 +43,18 @@ _DRAW_Z, _DRAW_W, _DRAW_H, _DRAW_CODED = range(4)
 
 #: the longest horizon a run may ask for: a one-row block of it is 2 MiB a stream
 MAX_HORIZON = 1 << 18
+#: the most replicas a run may ask for: a cell's memory does not grow with
+#: them, so only this bound refuses a count that no run could finish
+MAX_REPLICAS = 1 << 30
 #: cell threads, which run every recipe's simulation cells two at a time: a
 #: constant, whatever the replica count, and no option sets it
 _DRAW_THREADS = 2
 #: the bound on realizations x largest M0 of a selection sweep, which holds
-#: one realizations x M0 floor array: at the bound it peaks at 180 MB with
-#: M0 = 1023, and at 419 MB with M0 = 1, as one plant's draws take 3 columns
+#: one realizations x M0 floor array: at the bound it peaks at 180 MB, with
+#: M0 = 1023 as with M0 = 1
 MAX_SELECTION_VALUES = 1 << 24
+#: realizations whose gains a selection sweep draws and prices at a time
+_SELECTION_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -73,8 +78,8 @@ class ExperimentSpec:
             raise ValueError("power grid must be strictly increasing")
         if not 1 <= self.horizon <= MAX_HORIZON:
             raise ValueError(f"horizon must be between 1 and {MAX_HORIZON} (got {self.horizon})")
-        if self.replicas < 1:
-            raise ValueError(f"replicas must be >= 1 (got {self.replicas})")
+        if not 1 <= self.replicas <= MAX_REPLICAS:
+            raise ValueError(f"replicas must be between 1 and {MAX_REPLICAS} (got {self.replicas})")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0 (got {self.seed})")
 
@@ -535,14 +540,17 @@ def run_selection_sweep(
     budgets = [p0 / spec.sigma_z2 for p0 in spec.powers_w]
     series: dict[str, tuple[float, ...]] = {}
     for mi, (m0, label) in enumerate(zip(m0_values, labels)):
-        # plant j's floors fill column j; sorted, a row's prefix sums are the
-        # least budgets that admit its 1, 2, ... cheapest plants
+        # plant j's floors fill column j, from chunks of its gains that equal
+        # its dense draw; sorted, a row's prefix sums are the least budgets
+        # that admit its 1, 2, ... cheapest plants
         floors = np.empty((realizations, m0))
         with np.errstate(divide="ignore", over="ignore"):
             for j in range(m0):
                 rng = substream(spec.seed, _KIND_SELECT, mi, j, _DRAW_H)
-                h = rayleigh_gain_samples(mean_power_gain, rng, realizations)
-                floors[:, j] = slow_floor(spec.plant.a, h)
+                for start in range(0, realizations, _SELECTION_CHUNK):
+                    h = rayleigh_gain_samples(
+                        mean_power_gain, rng, min(_SELECTION_CHUNK, realizations - start))
+                    floors[start : start + len(h), j] = slow_floor(spec.plant.a, h)
         if not np.isfinite(floors).all():
             raise ValueError(
                 f"mean power gain {mean_power_gain!r} is too small: a drawn channel's "

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Generator, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,6 +34,9 @@ DIVERGENCE_GUARD = 1e12
 BLOCK_ELEMENTS = 1 << 17
 #: columns of a block that ``simulate_loop`` gathers and steps at a time
 _WINDOW = 32
+#: the most per-replica means that ``mean_cost`` holds: each subtree of
+#: numpy's pairwise sum of at most this many is one np.add.reduce
+_LEAF_RUN = 1 << 12
 
 
 def require_positive(value: float, what: str) -> float:
@@ -89,8 +92,25 @@ def pairwise_sum(values: Sequence[float]) -> float:
         for i in range(whole, n):
             total += values[i]
         return total
-    half = n // 2 - n // 2 % 8
+    half = _pairwise_half(n)
     return pairwise_sum(values[:half]) + pairwise_sum(values[half:])
+
+
+def _pairwise_half(n: int) -> int:
+    """Where numpy's pairwise sum splits more than 128 terms: n // 2, less its remainder mod 8."""
+    return n // 2 - n // 2 % 8
+
+
+def _pairwise_tree(n: int) -> Generator[int, float, float]:
+    """numpy's pairwise sum of n terms, taken one subtree of at most ``_LEAF_RUN`` at a time.
+
+    Yields the size of each maximal such subtree in order, is sent its sum,
+    and returns the total: one frame a level, and no list of sizes.
+    """
+    if n <= _LEAF_RUN:
+        return (yield n)
+    half = _pairwise_half(n)
+    return (yield from _pairwise_tree(half)) + (yield from _pairwise_tree(n - half))
 
 
 @dataclass(frozen=True)
@@ -302,14 +322,26 @@ def mean_square_per_replica(states: np.ndarray, out: np.ndarray) -> np.ndarray:
 def mean_cost(blocks: Iterable[tuple[np.ndarray, np.ndarray]], replicas: int) -> float:
     """Time-average cost over every replica of (states, diverged) blocks; inf once any diverges.
 
-    The blocks hold ``replicas`` rows in all, and each block's per-replica
-    means are written into one (replicas,) array.
+    The blocks hold ``replicas`` rows in all.  The cost is np.mean of their
+    per-replica means, bit for bit: ``_pairwise_tree`` walks numpy's sum a
+    subtree of at most ``_LEAF_RUN`` means at a time, each gathered in one
+    buffer.  The blocks run to their end unless one diverges.
     """
-    per_replica, start = np.empty(replicas), 0
-    for states, diverged in blocks:
-        if diverged.any():
-            return math.inf
-        mean_square_per_replica(states, per_replica[start : start + len(states)])
-        start += len(states)
-    with np.errstate(over="ignore"):  # a cost past the largest float is inf
-        return float(per_replica.mean())
+    tree, buffer = _pairwise_tree(replicas), np.empty(min(replicas, _LEAF_RUN))
+    run, filled = next(tree), 0
+    with np.errstate(over="ignore"):  # a sum past the largest float is inf
+        for states, diverged in blocks:
+            if diverged.any():
+                return math.inf
+            while len(states):
+                if filled == run:
+                    run, filled = tree.send(float(np.add.reduce(buffer[:run]))), 0
+                take = min(run - filled, len(states))
+                mean_square_per_replica(states[:take], buffer[filled : filled + take])
+                states, filled = states[take:], filled + take
+        if filled == run:
+            try:
+                tree.send(float(np.add.reduce(buffer[:run])))
+            except StopIteration as root:
+                return root.value / replicas
+    raise ValueError(f"the blocks hold fewer than {replicas} rows")

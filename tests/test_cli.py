@@ -27,7 +27,7 @@ from wncs.cli import (
     parse_power_grid,
     watts_to_dbm,
 )
-from wncs.experiments import MAX_SELECTION_VALUES, SweepResult
+from wncs.experiments import MAX_REPLICAS, MAX_SELECTION_VALUES, SweepResult
 
 
 def test_dbm_round_trip():
@@ -465,7 +465,7 @@ def test_usage_errors_exit_1(tmp_path):
         ["multi-slow", "--sigma-w2", "1e308"],
         ["multi-fast", "--sigma-w2", "1e308"],
         ["trace", "--sigma-w2", "1e308"],
-        # a replica count whose per-replica costs no allocator grants (7 TiB)
+        # a replica count past experiments.MAX_REPLICAS, refused before any draw
         ["multi-slow", "--grid", "20dBm", "--horizon", "1", "--replicas", "1000000000000"],
         ["compare", "--grid", "20dBm", "--horizon", "1", "--replicas", "1000000000000"],
     ],
@@ -655,8 +655,10 @@ def test_a_value_that_starts_with_a_minus_follows_its_flag(tmp_path, monkeypatch
     [
         (["--seed", "-1"], "seed must be >= 0 (got -1)"),
         (["--horizon", "262145"], "horizon must be between 1 and 262144 (got 262145)"),
+        (["--replicas", str(MAX_REPLICAS + 1)],
+         f"replicas must be between 1 and {MAX_REPLICAS} (got {MAX_REPLICAS + 1})"),
     ],
-    ids=["seed", "horizon"],
+    ids=["seed", "horizon", "replicas"],
 )
 def test_a_setting_out_of_range_is_refused_by_name(tmp_path, capsys, argv, refusal):
     out = tmp_path / "x.csv"

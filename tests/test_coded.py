@@ -524,14 +524,18 @@ def test_coded_cell_memory_is_bounded_by_the_chunks():
     assert peak < 13 * 2**20
 
 
-def test_a_coded_block_holds_little_beside_the_block_pair():
+@pytest.mark.parametrize("name", ["bch7_4_qam256", "bch15_11_qam16"])
+def test_a_coded_block_holds_little_beside_the_block_pair(name):
     # 262 replicas at T = 500 are one kernel block, whose pair of (262, 500)
     # float arrays is 2.0 MiB.  Each epoch's open-loop sum goes into the
     # spare block before its factors do, so the cell peaks at about 2.3 MiB;
     # combined in 64-row pieces it peaked at 2.6 MiB, and with a
-    # block-sized open-loop temporary at 3.1 MiB
+    # block-sized open-loop temporary at 3.1 MiB.  bch15_11_qam16's link
+    # detects 32750 words at once, 2 MiB of noise and its magnitudes, and
+    # peaks there at 2.23 MiB: its 352 KiB message draw, kept alive until
+    # the link returned, read 2.57 MiB
     noise = NoisePowers(sigma_z2=1e-7, p0=0.1)
-    args = (PLANT, noise, 0.01, SCHEMES["bch7_4_qam256"], 500)
+    args = (PLANT, noise, 0.01, SCHEMES[name], 500)
     assert model.block_rows(500) == 262
     run_coded_control(*args, substream(0, 1), replicas=262)  # builds the cached tables
     tracemalloc.start()
@@ -542,3 +546,20 @@ def test_a_coded_block_holds_little_beside_the_block_pair():
         tracemalloc.stop()
     assert math.isfinite(cost)
     assert peak < 2.5 * 2**20
+
+
+@pytest.mark.parametrize("k", [4, 11])
+@pytest.mark.parametrize("size", [1, 7, 13, 8480, 32768])
+def test_messages_are_the_bits_of_a_uint8_draw(k, size):
+    # one 0/1 byte a bit, read MSB first: the link's messages, drawn as
+    # whole 32-bit words, are the same integers at the same width, and the
+    # generator goes on from the same place
+    want_rng, got_rng = substream(4, 2), substream(4, 2)
+    bits = want_rng.integers(0, 2, size=(size, k), dtype=np.uint8)
+    want = bits @ (1 << np.arange(k - 1, -1, -1))
+    got = coded._draw_messages(size, k, got_rng)
+    assert got.dtype == np.min_scalar_type((1 << k) - 1)
+    assert_array_equal(got, want)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    assert_array_equal(got_rng.standard_normal(5), want_rng.standard_normal(5))
+

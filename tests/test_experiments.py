@@ -331,12 +331,12 @@ def test_an_analog_cell_holds_about_two_block_arrays(cell):
     assert peak < 2.5 * model.BLOCK_ELEMENTS * 8
 
 
-def test_a_simulated_cell_holds_one_block_pair_and_one_float_per_replica():
+def test_a_simulated_cell_holds_one_block_pair_whatever_its_replicas():
     # 400k replicas at T = 10: the cell draws and steps one 2 MiB block pair
-    # at a time and writes each block's per-replica means into one 3 MiB
-    # array.  The peak is about 6.3 MiB; a second block pair, a second array
-    # of means, or a window-sized temporary in the guard check would pass
-    # the bound
+    # at a time, and reduces each block's per-replica means through one
+    # 32 KiB buffer.  The peak is about 3.3 MiB; a second block pair, one
+    # float per replica (3 MiB), or a window-sized temporary in the guard
+    # check would pass the bound
     spec = make_spec(horizon=10, replicas=400_000)
     cell = lambda: model.mean_cost(experiments._simulated_blocks(spec, (0, 0), 138.97, 0.9),
                                   spec.replicas)
@@ -348,7 +348,7 @@ def test_a_simulated_cell_holds_one_block_pair_and_one_float_per_replica():
     finally:
         tracemalloc.stop()
     assert math.isfinite(cost)
-    assert peak < 6.5 * 2**20
+    assert peak < 4 * 2**20
 
 
 def _dense_reference_states(spec, key, g, a_c, fading=None, x0=0.0):
@@ -696,12 +696,16 @@ def test_selection_sweep_counts_equal_a_brute_force_oracle():
     assert seen == {(True, False), (False, True), (False, False)}
 
 
-def test_a_selection_sweep_holds_one_floor_array():
+@pytest.mark.parametrize("m0, realizations", [(400, 2500), (1, 1 << 19)])
+def test_a_selection_sweep_holds_one_floor_array(m0, realizations):
     # 2500 realizations of 400 plants: the sweep holds one (2500, 400) float
     # array, 7.63 MiB, and sorts and sums it in place.  Per-plant draws
-    # stacked into a copy, and floors and prefix sums beside it, peak at 38 MiB
+    # stacked into a copy, and floors and prefix sums beside it, peak at 38 MiB.
+    # 2^19 realizations of one plant: a 4 MiB column, whose gains are drawn
+    # and priced 2^16 at a time, 5.5 MiB in all; drawn whole, the draw, h * h
+    # and the quotient held three more columns, 16 MiB
     spec = make_spec(plant=PlantParams(a=1.2, sigma_w2=0.1), powers_w=(1e-3, 1e-2, 0.1))
-    sweep = lambda: run_selection_sweep(spec, m0_values=(400,), realizations=2500)
+    sweep = lambda: run_selection_sweep(spec, m0_values=(m0,), realizations=realizations)
     sweep()
     tracemalloc.start()
     try:
@@ -710,6 +714,28 @@ def test_a_selection_sweep_holds_one_floor_array():
     finally:
         tracemalloc.stop()
     assert peak < 10 * 2**20
+
+
+@pytest.mark.parametrize("size, chunk", [(1_000_003, 65_536), (17, 4), (300_000, 99_991)])
+def test_chunked_rayleigh_draws_equal_the_dense_draw(size, chunk):
+    # each gain is drawn in turn from the bit generator, so consecutive
+    # chunks of a plant's draw are its dense draw, bit for bit, and leave
+    # the stream where the dense draw does
+    dense_rng, chunked_rng = substream(3, 1), substream(3, 1)
+    dense = rayleigh_gain_samples(1e-4, dense_rng, size)
+    chunks = [rayleigh_gain_samples(1e-4, chunked_rng, min(chunk, size - start))
+              for start in range(0, size, chunk)]
+    assert np.concatenate(chunks).tobytes() == dense.tobytes()
+    assert chunked_rng.bit_generator.state == dense_rng.bit_generator.state
+
+
+def test_selection_chunks_change_no_count(monkeypatch):
+    # 1000 realizations in one chunk, then in chunks of 7, the last of 6
+    spec = make_spec(plant=PlantParams(a=1.2, sigma_w2=0.1), powers_w=(1e-3, 1e-2, 0.1))
+    sweep = lambda: run_selection_sweep(spec, m0_values=(1, 3), realizations=1000).series
+    default = sweep()
+    monkeypatch.setattr(experiments, "_SELECTION_CHUNK", 7)
+    assert sweep() == default
 
 
 def test_sweep_result_is_plain_data():

@@ -267,11 +267,12 @@ def test_two_threads_stepping_at_once_equal_one_thread():
     assert concurrent == [[alone] * 5] * 2
 
 
-def test_the_cost_reduction_holds_one_float_per_replica():
+def test_the_cost_reduction_holds_one_small_buffer_whatever_its_replicas():
     # 400k replicas at T = 10 in the kernel's row blocks, each a view of one
     # block made before tracing, so only the reduction's own memory counts:
-    # one (replicas,) array of per-replica means, 3.05 MiB.  A list of the
-    # per-block means and their concatenation held twice that, 6.1 MiB
+    # one buffer of at most 4096 per-replica means, 32 KiB, and the peak is
+    # about 37 KiB.  One (replicas,) array of means held 3.05 MiB, and a
+    # block-length array of them would add 102 KiB
     replicas, horizon = 400_000, 10
     rows = model.block_rows(horizon)
     block, clean = np.ones((rows, horizon)), np.zeros(rows, dtype=bool)
@@ -288,7 +289,57 @@ def test_the_cost_reduction_holds_one_float_per_replica():
     finally:
         tracemalloc.stop()
     assert cost == 1.0
-    assert peak < 4 * 2**20
+    assert peak < 64 * 2**10
+
+
+def _cut_blocks(states, cuts):
+    """(states, diverged) views of ``states`` cut into row blocks at ``cuts``."""
+    clean = np.zeros(len(states), dtype=bool)
+    return ((states[a:b], clean[a:b]) for a, b in zip(cuts[:-1], cuts[1:]))
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 129, 4095, 4096, 4097, 8191, 8200, 12289, 100_003,
+                               3_000_017,
+                               *np.random.default_rng(40).integers(2, 300_000, 4).tolist()])
+@pytest.mark.parametrize("scale", ["mixed", "huge"])
+def test_mean_cost_is_numpys_mean_bit_for_bit(n, scale):
+    # squares of mixed magnitudes, whose rounding shows the order they are
+    # added in, or of states near the float limit, whose per-replica means
+    # are finite but sum past it, or overflow themselves: the mean is inf.
+    # The rows come in random row blocks; a numpy that sums in another order
+    # fails here, as at the four lengths drawn at random
+    rng = np.random.default_rng(n)
+    horizon = 1 if n > 10_000 else int(rng.integers(1, 40))
+    states = rng.standard_normal((n, horizon))
+    if scale == "mixed":
+        states *= 10.0 ** rng.integers(-20, 20, (n, 1))
+    else:
+        states *= rng.uniform(1e153, 1e155, (n, 1))
+    with np.errstate(over="ignore"):
+        expected = float(np.mean(np.mean(states**2, axis=1)))
+    cuts = np.unique(np.concatenate([[0, n], rng.integers(0, n + 1, rng.integers(0, 30))]))
+    got = model.mean_cost(_cut_blocks(states, cuts), n)
+    assert type(got) is float
+    assert got.hex() == expected.hex()
+    if scale == "huge" and n > 4096:
+        assert got == math.inf
+
+
+def test_mean_cost_runs_its_blocks_to_their_end():
+    # a generator of blocks that is left suspended keeps its block pair alive
+    # for as long as it is referenced: the reduction takes every block and
+    # the generator's end.  Blocks that hold fewer rows than the replicas are
+    # refused by name
+    states, ended = np.ones((10, 3)), []
+
+    def blocks():
+        yield from _cut_blocks(states, [0, 4, 10])
+        ended.append(True)
+
+    assert model.mean_cost(blocks(), 10) == 1.0
+    assert ended == [True]
+    with pytest.raises(ValueError, match="fewer than 11 rows"):
+        model.mean_cost(_cut_blocks(np.ones((10, 3)), [0, 10]), 11)
 
 
 @pytest.mark.parametrize("factor", ["scalar", "array"])
