@@ -113,16 +113,15 @@ _MAX_TABLE_K = 16
 
 @lru_cache(maxsize=None)
 def _label_table(scheme: CodingScheme) -> tuple[np.ndarray, np.ndarray]:
-    """Every codeword's per-axis Gray labels, (2^k, d, 2), and their code-bit mask, (d, 2).
+    """Every codeword's sent levels, (2^k, d, 2), and the code bits each detection gets wrong.
 
     Row m is the codeword of message m, zero-padded to d whole symbols and cut
-    into labels of L/2 bits, MSB first: per symbol, the in-phase label from
-    the first L/2 bits and the quadrature label from the last.  The mask, cut
-    the same way, has a 1 at every label bit that carries a code bit and a 0
-    at padding.  The link counts a word intact iff at most one code bit
-    flipped, which is exact iff the code is perfect with minimum distance 3,
-    so any other code is refused; the code is linear, so its distance is the
-    least weight of a nonzero codeword.
+    into Gray labels of L/2 bits, MSB first, in-phase then quadrature per
+    symbol; each is sent on the level it labels.  ``wrong[slot, axis, i, j]``
+    counts the code bits, padding never, in which the labels of levels i and j
+    differ.  A word is intact iff at most one code bit is wrong, which is
+    exact iff the code is perfect with minimum distance 3, so any other code
+    is refused; the code is linear, so its distance is its least nonzero weight.
     """
     n, k, half = scheme.n, scheme.k, scheme.bits_per_symbol // 2
     if k > _MAX_TABLE_K:
@@ -142,17 +141,19 @@ def _label_table(scheme: CodingScheme) -> tuple[np.ndarray, np.ndarray]:
             " single-bit error"
         )
     width = scheme.latency * scheme.bits_per_symbol
-    # every codeword, then the all-ones word, left-aligned in d whole symbols
+    # every codeword, then the all-ones word, left-aligned in d whole symbols:
+    # the last row's labels have a 1 at every bit that carries a code bit
     words = np.array([*codewords, (1 << n) - 1]) << (width - n)
     labels = (words[:, None] >> np.arange(width - half, -1, -half)) & ((1 << half) - 1)
     labels = labels.reshape(len(words), scheme.latency, 2)
-    labels = labels.astype(np.min_scalar_type((1 << half) - 1))
-    labels.flags.writeable = False  # shared by every caller through the cache
-    return labels[:-1], labels[-1]
+    to_gray, from_gray = _gray_maps(1 << half)
+    sent = from_gray[labels[:-1]].astype(np.min_scalar_type((1 << half) - 1))
+    differ = (to_gray[:, None] ^ to_gray) & labels[-1][..., None, None]
+    wrong = ((differ[..., None] >> np.arange(half)) & 1).sum(axis=-1, dtype=np.uint8)
+    sent.flags.writeable = wrong.flags.writeable = False  # shared by every caller through the cache
+    return sent, wrong
 
 
-#: set bits of every byte
-_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 #: words the link draws messages for, or detects on each axis, at a time: its
 #: temporaries stay this small.  A multiple of 4, so that each message chunk
 #: takes whole 32-bit words from the generator, as one dense draw does
@@ -160,11 +161,11 @@ _LINK_WORDS = 1 << 15
 
 
 def _link_tables(scheme: CodingScheme, noise: NoisePowers, h: float) -> tuple:
-    """The link's levels per axis, amplitude unit, label table and mask, and Gray maps."""
+    """The link's levels per axis, amplitude unit, sent levels and wrong-bit table."""
     if not (math.isfinite(h) and h != 0.0):
         raise ValueError(f"channel gain must be finite and nonzero (got {h!r})")
     levels, c = _axis_scale(scheme.bits_per_symbol, noise.p0)
-    return (levels, c, *_label_table(scheme), *_gray_maps(levels))
+    return (levels, c, *_label_table(scheme))
 
 
 def _draw_messages(size: int, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -192,51 +193,53 @@ def _words_intact(
     """Send uniform k-bit messages of ``shape`` over the link; True where one arrives intact.
 
     The messages are drawn first, ``_LINK_WORDS`` words at a time, and each
-    is read as its ``_label_table`` row.  Then the link encodes, zero-pads to
-    whole symbols, modulates at power p0, scales by h, adds complex AWGN of
-    power sigma_z2 per real dimension (real parts drawn first), detects and
-    decodes.  A perfect t = 1 code returns the sent message iff at most one
-    code bit is wrong, so each axis is detected in real arithmetic from the
-    codeword's label-table row, and the word succeeds iff its label XOR has
-    at most one set bit on code bits.  The words are detected in the same
-    chunks, every real axis before any imaginary one: consecutive chunks of a
-    draw equal the dense draw, so the chunk size changes no result.
+    is read as its ``_label_table`` row of sent levels.  Then the link
+    encodes, zero-pads to whole symbols, modulates at power p0, scales by h,
+    adds complex AWGN of power sigma_z2 per real dimension (real parts drawn
+    first), detects and decodes.  A perfect t = 1 code returns the sent
+    message iff at most one code bit is wrong, so each axis is detected in
+    real arithmetic, and the word succeeds iff its detections' ``wrong``
+    counts add up to at most one.  The words are detected in the same chunks,
+    every real axis before any imaginary one: consecutive chunks of a draw
+    equal the dense draw, so the chunk size changes no result.
 
     Only the words holding a noise sample at or beyond ``_safe_radius`` run
     the detection chain: a sample inside it detects as the level sent.
     """
-    levels, c, table, mask, to_gray, from_gray = _link_tables(scheme, noise, h)
-    to_gray = to_gray.astype(table.dtype)  # detected labels at the table's width, not int64
-    amplitude = (2.0 * from_gray - (levels - 1)) * c
+    levels, c, sent, wrong = _link_tables(scheme, noise, h)
+    d = scheme.latency
+    amplitude = (2.0 * np.arange(levels) - (levels - 1)) * c
     tau = _safe_radius(levels, c, h)
     std = math.sqrt(noise.sigma_z2)
     flat = _draw_messages(math.prod(shape), scheme.k, rng)
-    # code bits wrong per word, summed as a matmul, far faster than sum() over
-    # so short an axis; a code whose table fits in memory has n < 256, so the
-    # uint8 count cannot wrap
+    # code bits wrong per word, summed as a matmul, far faster than sum() over so
+    # short an axis; a tabulated code has n < 256, so the uint8 count cannot wrap
     flips = np.zeros(flat.shape, dtype=np.uint8)
-    ones = np.ones(mask.shape[0] * mask.itemsize, dtype=np.uint8)
+    ones = np.ones(d, dtype=np.uint8)
+    slots = np.arange(d) * levels**2
     # std z is normal(0, std)'s 0 + std z but for the sign of a zero, which
     # no detected level depends on
-    buf = np.empty((min(flat.size, _LINK_WORDS), len(mask)))
+    buf = np.empty((min(flat.size, _LINK_WORDS), d))
     for axis in (0, 1):
+        # wrong[slot, axis, sent, detected] at (slot levels + sent) levels + detected
+        table = wrong[:, axis].ravel()
         for start in range(0, flat.size, _LINK_WORDS):
             chunk = flat[start : start + _LINK_WORDS]
             n = buf[: chunk.size]
             rng.standard_normal(out=n)
             n *= std
             # each word holding a sample at or beyond the radius, once
-            rows = np.flatnonzero(np.abs(n) >= tau) // len(mask)
+            rows = np.flatnonzero((n >= tau) | (n <= -tau)) // d
             rows = rows[np.diff(rows, prepend=-1) != 0]
             if rows.size:
-                labels = table[chunk[rows], :, axis]
-                y = amplitude[labels]
+                sent_levels = sent[chunk[rows], :, axis]
+                y = amplitude[sent_levels]
                 y *= h
                 y += n[rows]
-                errors = to_gray[_detect(y, levels, c, h)]
-                errors ^= labels
-                errors &= mask[:, axis]
-                flips[start + rows] += _POPCOUNT[errors.view(np.uint8)] @ ones
+                at = _detect(y, levels, c, h)
+                at += np.multiply(sent_levels, levels, dtype=np.intp)
+                at += slots
+                flips[start + rows] += table[at] @ ones
     # each word's success flag, written over its flip count: no second per-word array
     return np.less_equal(flips, 1, out=flips.view(bool)).reshape(shape)
 
@@ -271,34 +274,31 @@ def _safe_radius(levels: int, c: float, h: float) -> float:
 def word_success(scheme: CodingScheme, noise: NoisePowers, h: float) -> float:
     """Exact word success rate of one scheme at one channel gain, over all 2^k codewords.
 
-    Each label of ``_label_table`` rides on one Gray-PAM axis, detected under
-    noise of std sigma_z / |h| in the y / h domain: level j is detected on
-    amp_j +- c, open at the two outer levels.  Per (symbol, axis) slot and
-    sent label that gives P(no code bit wrong) and P(one code bit wrong), and
-    a word succeeds iff at most one code bit is wrong over its 2d slots
-    (Cho & Yoon, IEEE Trans. Commun. 2002).
+    Each sent level of ``_label_table`` rides on one Gray-PAM axis, detected
+    under noise of std sigma_z / |h| in the y / h domain: level j is detected
+    on amp_j +- c, open at the two outer levels.  With ``wrong``, that gives
+    per (symbol, axis) slot and sent level P(no code bit wrong) and P(one code
+    bit wrong), and a word succeeds iff at most one code bit is wrong over its
+    2d slots (Cho & Yoon, IEEE Trans. Commun. 2002).
     """
-    levels, c, table, mask, to_gray, from_gray = _link_tables(scheme, noise, h)
+    levels, c, sent, wrong = _link_tables(scheme, noise, h)
     scale = math.sqrt(2.0 * noise.sigma_z2) / abs(h)
     # beyond[m + levels] = P(axis noise > (2m - 1) c), m = j - i the detected
     # level's offset from the sent one
     beyond = [0.5 * math.erfc((2 * m - 1) * c / scale) for m in range(-levels, levels + 1)]
-    offsets = np.arange(levels) - from_gray[:, None] + levels  # (sent label, detected level)
+    offsets = np.arange(levels) - np.arange(levels)[:, None] + levels  # (sent, detected level)
     lower = np.take(beyond, offsets)
     lower[:, 0] = 1.0
     upper = np.take(beyond, offsets + 1)
     upper[:, -1] = 0.0
     trans = lower - upper
-    # code bits wrong per (slot, sent label, detected level)
-    wrong = _POPCOUNT[(np.arange(levels)[:, None] ^ to_gray) & mask[..., None, None]]
     clean_p = np.where(wrong == 0, trans, 0.0).sum(axis=-1)
     one_p = np.where(wrong == 1, trans, 0.0).sum(axis=-1)
-    clean, one = np.ones(len(table)), np.zeros(len(table))
-    for symbol in range(scheme.latency):
-        for axis in (0, 1):
-            labels = table[:, symbol, axis]
-            p0, p1 = clean_p[symbol, axis, labels], one_p[symbol, axis, labels]
-            clean, one = clean * p0, one * p0 + clean * p1
+    clean, one = np.ones(len(sent)), np.zeros(len(sent))
+    for symbol, axis in np.ndindex(scheme.latency, 2):
+        sent_levels = sent[:, symbol, axis]
+        p0, p1 = clean_p[symbol, axis, sent_levels], one_p[symbol, axis, sent_levels]
+        clean, one = clean * p0, one * p0 + clean * p1
     return float(np.mean(clean + one))
 
 

@@ -196,6 +196,36 @@ def test_word_success_of_a_padded_scheme_matches_the_link(p0_dbm):
     assert abs(estimate - exact) <= 5.0 * math.sqrt(exact * (1.0 - exact) / words)
 
 
+#: word_success's exact bits, as float.hex, per scheme and power in dBm at
+#: sigma_z2 = 1e-7: the oracle test allows 1e-12 and the pinned sidecars hold
+#: no padded scheme, so these catch a change to the order the rate is summed in
+_WORD_SUCCESS_BITS = {
+    ("bch15_11_qam16", 0.9): "0x1.b109a931bb1bfp-6",
+    ("bch15_11_qam16", 10.0): "0x1.e46bf0e67c2dfp-2",
+    ("bch15_11_qam16", 20.0): "0x1.fffc3884290a8p-1",
+    ("bch15_11_qam256", 0.9): "0x1.46bf1a0ba2899p-8",
+    ("bch15_11_qam256", 10.0): "0x1.7e7df64e97600p-5",
+    ("bch15_11_qam256", 20.0): "0x1.11b598741988cp-1",
+    ("bch7_4_qam16", 0.9): "0x1.44690dd8d1db8p-2",
+    ("bch7_4_qam16", 10.0): "0x1.b55206a645e88p-1",
+    ("bch7_4_qam16", 20.0): "0x1.ffff755ac5b9fp-1",
+    ("bch7_4_qam256", 0.9): "0x1.39c3d5fd25573p-3",
+    ("bch7_4_qam256", 10.0): "0x1.9ef6bbaedd0a2p-2",
+    ("bch7_4_qam256", 20.0): "0x1.d1b77f10f867cp-1",
+    ("own", 0.9): "0x1.04c24ccd3ebcep-7",
+    ("own", 10.0): "0x1.cc8b273b9b10ep-4",
+    ("own", 20.0): "0x1.d0937665c7b29p-1",
+}
+
+
+@pytest.mark.parametrize("name, p0_dbm", _WORD_SUCCESS_BITS)
+@pytest.mark.parametrize("h", [0.01, -0.01])
+def test_word_success_is_pinned_bit_for_bit(name, p0_dbm, h):
+    scheme = OWN_SCHEME if name == OWN_SCHEME.name else SCHEMES[name]
+    noise = NoisePowers(sigma_z2=SIGMA_Z2, p0=dbm(p0_dbm))
+    assert word_success(scheme, noise, h).hex() == _WORD_SUCCESS_BITS[name, p0_dbm]
+
+
 def test_dead_beat_loop_costs_with_reliable_link():
     # near-noiseless link: d=1 resets every step, J -> sigma_w2; d=2 carries
     # one step of open-loop growth, J -> ((a^2+1) + (a^2(a^2+1)+1))/2 * sigma_w2
@@ -394,6 +424,15 @@ def test_link_matches_the_codec_chain_where_the_radius_falls_to_zero(scheme, h):
         _assert_link_matches_the_chain(scheme, noise, h, words=(50, 40))
 
 
+@pytest.mark.parametrize("p0_dbm", [30.0, 35.0])
+def test_link_matches_the_codec_chain_at_32_levels_per_axis(p0_dbm):
+    # 1024-QAM: a sent level times 32 levels passes 255, so the link's index
+    # into its wrong-bit table must not be formed at the levels' uint8 width
+    scheme = CodingScheme("wide", 15, 11, 0b10011, bits_per_symbol=10)
+    want = _assert_link_matches_the_chain(scheme, NoisePowers(sigma_z2=1e-7, p0=dbm(p0_dbm)), 0.01)
+    assert want.any() and not want.all()
+
+
 @pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf, 0.0])
 def test_coded_link_refuses_a_dead_or_non_finite_gain(h):
     noise = NoisePowers(sigma_z2=1e-7, p0=0.1)
@@ -531,9 +570,9 @@ def test_a_coded_block_holds_little_beside_the_block_pair(name):
     # spare block before its factors do, so the cell peaks at about 2.3 MiB;
     # combined in 64-row pieces it peaked at 2.6 MiB, and with a
     # block-sized open-loop temporary at 3.1 MiB.  bch15_11_qam16's link
-    # detects 32750 words at once, 2 MiB of noise and its magnitudes, and
-    # peaks there at 2.23 MiB: its 352 KiB message draw, kept alive until
-    # the link returned, read 2.57 MiB
+    # detects 32750 words at once, 1 MiB of noise; with the noise's
+    # magnitudes beside it the link peaked at 2.23 MiB, and with its 352 KiB
+    # message draw kept alive until it returned, at 2.57 MiB
     noise = NoisePowers(sigma_z2=1e-7, p0=0.1)
     args = (PLANT, noise, 0.01, SCHEMES[name], 500)
     assert model.block_rows(500) == 262
@@ -546,6 +585,22 @@ def test_a_coded_block_holds_little_beside_the_block_pair(name):
         tracemalloc.stop()
     assert math.isfinite(cost)
     assert peak < 2.5 * 2**20
+
+
+def test_the_link_holds_little_beside_its_noise_chunk():
+    # 262 x 125 bch15_11_qam16 words are one 32750-word chunk: 1 MiB of noise
+    # on one axis, 64 KiB of messages and 32 KiB of flip counts.  The radius
+    # test compares the noise in place, so the link peaks at about 1.49 MiB;
+    # with a float array of the noise's magnitudes it read 2.23 MiB
+    noise, scheme = NoisePowers(sigma_z2=1e-7, p0=0.1), SCHEMES["bch15_11_qam16"]
+    coded._words_intact((262, 125), scheme, noise, 0.01, substream(0, 1))  # builds the cached tables
+    tracemalloc.start()
+    try:
+        coded._words_intact((262, 125), scheme, noise, 0.01, substream(0, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.75 * 2**20
 
 
 @pytest.mark.parametrize("k", [4, 11])
